@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,35 @@ def format_float(value: float) -> str:
 
 
 def read_matrix(path) -> np.ndarray:
+    """Parse a matrix file into a finite 2-d float64 array.
+
+    The whole file is parsed in C by `np.loadtxt`.  Any file it rejects or
+    could read differently (a skipped blank line, a non-finite entry, no
+    data) is re-read by `_scan_matrix`, the line-by-line reference parser,
+    which decides acceptance and names the offending line and field.
+    """
+    lines = 0
+
+    def counted(fh):
+        nonlocal lines
+        for line in fh:
+            lines += 1
+            yield line
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            # "input contained no data": the scan reports an empty file.
+            warnings.simplefilter("ignore", UserWarning)
+            a = np.loadtxt(counted(fh), delimiter=",", comments=None, ndmin=2,
+                           dtype=np.float64)
+    except (OSError, ValueError):
+        return _scan_matrix(path)
+    if a.size and a.shape[0] == lines and np.isfinite(a).all():
+        return a
+    return _scan_matrix(path)
+
+
+def _scan_matrix(path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
     try:
@@ -84,7 +115,9 @@ def write_matrix(path, matrix: np.ndarray) -> None:
     a = np.asarray(matrix, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for row in a:
-            fh.write(",".join(format_float(v) for v in row))
+            # repr of a Python float is format_float's rendering; one row at
+            # a time keeps the boxed floats small next to the matrix.
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
 
 
@@ -107,9 +140,11 @@ def write_summary(path, rows) -> None:
 
 
 def write_report(path, report) -> None:
+    # Rendered before the file is opened: a non-finite field raises here
+    # instead of leaving a truncated or non-JSON report behind.
+    text = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(report.to_dict(), indent=2))
-        fh.write("\n")
+        fh.write(text)
 
 
 def plot_script(summary_path: str, ranks, image_name: str) -> str:
@@ -168,8 +203,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_denoise(args) -> int:
     if not 0.0 < args.eta <= 1.0:
         raise UsageError(f"--eta must be in (0, 1], got {args.eta}")
-    if args.sigma is not None and args.sigma < 0.0:
-        raise UsageError(f"--sigma must be >= 0, got {args.sigma}")
+    if args.sigma is not None and not (math.isfinite(args.sigma) and args.sigma >= 0.0):
+        raise UsageError(f"--sigma must be finite and >= 0, got {args.sigma}")
     matrix = read_matrix(args.input)
     if args.sigma is None:
         denoised, report = usvt_adaptive(matrix, args.eta)
@@ -322,3 +357,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -64,13 +64,16 @@ class DenoiseReport:
         }
 
 
+def _sigma_hat(values: np.ndarray, shape: tuple[int, int]) -> float:
+    """med(values) / sqrt(n * mu_gamma) for a matrix of the given shape."""
+    lo, hi = min(shape), max(shape)
+    return float(np.median(values)) / math.sqrt(hi * _law(lo / hi).median)
+
+
 def estimate_sigma(x) -> float:
     """Median-singular-value estimate of the noise level; 0 for X = 0."""
     a = as_matrix(x)
-    lo, hi = min(a.shape), max(a.shape)
-    law = _law(lo / hi)
-    med = float(np.median(singular_values(a)))
-    return med / math.sqrt(hi * law.median)
+    return _sigma_hat(singular_values(a), a.shape)
 
 
 def _check_eta(eta: float) -> float:
@@ -90,13 +93,39 @@ def usvt_denoise(x, sigma: float, eta: float = DEFAULT_ETA):
     a = as_matrix(x)
     eta = _check_eta(eta)
     sigma = float(sigma)
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    return _truncate(a, sigma, eta, None)
 
+
+def usvt_adaptive(x, eta: float = DEFAULT_ETA):
+    """Denoise with the estimated noise level; report records sigma_hat.
+
+    One values-only spectral pass gives sigma_hat, the threshold and the
+    kept rank; singular vectors are computed only when the rank is > 0.
+    A degenerate sigma_hat of exactly 0 yields threshold 0 and output equal
+    to the input, flagged in the report rather than raised.
+    """
+    a = as_matrix(x)
+    eta = _check_eta(eta)
+    values = singular_values(a)
+    return _truncate(a, _sigma_hat(values, a.shape), eta, values)
+
+
+def _truncate(a: np.ndarray, sigma: float, eta: float, values):
+    """Shared body of usvt_denoise and usvt_adaptive on a validated matrix.
+
+    `values` are a's singular values when the caller already has them; they
+    alone decide the kept rank, and vectors are computed only for a rank
+    > 0.  Without them (a known sigma) one SVD supplies values and vectors,
+    so a positive rank costs a single spectral pass.
+    """
     m, n = a.shape
     work = a.T if m > n else a
     law = _law(min(m, n) / max(m, n))
     threshold = (2.0 + eta) * sigma * math.sqrt(max(m, n))
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold (2 + eta) * sigma * sqrt(n) overflows for sigma {sigma}")
 
     if threshold == 0.0:
         # Zero threshold keeps every index (lambda_i >= 0) and the
@@ -105,11 +134,16 @@ def usvt_denoise(x, sigma: float, eta: float = DEFAULT_ETA):
         kept = min(m, n)
         denoised = a.copy()
     else:
-        dec = svd(work)
-        kept = int(np.count_nonzero(dec.singular_values >= threshold))
+        dec = None
+        if values is None:
+            dec = svd(work)
+            values = dec.singular_values
+        kept = int(np.count_nonzero(values >= threshold))
         if kept == 0:
             denoised = np.zeros_like(a)
         else:
+            if dec is None:
+                dec = svd(work)
             top = (dec.left_vectors[:, :kept] * dec.singular_values[:kept]) \
                 @ dec.right_vectors[:, :kept].T
             denoised = top.T if m > n else top
@@ -121,16 +155,6 @@ def usvt_denoise(x, sigma: float, eta: float = DEFAULT_ETA):
         degenerate_sigma=(sigma == 0.0),
     )
     return denoised, report
-
-
-def usvt_adaptive(x, eta: float = DEFAULT_ETA):
-    """Denoise with the estimated noise level; report records sigma_hat.
-
-    A degenerate sigma_hat of exactly 0 yields threshold 0 and output equal
-    to the input, flagged in the report rather than raised.
-    """
-    _check_eta(eta)
-    return usvt_denoise(x, estimate_sigma(x), eta)
 
 
 def mse(a, b) -> float:

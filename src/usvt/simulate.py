@@ -47,8 +47,8 @@ class ExperimentConfig:
         for r in self.ranks:
             if not 1 <= r <= k:
                 raise ValueError(f"rank {r} outside [1, {k}]")
-        if not self.sigmas or any(s <= 0.0 for s in self.sigmas):
-            raise ValueError("sigmas must be nonempty and strictly positive")
+        if not self.sigmas or not all(0.0 < s < math.inf for s in self.sigmas):
+            raise ValueError("sigmas must be nonempty, finite and strictly positive")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not 0.0 < self.eta <= 1.0:

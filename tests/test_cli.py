@@ -1,16 +1,22 @@
 """CLI commands, file formats, and exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from usvt import mse, signal_matrix, singular_values
+import usvt
+from usvt import DenoiseReport, mse, signal_matrix, singular_values
 from usvt.cli import (
     MatrixFileError,
     main,
     read_matrix,
     write_matrix,
+    write_report,
 )
 
 MU_1 = 0.6527759416335704
@@ -207,6 +213,33 @@ class TestDenoise:
                      "--output", str(tmp_path / "o"), "--report",
                      str(tmp_path / "r")]) == 2
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+    def test_non_finite_sigma_usage_error(self, tmp_path, capsys, sigma):
+        src, out, rep = (tmp_path / n for n in ("in.txt", "out.txt", "r.json"))
+        write_matrix(src, np.ones((3, 4)))
+        assert main(["denoise", "--input", str(src), "--sigma", sigma,
+                     "--output", str(out), "--report", str(rep)]) == 2
+        assert "--sigma" in capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
+
+    def test_overflowing_threshold_runtime_error(self, tmp_path, capsys):
+        src, out, rep = (tmp_path / n for n in ("in.txt", "out.txt", "r.json"))
+        write_matrix(src, np.ones((3, 4)))
+        assert main(["denoise", "--input", str(src), "--sigma", "1e308",
+                     "--output", str(out), "--report", str(rep)]) == 1
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
+
+    def test_report_rejects_non_finite(self, tmp_path):
+        report = DenoiseReport(m=2, n=2, eta=0.02, sigma_used=float("nan"),
+                               mu_gamma=MU_1, threshold=float("nan"),
+                               kept_rank=0, kept_indices=(),
+                               degenerate_sigma=False)
+        rep = tmp_path / "r.json"
+        with pytest.raises(ValueError):
+            write_report(rep, report)
+        assert not rep.exists()
+
     def test_missing_input_runtime_error(self, tmp_path, capsys):
         assert main(["denoise", "--input", str(tmp_path / "nope.txt"),
                      "--output", str(tmp_path / "o"), "--report",
@@ -287,3 +320,15 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("module", ["usvt", "usvt.cli"])
+    def test_python_m_runs_cli(self, module):
+        src = str(Path(usvt.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "mp-quantile", "--gamma", "1", "--p", "0.5"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) == pytest.approx(MU_1, abs=1e-8)

@@ -6,10 +6,12 @@ from numpy.testing import assert_allclose
 
 from usvt import (
     estimate_sigma,
+    estimators,
     frobenius_norm,
     mse,
     signal_matrix,
     singular_values,
+    svd,
     usvt_adaptive,
     usvt_denoise,
 )
@@ -130,6 +132,22 @@ class TestUsvtDenoise:
         with pytest.raises(ValueError):
             usvt_denoise(np.ones((2, 2)), -1.0)
 
+    def test_known_sigma_takes_one_spectral_pass(self, monkeypatch):
+        x = 0.1 * np.random.default_rng(15).standard_normal((30, 50))
+        x[:3, :3] += np.diag([20.0, 15.0, 10.0])
+
+        def no_values(a):
+            raise AssertionError("values-only pass before the SVD")
+
+        monkeypatch.setattr(estimators, "singular_values", no_values)
+        _, report = usvt_denoise(x, 0.1)
+        assert report.kept_rank == 3
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1e308])
+    def test_rejects_non_finite_sigma_or_threshold(self, sigma):
+        with pytest.raises(ValueError):
+            usvt_denoise(np.ones((2, 2)), sigma)
+
 
 class TestUsvtAdaptive:
     def test_zero_input(self):
@@ -151,6 +169,52 @@ class TestUsvtAdaptive:
         base, _ = usvt_adaptive(x)
         scaled, _ = usvt_adaptive(5.0 * x)
         assert np.abs(scaled - 5.0 * base).max() <= 1e-8
+
+    def test_kept_zero_skips_singular_vectors(self, monkeypatch):
+        # the published setting keeps nothing: one values-only pass, no svd
+        rng = np.random.default_rng(13)
+        x = signal_matrix(50, 200, 1000, rng) + rng.standard_normal((200, 1000))
+        _, expected = usvt_denoise(x, estimate_sigma(x))
+        passes = []
+
+        def counted(a):
+            passes.append(a.shape)
+            return singular_values(a)
+
+        def no_svd(a):
+            raise AssertionError("singular vectors computed for kept rank 0")
+
+        monkeypatch.setattr(estimators, "singular_values", counted)
+        monkeypatch.setattr(estimators, "svd", no_svd)
+        denoised, report = usvt_adaptive(x)
+        assert report == expected and report.kept_rank == 0
+        assert np.array_equal(denoised, np.zeros_like(x))
+        assert passes == [x.shape]
+
+    def test_estimated_threshold_tie_is_kept(self):
+        # lambda_1 set to the float threshold the median of the rest yields
+        values = [2.0, 1.0, 1.0, 1.0, 1.0]
+        _, first = usvt_adaptive(embedded_diag(values, 5, 8))
+        values[0] = first.threshold
+        denoised, report = usvt_adaptive(embedded_diag(values, 5, 8))
+        assert report.threshold == first.threshold == values[0]
+        assert report.kept_rank == 1
+        assert np.array_equal(denoised, embedded_diag(values[:1], 5, 8))
+
+    @pytest.mark.parametrize("shape", [(30, 50), (50, 30)])
+    def test_kept_rank_matrix_matches_full_svd_truncation(self, shape):
+        # reference: truncate the sign-fixed SVD of the wide orientation
+        rng = np.random.default_rng(14)
+        x = 0.1 * rng.standard_normal(shape)
+        x[:3, :3] += np.diag([20.0, 15.0, 10.0])
+        denoised, report = usvt_adaptive(x)
+        wide = x.T if shape[0] > shape[1] else x
+        dec = svd(wide)
+        k = int(np.count_nonzero(dec.singular_values >= report.threshold))
+        top = (dec.left_vectors[:, :k] * dec.singular_values[:k]) \
+            @ dec.right_vectors[:, :k].T
+        assert report.kept_rank == k == 3
+        assert np.array_equal(denoised, top.T if shape[0] > shape[1] else top)
 
     def test_beats_identity_in_signal_regime(self):
         # the published setting: M_50 at 200 x 1000, sigma = 1, eta = 0.02

@@ -46,6 +46,8 @@ class TestExperimentConfig:
         dict(m=5, n=5, ranks=(1,), sigmas=(1.0,), noise_kind="cauchy"),
         dict(m=5, n=5, ranks=(1,), sigmas=(1.0,), seed=-1),
         dict(m=5, n=5, ranks=(1,), sigmas=(1.0,), seed=2**64),
+        dict(m=5, n=5, ranks=(1,), sigmas=(float("nan"),)),
+        dict(m=5, n=5, ranks=(1,), sigmas=(1.0, float("inf"))),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
