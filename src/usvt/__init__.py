@@ -22,7 +22,7 @@ from .simulate import (
     SummaryRow,
     aggregate,
     cell_rng,
-    haar_orthogonal,
+    haar_frame,
     noise_matrix,
     preset_config,
     run_cell,
@@ -61,7 +61,7 @@ __all__ = [
     "empirical_spectral_cdf",
     "estimate_sigma",
     "frobenius_norm",
-    "haar_orthogonal",
+    "haar_frame",
     "ks_distance",
     "median_singular_value",
     "mse",

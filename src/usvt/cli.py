@@ -18,7 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import DEFAULT_ETA, estimate_sigma, usvt_adaptive, usvt_denoise
+from .estimators import (
+    DEFAULT_ETA,
+    _check_eta,
+    estimate_sigma,
+    usvt_adaptive,
+    usvt_denoise,
+)
 from .mp_law import MPLaw
 from .simulate import (
     NOISE_KINDS,
@@ -201,8 +207,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    if not 0.0 < args.eta <= 1.0:
-        raise UsageError(f"--eta must be in (0, 1], got {args.eta}")
+    try:
+        _check_eta(args.eta)
+    except ValueError as exc:
+        raise UsageError(f"--eta: {exc}") from exc
     if args.sigma is not None and not (math.isfinite(args.sigma) and args.sigma >= 0.0):
         raise UsageError(f"--sigma must be finite and >= 0, got {args.sigma}")
     matrix = read_matrix(args.input)

@@ -1,10 +1,13 @@
 """Seeded Monte Carlo study of the adaptive denoiser.
 
-Signal matrices are built as U D_r V^T from fresh Haar-random orthogonal
-factors with the geometric spectrum lambda_i = exp(3 - (i - 1)/50); noise
-is i.i.d. with mean zero and unit variance.  Each (rank, sigma,
+Signal matrices are built as U D_r V^T from fresh Haar-random r-column
+frames (the first r columns of Haar orthogonal matrices, drawn by a thin
+QR) with the geometric spectrum lambda_i = exp(3 - (i - 1)/50); noise is
+i.i.d. with mean zero and unit variance.  Each (rank, sigma,
 replication) cell draws from its own named substream, so results are
-independent of execution order and may be computed in parallel.
+independent of execution order and may be computed in parallel.  The
+frames draw m x r and n x r Gaussians, so same-seed outputs differ from
+versions that drew square Haar matrices; the law of every record does not.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import mse, usvt_adaptive
+from .estimators import _check_eta, mse, usvt_adaptive
 from .spectral import SvdConvergenceError
 
 NOISE_KINDS = ("gaussian", "rademacher", "uniform")
@@ -51,8 +54,7 @@ class ExperimentConfig:
             raise ValueError("sigmas must be nonempty, finite and strictly positive")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
+        _check_eta(self.eta)
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(
                 f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}")
@@ -82,16 +84,19 @@ class SummaryRow:
     count: int
 
 
-def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed dim x dim orthogonal matrix.
+def haar_frame(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """First k columns of a Haar-distributed dim x dim orthogonal matrix.
 
-    QR of an i.i.d. standard Gaussian matrix, with each Q column flipped by
-    the sign of the matching R diagonal entry; without that correction the
-    QR factorization is not uniform over the orthogonal group.
+    Thin QR of a dim x k i.i.d. standard Gaussian matrix, with each Q column
+    flipped by the sign of the matching R diagonal entry; without that
+    correction the columns are not Haar distributed.  Column j of Q depends
+    only on the first j columns of the draw, so this is the first k columns
+    of the same construction on a dim x dim draw; k = dim gives a Haar
+    orthogonal matrix.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    if not 1 <= k <= dim:
+        raise ValueError(f"need 1 <= k <= dim, got dim={dim}, k={k}")
+    q, r = np.linalg.qr(rng.standard_normal((dim, k)))
     return q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
 
 
@@ -101,13 +106,10 @@ def signal_spectrum(r: int) -> np.ndarray:
 
 
 def signal_matrix(r: int, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """m x n signal U D_r V^T with fresh Haar factors and the geometric spectrum."""
+    """m x n signal U D_r V^T with fresh r-column Haar frames and the geometric spectrum."""
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} outside [1, {min(m, n)}]")
-    u = haar_orthogonal(m, rng)
-    v = haar_orthogonal(n, rng)
-    lam = signal_spectrum(r)
-    return (u[:, :r] * lam) @ v[:, :r].T
+    return (haar_frame(m, r, rng) * signal_spectrum(r)) @ haar_frame(n, r, rng).T
 
 
 def noise_matrix(m: int, n: int, kind: str, rng: np.random.Generator) -> np.ndarray:

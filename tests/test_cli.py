@@ -213,6 +213,14 @@ class TestDenoise:
                      "--output", str(tmp_path / "o"), "--report",
                      str(tmp_path / "r")]) == 2
 
+    def test_nan_eta_usage_error(self, tmp_path, capsys):
+        src, out, rep = (tmp_path / n for n in ("in.txt", "out.txt", "r.json"))
+        write_matrix(src, np.ones((2, 2)))
+        assert main(["denoise", "--input", str(src), "--eta", "nan",
+                     "--output", str(out), "--report", str(rep)]) == 2
+        assert "--eta" in capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
+
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
     def test_non_finite_sigma_usage_error(self, tmp_path, capsys, sigma):
         src, out, rep = (tmp_path / n for n in ("in.txt", "out.txt", "r.json"))

@@ -123,7 +123,7 @@ class TestUsvtDenoise:
         assert r1.threshold == r2.threshold
         assert r1.kept_rank == r2.kept_rank
 
-    @pytest.mark.parametrize("eta", [0.0, -0.5, 1.0001])
+    @pytest.mark.parametrize("eta", [0.0, -0.5, 1.0001, float("nan")])
     def test_rejects_bad_eta(self, eta):
         with pytest.raises(ValueError):
             usvt_denoise(np.ones((2, 2)), 1.0, eta)

@@ -12,7 +12,7 @@ from usvt import (
     ExperimentConfig,
     aggregate,
     cell_rng,
-    haar_orthogonal,
+    haar_frame,
     mse,
     noise_matrix,
     nuclear_norm,
@@ -48,6 +48,7 @@ class TestExperimentConfig:
         dict(m=5, n=5, ranks=(1,), sigmas=(1.0,), seed=2**64),
         dict(m=5, n=5, ranks=(1,), sigmas=(float("nan"),)),
         dict(m=5, n=5, ranks=(1,), sigmas=(1.0, float("inf"))),
+        dict(m=5, n=5, ranks=(1,), sigmas=(1.0,), eta=float("nan")),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -55,29 +56,74 @@ class TestExperimentConfig:
 
 
 class TestHaarOrthogonal:
+    """The square case: haar_frame(dim, dim) is a Haar orthogonal matrix."""
+
     def test_dim_one_is_sign(self):
         rng = np.random.default_rng(0)
-        values = {float(haar_orthogonal(1, rng)[0, 0]) for _ in range(50)}
+        values = {float(haar_frame(1, 1, rng)[0, 0]) for _ in range(50)}
         assert values <= {-1.0, 1.0}
         assert len(values) == 2
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 40])
     def test_orthogonality(self, dim):
-        q = haar_orthogonal(dim, np.random.default_rng(dim))
+        q = haar_frame(dim, dim, np.random.default_rng(dim))
         assert np.linalg.norm(q.T @ q - np.eye(dim)) <= 1e-10
 
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
-            haar_orthogonal(0, np.random.default_rng(0))
+            haar_frame(0, 0, np.random.default_rng(0))
 
     def test_first_entry_matches_uniform_angle_law(self):
         # Q[0, 0] of a Haar 2 x 2 orthogonal matrix is cos(theta) with theta
         # uniform; compare against a brute-force uniform-angle sample
         rng = np.random.default_rng(42)
-        q11 = np.array([haar_orthogonal(2, rng)[0, 0] for _ in range(5000)])
+        q11 = np.array([haar_frame(2, 2, rng)[0, 0] for _ in range(5000)])
         angles = np.random.default_rng(43).uniform(0.0, 2.0 * np.pi, size=5000)
         ks = stats.ks_2samp(q11, np.cos(angles)).statistic
         assert ks <= 0.05
+
+
+class TestHaarFrame:
+    @pytest.mark.parametrize("dim,k", [(1, 1), (2, 1), (7, 3), (40, 5),
+                                       (60, 59), (30, 30)])
+    def test_is_leading_columns_of_full_draw(self, dim, k):
+        # Gram-Schmidt on column j sees only columns 1..j, so the sign-fixed
+        # thin QR of G[:, :k] is the first k columns of the sign-fixed full
+        # QR of G: the frame has the law of k columns of a Haar matrix
+        g = np.random.default_rng(dim * 100 + k).standard_normal((dim, dim))
+
+        class Replay:
+            def standard_normal(self, shape):
+                return g[:, :shape[1]]
+
+        full = haar_frame(dim, dim, Replay())
+        thin = haar_frame(dim, k, Replay())
+        assert_allclose(thin, full[:, :k], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim,k", [(1, 1), (9, 2), (200, 50), (1000, 50)])
+    def test_shape_and_orthonormal_columns(self, dim, k):
+        q = haar_frame(dim, k, np.random.default_rng(dim + k))
+        assert q.shape == (dim, k)
+        assert np.max(np.abs(q.T @ q - np.eye(k))) <= 1e-12
+
+    @pytest.mark.parametrize("dim,k", [(0, 1), (-3, 1), (5, 0), (5, -1), (5, 6),
+                                       (1, 2)])
+    def test_rejects_bad_shape(self, dim, k):
+        with pytest.raises(ValueError):
+            haar_frame(dim, k, np.random.default_rng(0))
+
+    def test_signal_matrix_draws_only_the_columns_it_uses(self, monkeypatch):
+        from usvt import simulate
+
+        asked = []
+
+        def spy(dim, k, rng):
+            asked.append((dim, k))
+            return haar_frame(dim, k, rng)
+
+        monkeypatch.setattr(simulate, "haar_frame", spy)
+        simulate.signal_matrix(4, 20, 50, np.random.default_rng(0))
+        assert asked == [(20, 4), (50, 4)]
 
 
 class TestSignalMatrix:
@@ -152,6 +198,24 @@ class TestRunExperiment:
         cfg = ExperimentConfig(m=8, n=12, ranks=(1, 2), sigmas=(0.1, 0.4),
                                replications=2, seed=11)
         assert run_experiment(cfg) == run_experiment(cfg)
+
+    def test_pinned_stream(self):
+        # the values this version's random stream gives; a change to the
+        # draws (their shapes, order or generator) must update these on purpose
+        cfg = ExperimentConfig(m=20, n=40, ranks=(2, 5), sigmas=(0.1, 1.0),
+                               replications=1, seed=3)
+        expected = [
+            (2, 0.1, 0.10710629305813656, 0.0015364523260072368, 2),
+            (2, 1.0, 1.0424894532087094, 0.17640885346525184, 2),
+            (5, 0.1, 0.11600498970355239, 0.0031720085012169707, 5),
+            (5, 1.0, 1.1308521309386124, 0.3847961516137929, 5),
+        ]
+        records = run_experiment(cfg)
+        assert [(r.rank, r.sigma, r.kept_rank) for r in records] == \
+               [(rank, sigma, kept) for rank, sigma, _, _, kept in expected]
+        for rec, (_, _, sigma_hat, mse_matrix, _) in zip(records, expected):
+            assert rec.sigma_hat == pytest.approx(sigma_hat, rel=1e-12)
+            assert rec.mse_matrix == pytest.approx(mse_matrix, rel=1e-12)
 
     def test_record_count_and_order(self):
         cfg = ExperimentConfig(m=6, n=9, ranks=(1, 3), sigmas=(0.2, 0.5, 1.0),
