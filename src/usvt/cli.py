@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 from pathlib import Path
@@ -21,6 +20,7 @@ import numpy as np
 from .estimators import (
     DEFAULT_ETA,
     _check_eta,
+    _check_sigma,
     estimate_sigma,
     usvt_adaptive,
     usvt_denoise,
@@ -29,6 +29,7 @@ from .mp_law import MPLaw
 from .simulate import (
     NOISE_KINDS,
     PRESETS,
+    ConfigError,
     ExperimentConfig,
     aggregate,
     preset_config,
@@ -38,6 +39,18 @@ from .spectral import SvdConvergenceError, singular_values
 
 RESULTS_HEADER = "rank,sigma,rep,sigma_hat,sq_err_sigma,mse_matrix,kept_rank"
 SUMMARY_HEADER = "rank,sigma,mean_sq_err_sigma,mean_mse_matrix,count"
+
+# ExperimentConfig field -> the `usvt simulate` flag that sets it.
+_CONFIG_FLAGS = {
+    "m": "--m",
+    "n": "--n",
+    "ranks": "--ranks",
+    "sigmas": "--sigmas",
+    "replications": "--reps",
+    "eta": "--eta",
+    "noise_kind": "--noise",
+    "seed": "--seed",
+}
 
 
 class UsageError(Exception):
@@ -184,13 +197,17 @@ def plot_script(summary_path: str, ranks, image_name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _checked(flag: str, check, value):
+    """check(value), with its ValueError turned into a usage error naming flag."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
+
+
 def _cmd_mp_quantile(args) -> int:
-    if not 0.0 < args.gamma <= 1.0:
-        raise UsageError(f"--gamma must be in (0, 1], got {args.gamma}")
-    if not 0.0 <= args.p <= 1.0:
-        raise UsageError(f"--p must be in [0, 1], got {args.p}")
-    law = MPLaw(args.gamma)
-    print(f"{law.quantile(args.p):.15g}")
+    law = _checked("--gamma", MPLaw, args.gamma)
+    print(f"{_checked('--p', law.quantile, args.p):.15g}")
     return 0
 
 
@@ -207,12 +224,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    try:
-        _check_eta(args.eta)
-    except ValueError as exc:
-        raise UsageError(f"--eta: {exc}") from exc
-    if args.sigma is not None and not (math.isfinite(args.sigma) and args.sigma >= 0.0):
-        raise UsageError(f"--sigma must be finite and >= 0, got {args.sigma}")
+    _checked("--eta", _check_eta, args.eta)
+    if args.sigma is not None:
+        _checked("--sigma", _check_sigma, args.sigma)
     matrix = read_matrix(args.input)
     if args.sigma is None:
         denoised, report = usvt_adaptive(matrix, args.eta)
@@ -265,6 +279,8 @@ def _simulate_config(args) -> ExperimentConfig:
             noise_kind=overrides.get("noise_kind", "gaussian"),
             seed=overrides.get("seed", 0),
         )
+    except ConfigError as exc:
+        raise UsageError(f"{_CONFIG_FLAGS[exc.field]}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

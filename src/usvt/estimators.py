@@ -83,6 +83,13 @@ def _check_eta(eta: float) -> float:
     return eta
 
 
+def _check_sigma(sigma: float) -> float:
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    return sigma
+
+
 def usvt_denoise(x, sigma: float, eta: float = DEFAULT_ETA):
     """Threshold the SVD of x at (2 + eta) * sigma * sqrt(max(m, n)).
 
@@ -92,10 +99,7 @@ def usvt_denoise(x, sigma: float, eta: float = DEFAULT_ETA):
     """
     a = as_matrix(x)
     eta = _check_eta(eta)
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    return _truncate(a, sigma, eta, None)
+    return _truncate(a, _check_sigma(sigma), eta, None)
 
 
 def usvt_adaptive(x, eta: float = DEFAULT_ETA):

@@ -2,18 +2,30 @@
 
 For an m x n matrix with i.i.d. unit-variance entries and m <= n, the
 eigenvalues of X X^T / n approach the Marchenko-Pastur distribution with
-aspect ratio gamma = m/n, supported on [(1 - sqrt(gamma))^2,
+aspect ratio gamma = m/n, supported on [a, b] = [(1 - sqrt(gamma))^2,
 (1 + sqrt(gamma))^2].  Its median is the calibration constant that turns
 the median singular value of an observed matrix into a noise-level
 estimate.
+
+The CDF is closed form.  With D = b - a and x = a + D sin^2(theta),
+
+    F(x) = [b theta - D (theta - sin theta cos theta) / 2
+            - sqrt(ab) atan2(sqrt(b) sin theta, sqrt(a) cos theta)] / (pi gamma),
+
+where sqrt(a) = 1 - sqrt(gamma), sqrt(b) = 1 + sqrt(gamma) and
+sqrt(ab) = 1 - gamma; atan2 covers gamma = 1 (a = 0) without a special
+case.
+
+The package imports only numpy and the standard library.  Code that ever
+needs scipy (a LAPACK driver fallback, a partial eigensolver) must import
+it inside the function that uses it: importing scipy.integrate used to be
+most of the command line's start-up time.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-
-from scipy.integrate import quad
 
 _BISECT_WIDTH = 1e-12
 _QUANTILE_TOL = 1e-8
@@ -49,26 +61,19 @@ class MPLaw:
         radicand = (self.gamma_plus - x) * (x - self.gamma_minus)
         return math.sqrt(radicand) / (2.0 * math.pi * self.gamma * x)
 
-    def _theta_integrand(self, theta: float) -> float:
-        # Density transported through x = g- + (g+ - g-) sin^2(theta).  The
-        # substitution absorbs both square-root edge zeros and, at gamma = 1,
-        # the x^(-1/2) blow-up at the origin, leaving a smooth integrand.
-        s2 = math.sin(theta) ** 2
-        x = self.gamma_minus + self._span * s2
-        if x == 0.0:  # gamma = 1, theta = 0: limit of the ratio below
-            return self._span / (math.pi * self.gamma)
-        c2 = math.cos(theta) ** 2
-        return self._span**2 * s2 * c2 / (math.pi * self.gamma * x)
-
     def cdf(self, x: float) -> float:
-        """Probability mass on [gamma_minus, x], by quadrature in theta."""
+        """Probability mass on [gamma_minus, x], by the closed form above."""
         if x <= self.gamma_minus:
             return 0.0
         if x >= self.gamma_plus:
             return 1.0
-        theta_x = math.asin(math.sqrt((x - self.gamma_minus) / self._span))
-        value, _ = quad(self._theta_integrand, 0.0, theta_x,
-                        epsabs=1e-12, epsrel=1e-12, limit=200)
+        theta = math.asin(math.sqrt((x - self.gamma_minus) / self._span))
+        sin, cos = math.sin(theta), math.cos(theta)
+        root = math.sqrt(self.gamma)
+        value = (self.gamma_plus * theta
+                 - self._span * (theta - sin * cos) / 2.0
+                 - (1.0 - self.gamma) * math.atan2((1.0 + root) * sin, (1.0 - root) * cos)
+                 ) / (math.pi * self.gamma)
         return min(max(value, 0.0), 1.0)
 
     def quantile(self, p: float) -> float:

@@ -26,6 +26,14 @@ SPECTRUM_LOG_PEAK = 3.0
 SPECTRUM_DECAY = 50.0
 
 
+class ConfigError(ValueError):
+    """An ExperimentConfig field is invalid; `field` names it."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one Monte Carlo study."""
@@ -42,24 +50,30 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-        if self.m < 1 or self.n < 1:
-            raise ValueError("matrix dimensions must be positive")
+        for dim in ("m", "n"):
+            if getattr(self, dim) < 1:
+                raise ConfigError(dim, "matrix dimensions must be positive")
         if not self.ranks:
-            raise ValueError("ranks must be nonempty")
+            raise ConfigError("ranks", "ranks must be nonempty")
         k = min(self.m, self.n)
         for r in self.ranks:
             if not 1 <= r <= k:
-                raise ValueError(f"rank {r} outside [1, {k}]")
+                raise ConfigError("ranks", f"rank {r} outside [1, {k}]")
         if not self.sigmas or not all(0.0 < s < math.inf for s in self.sigmas):
-            raise ValueError("sigmas must be nonempty, finite and strictly positive")
+            raise ConfigError(
+                "sigmas", "sigmas must be nonempty, finite and strictly positive")
         if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        _check_eta(self.eta)
+            raise ConfigError("replications", "replications must be >= 1")
+        try:
+            _check_eta(self.eta)
+        except ValueError as exc:
+            raise ConfigError("eta", str(exc)) from None
         if self.noise_kind not in NOISE_KINDS:
-            raise ValueError(
+            raise ConfigError(
+                "noise_kind",
                 f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ConfigError("seed", "seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,17 @@ class TestMpQuantile:
         assert main(["mp-quantile", "--gamma", "0.5"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--gamma", "nan"), ("--gamma", "inf"), ("--p", "nan"), ("--p", "inf"),
+    ])
+    def test_non_finite_is_usage_error(self, capsys, flag, value):
+        # argparse keeps the last value of a repeated flag
+        assert main(["mp-quantile", "--gamma", "0.5", "--p", "0.5",
+                     flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usvt: error: {flag}: " in captured.err
+
 
 class TestEstimateSigma:
     def test_zero_matrix(self, tmp_path, capsys):
@@ -313,6 +324,21 @@ class TestSimulate:
                      "--out", "x", "--summary", "y"]) == 2
         assert "--m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--m", "0"), ("--n", "0"), ("--ranks", "0"), ("--ranks", "9"),
+        ("--sigmas", "0"), ("--sigmas", "nan"), ("--sigmas", "0.5,inf"),
+        ("--reps", "0"), ("--eta", "0"), ("--eta", "nan"), ("--seed", "-1"),
+        ("--seed", str(2**64)),
+    ])
+    def test_config_error_names_flag(self, tmp_path, capsys, flag, value):
+        out, summary = tmp_path / "r.csv", tmp_path / "s.csv"
+        argv = ["simulate", "--m", "8", "--n", "12", "--ranks", "1",
+                "--sigmas", "0.5", "--reps", "1", "--seed", "3",
+                "--out", str(out), "--summary", str(summary)]
+        assert main(argv + [flag, value]) == 2  # the last value of a flag wins
+        assert f"usvt: error: {flag}: " in capsys.readouterr().err
+        assert not out.exists() and not summary.exists()
+
     def test_invalid_rank_for_preset_shape(self, tmp_path, capsys):
         code = main(["simulate", "--preset", "paper-fig1", "--ranks", "500",
                      "--reps", "1", "--out", str(tmp_path / "a"),
@@ -340,3 +366,15 @@ class TestExitCodes:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) == pytest.approx(MU_1, abs=1e-8)
+
+    def test_import_loads_no_scipy(self):
+        # scipy costs most of the start-up time; the package must not pull
+        # it in at import (any use belongs inside the function needing it).
+        src = str(Path(usvt.__file__).resolve().parents[1])
+        code = ("import sys; import usvt, usvt.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, cwd=src, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

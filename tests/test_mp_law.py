@@ -148,3 +148,63 @@ class TestQuantile:
     def test_rejects_bad_level(self, p):
         with pytest.raises(ValueError):
             MPLaw(0.5).quantile(p)
+
+
+# Medians this package has always produced (bisection to width 1e-12 on an
+# accurate CDF); compared with ==, so any change to mu_gamma's bits is seen.
+PINNED_MEDIANS = {
+    0.04: 0.9866506914086494,
+    0.1: 0.9665651474026802,
+    0.2: 0.9329154766004295,
+    0.5: 0.8304658815816028,
+    1.0: 0.6527759416335357,
+}
+
+# (x, F(x)) near gamma = 1, where a = gamma_minus is tiny: points 1e-9 * span
+# inside each edge and at a quarter, half and three quarters of the support.
+# References from a 50-digit tanh-sinh integral of the density (mpmath),
+# cross-checked against the x-space integral; x is the float shown.
+CDF_REFERENCE = {
+    0.999: [
+        (2.5412307767943593e-07, 2.125954084113247e-07),
+        (0.999500125062539, 0.6088021877673533),
+        (1.9989999999999999, 0.818218990039379),
+        (2.9984998749374605, 0.9423022625747135),
+        (3.9979997458769216, 0.9999999999999866),
+    ],
+    1 - 1e-6: [
+        (4.000248000124471e-09, 3.97659057205208e-05),
+        (0.9999995000001252, 0.6089975855430277),
+        (1.9999990000000003, 0.8183097953386828),
+        (2.9999984999998754, 0.9423310855431026),
+        (3.9999979959997525, 0.9999999999999866),
+    ],
+}
+
+
+class TestClosedFormCdf:
+    @pytest.mark.parametrize("gamma", GAMMA_GRID)
+    def test_pinned_median_bits(self, gamma):
+        assert MPLaw(gamma).median == PINNED_MEDIANS[gamma]
+
+    @pytest.mark.parametrize("gamma", sorted(CDF_REFERENCE))
+    def test_matches_high_precision_reference(self, gamma):
+        law = MPLaw(gamma)
+        for x, expected in CDF_REFERENCE[gamma]:
+            assert abs(law.cdf(x) - expected) <= 1e-14, x
+
+    @pytest.mark.parametrize("gamma", sorted(CDF_REFERENCE))
+    def test_reference_points_hug_the_edges(self, gamma):
+        law = MPLaw(gamma)
+        (lo, _), (hi, _) = CDF_REFERENCE[gamma][0], CDF_REFERENCE[gamma][-1]
+        assert 0.0 < lo - law.gamma_minus <= 1.01e-9 * law._span
+        assert 0.0 < law.gamma_plus - hi <= 1.01e-9 * law._span
+
+    @pytest.mark.parametrize("gamma", GAMMA_GRID + [0.999, 1 - 1e-6])
+    def test_derivative_is_density(self, gamma):
+        law = MPLaw(gamma)
+        h = 1e-6
+        for frac in [0.05, 0.2, 0.4, 0.6, 0.8, 0.95]:
+            x = law.gamma_minus + frac * law._span
+            slope = (law.cdf(x + h) - law.cdf(x - h)) / (2.0 * h)
+            assert slope == pytest.approx(law.density(x), rel=1e-7, abs=1e-9)
