@@ -30,18 +30,7 @@ from .simulate import (
     signal_matrix,
     signal_spectrum,
 )
-from .spectral import (
-    SpectralDecomposition,
-    SvdConvergenceError,
-    empirical_spectral_cdf,
-    frobenius_norm,
-    ks_distance,
-    median_singular_value,
-    nuclear_norm,
-    operator_norm,
-    singular_values,
-    svd,
-)
+from .spectral import SvdConvergenceError, ks_distance, nuclear_norm, singular_values
 
 __version__ = "0.1.0"
 
@@ -53,28 +42,22 @@ __all__ = [
     "MPLaw",
     "NOISE_KINDS",
     "PRESETS",
-    "SpectralDecomposition",
     "SummaryRow",
     "SvdConvergenceError",
     "aggregate",
     "cell_rng",
-    "empirical_spectral_cdf",
     "estimate_sigma",
-    "frobenius_norm",
     "haar_frame",
     "ks_distance",
-    "median_singular_value",
     "mse",
     "noise_matrix",
     "nuclear_norm",
-    "operator_norm",
     "preset_config",
     "run_cell",
     "run_experiment",
     "signal_matrix",
     "signal_spectrum",
     "singular_values",
-    "svd",
     "usvt_adaptive",
     "usvt_denoise",
 ]

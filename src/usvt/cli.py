@@ -207,7 +207,7 @@ def _checked(flag: str, check, value):
 
 def _cmd_mp_quantile(args) -> int:
     law = _checked("--gamma", MPLaw, args.gamma)
-    print(f"{_checked('--p', law.quantile, args.p):.15g}")
+    print(format_float(_checked("--p", law.quantile, args.p)))
     return 0
 
 
@@ -252,33 +252,19 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _simulate_config(args) -> ExperimentConfig:
-    overrides = {}
-    if args.reps is not None:
-        overrides["replications"] = args.reps
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    if args.noise is not None:
-        overrides["noise_kind"] = args.noise
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    # Only the flags given reach the config; every default is the
+    # preset's or ExperimentConfig's own.
+    fields = {field: getattr(args, flag[2:]) for field, flag in _CONFIG_FLAGS.items()
+              if getattr(args, flag[2:]) is not None}
     try:
         if args.preset is not None:
-            for flag in ("m", "n", "ranks", "sigmas"):
-                if getattr(args, flag) is not None:
-                    overrides[flag] = getattr(args, flag)
-            return preset_config(args.preset, **overrides)
-        missing = [f"--{f}" for f in ("m", "n", "ranks", "sigmas")
-                   if getattr(args, f) is None]
+            return preset_config(args.preset, **fields)
+        missing = [_CONFIG_FLAGS[f] for f in ("m", "n", "ranks", "sigmas")
+                   if f not in fields]
         if missing:
             raise UsageError(
                 f"without --preset, {', '.join(missing)} are required")
-        return ExperimentConfig(
-            m=args.m, n=args.n, ranks=args.ranks, sigmas=args.sigmas,
-            replications=overrides.get("replications", 100),
-            eta=overrides.get("eta", DEFAULT_ETA),
-            noise_kind=overrides.get("noise_kind", "gaussian"),
-            seed=overrides.get("seed", 0),
-        )
+        return ExperimentConfig(**fields)
     except ConfigError as exc:
         raise UsageError(f"{_CONFIG_FLAGS[exc.field]}: {exc}") from exc
     except ValueError as exc:
@@ -371,10 +357,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usvt: error: {exc}", file=sys.stderr)
         return 2
-    except (MatrixFileError, SvdConvergenceError) as exc:
-        print(f"usvt: error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, SvdConvergenceError) as exc:
         print(f"usvt: error: {exc}", file=sys.stderr)
         return 1
 

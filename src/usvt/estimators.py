@@ -13,7 +13,7 @@ plugs in sigma_hat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -51,17 +51,7 @@ class DenoiseReport:
 
     def to_dict(self) -> dict:
         """Flat key/value form used by the JSON report file."""
-        return {
-            "m": self.m,
-            "n": self.n,
-            "eta": self.eta,
-            "sigma_used": self.sigma_used,
-            "mu_gamma": self.mu_gamma,
-            "threshold": self.threshold,
-            "kept_rank": self.kept_rank,
-            "kept_indices": list(self.kept_indices),
-            "degenerate_sigma": self.degenerate_sigma,
-        }
+        return {**asdict(self), "kept_indices": list(self.kept_indices)}
 
 
 def _sigma_hat(values: np.ndarray, shape: tuple[int, int]) -> float:
@@ -138,18 +128,16 @@ def _truncate(a: np.ndarray, sigma: float, eta: float, values):
         kept = min(m, n)
         denoised = a.copy()
     else:
-        dec = None
+        usv = None
         if values is None:
-            dec = svd(work)
-            values = dec.singular_values
+            usv = svd(work)
+            values = usv[1]
         kept = int(np.count_nonzero(values >= threshold))
         if kept == 0:
             denoised = np.zeros_like(a)
         else:
-            if dec is None:
-                dec = svd(work)
-            top = (dec.left_vectors[:, :kept] * dec.singular_values[:kept]) \
-                @ dec.right_vectors[:, :kept].T
+            u, s, vt = usv if usv is not None else svd(work)
+            top = (u[:, :kept] * s[:kept]) @ vt[:kept]
             denoised = top.T if m > n else top
 
     report = DenoiseReport(

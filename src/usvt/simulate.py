@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import _check_eta, mse, usvt_adaptive
+from .estimators import DEFAULT_ETA, _check_eta, mse, usvt_adaptive
 from .spectral import SvdConvergenceError
 
 NOISE_KINDS = ("gaussian", "rademacher", "uniform")
@@ -43,7 +43,7 @@ class ExperimentConfig:
     ranks: tuple[int, ...]
     sigmas: tuple[float, ...]
     replications: int = 100
-    eta: float = 0.02
+    eta: float = DEFAULT_ETA
     noise_kind: str = "gaussian"
     seed: int = 0
 

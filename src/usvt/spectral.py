@@ -1,15 +1,13 @@
 """Dense-matrix spectral primitives.
 
-Deterministic thin SVD, singular-value statistics and norms, and the
-empirical spectral distribution of X X^T / n against its Marchenko-Pastur
-limit.  Every operation treats the wide orientation as canonical: inputs
-with more rows than columns are transposed internally where the underlying
-quantity requires m <= n.
+Input validation, the thin SVD and the singular values the denoiser
+needs, the nuclear norm, and the Kolmogorov-Smirnov distance between the
+eigenvalues of X X^T / n and their Marchenko-Pastur limit.  Singular
+values are computed in the wide (m <= n) orientation, so x and x.T give
+bit-identical values.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,34 +28,13 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Thin SVD with values descending and a deterministic sign convention."""
-
-    singular_values: np.ndarray  # (k,), descending, k = min(m, n)
-    left_vectors: np.ndarray     # (m, k), orthonormal columns
-    right_vectors: np.ndarray    # (n, k), orthonormal columns
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left_vectors * self.singular_values) @ self.right_vectors.T
-
-
-def svd(x) -> SpectralDecomposition:
-    """Thin SVD of x, sign-fixed so repeated runs agree bit for bit.
-
-    Each left vector's entry of largest magnitude (first index on ties) is
-    made nonnegative, with the matching right vector flipped to preserve
-    the product.
-    """
+def svd(x):
+    """Thin SVD (u, s, vt) of x as numpy computes it, values descending."""
     a = as_matrix(x)
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
-    cols = np.arange(u.shape[1])
-    anchor = np.abs(u).argmax(axis=0)
-    signs = np.where(u[anchor, cols] < 0.0, -1.0, 1.0)
-    return SpectralDecomposition(s, u * signs, (vt * signs[:, None]).T)
 
 
 def singular_values(x) -> np.ndarray:
@@ -75,48 +52,20 @@ def singular_values(x) -> np.ndarray:
         raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
 
 
-def median_singular_value(x) -> float:
-    """Sample median of the singular values (mid-pair average for even count)."""
-    return float(np.median(singular_values(x)))
-
-
 def nuclear_norm(x) -> float:
     """Sum of singular values."""
     return float(singular_values(x).sum())
 
 
-def frobenius_norm(x) -> float:
-    return float(np.linalg.norm(as_matrix(x)))
-
-
-def operator_norm(x) -> float:
-    """Largest singular value."""
-    return float(singular_values(x)[0])
-
-
-def _bulk_eigenvalues(x) -> np.ndarray:
-    """Ascending eigenvalues of X X^T / n with the m <= n orientation."""
-    a = as_matrix(x)
-    if a.shape[0] > a.shape[1]:
-        a = a.T
-    return np.sort(singular_values(a)) ** 2 / a.shape[1]
-
-
-def empirical_spectral_cdf(x, t: float) -> float:
-    """F_n(t): fraction of eigenvalues of X X^T / n that are <= t."""
-    evals = _bulk_eigenvalues(x)
-    return float(np.mean(evals <= t))
-
-
 def ks_distance(x, law: MPLaw) -> float:
-    """sup_t |F_n(t) - F_gamma(t)| between the empirical spectral CDF and
-    the Marchenko-Pastur limit.
+    """sup_t |F_n(t) - F_gamma(t)| between the empirical CDF of the
+    eigenvalues of X X^T / n (n = max(m, n)) and the Marchenko-Pastur limit.
 
     The supremum is attained at eigenvalue jump points; both one-sided
     limits are checked there, plus the support edges where F_gamma is
     exactly 0 and 1.
     """
-    evals = _bulk_eigenvalues(x)
+    evals = singular_values(x)[::-1] ** 2 / max(np.shape(x))  # ascending
     m = evals.size
     f_gamma = np.array([law.cdf(e) for e in evals])
     above = np.arange(1, m + 1) / m - f_gamma   # right limits of F_n

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import usvt
-from usvt import DenoiseReport, mse, signal_matrix, singular_values
+from usvt import DenoiseReport, MPLaw, mse, signal_matrix, singular_values
 from usvt.cli import (
     MatrixFileError,
     main,
@@ -77,12 +77,17 @@ class TestMatrixFile:
 class TestMpQuantile:
     def test_gamma_one_lower_edge(self, capsys):
         assert main(["mp-quantile", "--gamma", "1", "--p", "0"]) == 0
-        assert capsys.readouterr().out.strip() == "0"
+        assert capsys.readouterr().out.strip() == "0.0"
 
     def test_gamma_one_median(self, capsys):
         assert main(["mp-quantile", "--gamma", "1", "--p", "0.5"]) == 0
         value = float(capsys.readouterr().out)
         assert value == pytest.approx(MU_1, abs=1e-8)
+
+    @pytest.mark.parametrize("gamma", [0.999999, 0.3])
+    def test_output_reads_back_exactly(self, capsys, gamma):
+        assert main(["mp-quantile", "--gamma", repr(gamma), "--p", "0.5"]) == 0
+        assert float(capsys.readouterr().out) == MPLaw(gamma).quantile(0.5)
 
     def test_bad_gamma_is_usage_error(self, capsys):
         assert main(["mp-quantile", "--gamma", "1.5", "--p", "0.5"]) == 2

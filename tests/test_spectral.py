@@ -1,21 +1,12 @@
-"""Spectral primitives: SVD contract, value statistics, norms, F_n, KS."""
+"""Spectral primitives: SVD contract, singular values, nuclear norm, KS; the public API."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from usvt import (
-    MPLaw,
-    empirical_spectral_cdf,
-    frobenius_norm,
-    ks_distance,
-    median_singular_value,
-    nuclear_norm,
-    operator_norm,
-    singular_values,
-    svd,
-)
-from usvt.spectral import as_matrix
+import usvt
+from usvt import MPLaw, ks_distance, nuclear_norm, singular_values
+from usvt.spectral import as_matrix, svd
 
 MU_02 = 0.9329154766004399
 
@@ -43,14 +34,14 @@ class TestAsMatrix:
 
 class TestSvd:
     def test_identity(self):
-        dec = svd(np.eye(3))
-        assert_allclose(dec.singular_values, [1.0, 1.0, 1.0], atol=1e-14)
+        _, s, _ = svd(np.eye(3))
+        assert_allclose(s, [1.0, 1.0, 1.0], atol=1e-14)
 
     def test_embedded_diagonal(self):
-        dec = svd(embedded_diag([3.0, 2.0, 1.0], 3, 5))
-        assert dec.singular_values.tolist() == [3.0, 2.0, 1.0]
-        assert dec.left_vectors.shape == (3, 3)
-        assert dec.right_vectors.shape == (5, 3)
+        u, s, vt = svd(embedded_diag([3.0, 2.0, 1.0], 3, 5))
+        assert s.tolist() == [3.0, 2.0, 1.0]
+        assert u.shape == (3, 3)
+        assert vt.shape == (3, 5)
 
     def test_contract_on_random_shapes(self):
         rng = np.random.default_rng(100)
@@ -58,14 +49,14 @@ class TestSvd:
             m = int(rng.integers(1, 65))
             n = int(rng.integers(1, 65))
             x = rng.standard_normal((m, n))
-            dec = svd(x)
+            u, s, vt = svd(x)
             k = min(m, n)
-            scale = max(1.0, frobenius_norm(x))
-            assert np.linalg.norm(dec.reconstruct() - x) <= 1e-10 * scale
-            assert np.all(np.diff(dec.singular_values) <= 0)
-            assert np.all(dec.singular_values >= 0)
-            assert np.linalg.norm(dec.left_vectors.T @ dec.left_vectors - np.eye(k)) <= 1e-10
-            assert np.linalg.norm(dec.right_vectors.T @ dec.right_vectors - np.eye(k)) <= 1e-10
+            scale = max(1.0, np.linalg.norm(x))
+            assert np.linalg.norm((u * s) @ vt - x) <= 1e-10 * scale
+            assert np.all(np.diff(s) <= 0)
+            assert np.all(s >= 0)
+            assert np.linalg.norm(u.T @ u - np.eye(k)) <= 1e-10
+            assert np.linalg.norm(vt @ vt.T - np.eye(k)) <= 1e-10
 
     def test_convergence_failure_is_explicit(self, monkeypatch):
         def exploding_svd(*args, **kwargs):
@@ -77,18 +68,6 @@ class TestSvd:
             svd(np.ones((3, 3)))
         with pytest.raises(SvdConvergenceError):
             singular_values(np.ones((3, 3)))
-
-    def test_sign_convention(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((12, 8))
-        dec = svd(x)
-        anchors = np.abs(dec.left_vectors).argmax(axis=0)
-        for j, i in enumerate(anchors):
-            assert dec.left_vectors[i, j] >= 0.0
-        # flipping input rows must not break determinism of the output pair
-        dec2 = svd(x)
-        assert np.array_equal(dec.left_vectors, dec2.left_vectors)
-        assert np.array_equal(dec.right_vectors, dec2.right_vectors)
 
 
 class TestSingularValues:
@@ -114,31 +93,28 @@ class TestSingularValues:
 
 class TestMedianSingularValue:
     def test_odd_count(self):
-        assert median_singular_value(np.diag([5.0, 3.0, 1.0])) == 3.0
+        assert np.median(singular_values(np.diag([5.0, 3.0, 1.0]))) == 3.0
 
     def test_even_count_averages(self):
-        assert median_singular_value(embedded_diag([4.0, 3.0, 2.0, 1.0], 4, 5)) == 2.5
+        x = embedded_diag([4.0, 3.0, 2.0, 1.0], 4, 5)
+        assert np.median(singular_values(x)) == 2.5
 
     def test_gaussian_concentrates_at_mp_median(self):
         # med(lambda_i) ~ sqrt(n * mu_gamma) for pure noise; 2% band at this size
         target = np.sqrt(1000 * MU_02)
         for s in range(50):
             x = np.random.default_rng(1000 + s).standard_normal((200, 1000))
-            assert abs(median_singular_value(x) / target - 1.0) < 0.02
+            assert abs(np.median(singular_values(x)) / target - 1.0) < 0.02
 
 
 class TestNorms:
     def test_zero(self):
         z = np.zeros((3, 2))
         assert nuclear_norm(z) == 0.0
-        assert frobenius_norm(z) == 0.0
-        assert operator_norm(z) == 0.0
 
     def test_diagonal(self):
         assert nuclear_norm(np.diag([3.0, 2.0, 1.0])) == pytest.approx(6.0, abs=1e-12)
-        d = np.diag([3.0, 4.0])
-        assert frobenius_norm(d) == pytest.approx(5.0, abs=1e-12)
-        assert operator_norm(d) == pytest.approx(4.0, abs=1e-12)
+        assert nuclear_norm(np.diag([3.0, -4.0])) == pytest.approx(7.0, abs=1e-12)
 
     def test_nuclear_triangle_inequality(self):
         rng = np.random.default_rng(3)
@@ -148,54 +124,15 @@ class TestNorms:
             assert nuclear_norm(a + b) <= nuclear_norm(a) + nuclear_norm(b) + 1e-9
 
     def test_norm_inequality_chain(self):
+        # ||X||_2 <= ||X||_F <= ||X||_* <= sqrt(rank) ||X||_F
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = rng.standard_normal((7, 13))
             rank = min(x.shape)
-            assert operator_norm(x) <= frobenius_norm(x) + 1e-12
-            assert frobenius_norm(x) <= np.sqrt(rank) * operator_norm(x) + 1e-12
-
-
-class TestEmpiricalSpectralCdf:
-    def test_below_zero(self):
-        x = np.random.default_rng(5).standard_normal((4, 9))
-        assert empirical_spectral_cdf(x, -1e-9) == 0.0
-
-    def test_at_top_eigenvalue(self):
-        x = np.random.default_rng(6).standard_normal((4, 9))
-        top = operator_norm(x) ** 2 / 9
-        assert empirical_spectral_cdf(x, top) == 1.0
-        assert empirical_spectral_cdf(x, top + 1.0) == 1.0
-
-    def test_two_point_spectrum(self):
-        # X = diag(sqrt 2, sqrt 8): eigenvalues of X X^T / 2 are 1 and 4 up
-        # to one rounding of the squaring, so assert at the computed jumps.
-        x = np.diag([np.sqrt(2.0), np.sqrt(8.0)])
-        lo, hi = np.sort(singular_values(x)) ** 2 / 2
-        assert lo == pytest.approx(1.0, abs=1e-14)
-        assert hi == pytest.approx(4.0, abs=1e-14)
-        assert empirical_spectral_cdf(x, float(lo)) == 0.5
-        assert empirical_spectral_cdf(x, float(lo) - 1e-9) == 0.0
-        assert empirical_spectral_cdf(x, float(hi)) == 1.0
-
-    def test_two_point_spectrum_exact(self):
-        # exactly representable variant: eigenvalues of X X^T / 2 are 2 and 8
-        y = np.diag([2.0, 4.0])
-        assert empirical_spectral_cdf(y, 2.0) == 0.5
-        assert empirical_spectral_cdf(y, 8.0) == 1.0
-        assert empirical_spectral_cdf(y, 1.999999) == 0.0
-
-    def test_transpose_handled(self):
-        x = np.random.default_rng(7).standard_normal((12, 5))
-        for t in [0.1, 0.5, 1.0, 2.0]:
-            assert empirical_spectral_cdf(x, t) == empirical_spectral_cdf(x.T, t)
-
-    def test_is_a_cdf(self):
-        x = np.random.default_rng(8).standard_normal((10, 15))
-        evals = np.sort(singular_values(x)) ** 2 / 15
-        values = [empirical_spectral_cdf(x, float(e)) for e in evals]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert values[-1] == 1.0
+            operator, frobenius = np.linalg.norm(x, 2), np.linalg.norm(x)
+            assert operator <= frobenius + 1e-12
+            assert frobenius <= nuclear_norm(x) + 1e-12
+            assert nuclear_norm(x) <= np.sqrt(rank) * frobenius + 1e-12
 
 
 class TestKsDistance:
@@ -207,9 +144,10 @@ class TestKsDistance:
         assert ks_distance(x, law) == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic(self):
+        # x.T has the same eigenvalues of X X^T / n, so the same distance
         x = np.random.default_rng(9).standard_normal((40, 80))
         law = MPLaw(0.5)
-        assert ks_distance(x, law) == ks_distance(x, law)
+        assert ks_distance(x, law) == ks_distance(x, law) == ks_distance(x.T, law)
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(10)
@@ -220,3 +158,17 @@ class TestKsDistance:
     def test_large_gaussian_close_to_limit(self):
         x = np.random.default_rng(500).standard_normal((1000, 2000))
         assert ks_distance(x, MPLaw(0.5)) <= 0.05
+
+
+class TestPublicApi:
+    def test_all_is_pinned_and_resolves(self):
+        assert sorted(usvt.__all__) == [
+            "DEFAULT_ETA", "DenoiseReport", "ExperimentConfig", "ExperimentRecord",
+            "MPLaw", "NOISE_KINDS", "PRESETS", "SummaryRow", "SvdConvergenceError",
+            "aggregate", "cell_rng", "estimate_sigma", "haar_frame", "ks_distance",
+            "mse", "noise_matrix", "nuclear_norm", "preset_config", "run_cell",
+            "run_experiment", "signal_matrix", "signal_spectrum", "singular_values",
+            "usvt_adaptive", "usvt_denoise",
+        ]
+        for name in usvt.__all__:
+            assert hasattr(usvt, name), name
