@@ -10,6 +10,7 @@ byte-stable.  Data goes to stdout, diagnostics to stderr; exit codes are
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -17,39 +18,48 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import (
-    DEFAULT_ETA,
-    _check_eta,
-    _check_sigma,
-    estimate_sigma,
-    usvt_adaptive,
-    usvt_denoise,
-)
+from .estimators import DEFAULT_ETA, _check_eta, _check_sigma, estimate_sigma, usvt_denoise
 from .mp_law import MPLaw
 from .simulate import (
     NOISE_KINDS,
     PRESETS,
     ConfigError,
     ExperimentConfig,
+    ExperimentRecord,
+    SummaryRow,
     aggregate,
     preset_config,
     run_experiment,
 )
 from .spectral import SvdConvergenceError, singular_values
 
-RESULTS_HEADER = "rank,sigma,rep,sigma_hat,sq_err_sigma,mse_matrix,kept_rank"
-SUMMARY_HEADER = "rank,sigma,mean_sq_err_sigma,mean_mse_matrix,count"
 
-# ExperimentConfig field -> the `usvt simulate` flag that sets it.
+def _list_of(kind, noun: str):
+    """argparse type: a comma-separated list of `kind` values, as a tuple."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(f) for f in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {noun} list: {text!r}") from None
+
+    return parse
+
+
+# ExperimentConfig field -> the `usvt simulate` flag that sets it and the
+# flag's argparse options.  The flag's name is also its argparse dest.
 _CONFIG_FLAGS = {
-    "m": "--m",
-    "n": "--n",
-    "ranks": "--ranks",
-    "sigmas": "--sigmas",
-    "replications": "--reps",
-    "eta": "--eta",
-    "noise_kind": "--noise",
-    "seed": "--seed",
+    "m": ("--m", dict(type=int, help="signal rows")),
+    "n": ("--n", dict(type=int, help="signal columns")),
+    "ranks": ("--ranks", dict(type=_list_of(int, "integer"),
+                              help="comma-separated signal ranks")),
+    "sigmas": ("--sigmas", dict(type=_list_of(float, "number"),
+                                help="comma-separated noise levels")),
+    "replications": ("--reps", dict(type=int, help="replications per (rank, sigma) cell")),
+    "eta": ("--eta", dict(type=float, help="threshold margin in (0, 1]")),
+    "noise_kind": ("--noise", dict(choices=NOISE_KINDS, help="noise distribution")),
+    "seed": ("--seed", dict(type=int, help="base seed")),
 }
 
 
@@ -140,22 +150,24 @@ def write_matrix(path, matrix: np.ndarray) -> None:
             fh.write("\n")
 
 
-def write_results(path, records) -> None:
+def _write_csv(path, cls, rows) -> None:
+    """CSV of dataclass `cls` rows: a header of its field names, then one
+    line per row, floats by format_float and ints by str."""
+    names = [f.name for f in dataclasses.fields(cls)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(RESULTS_HEADER + "\n")
-        for r in records:
-            fh.write(f"{r.rank},{format_float(r.sigma)},{r.rep},"
-                     f"{format_float(r.sigma_hat)},{format_float(r.sq_err_sigma)},"
-                     f"{format_float(r.mse_matrix)},{r.kept_rank}\n")
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            values = (getattr(row, name) for name in names)
+            fh.write(",".join(format_float(v) if isinstance(v, float) else str(v)
+                              for v in values) + "\n")
+
+
+def write_results(path, records) -> None:
+    _write_csv(path, ExperimentRecord, records)
 
 
 def write_summary(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for s in rows:
-            fh.write(f"{s.rank},{format_float(s.sigma)},"
-                     f"{format_float(s.mean_sq_err_sigma)},"
-                     f"{format_float(s.mean_mse_matrix)},{s.count}\n")
+    _write_csv(path, SummaryRow, rows)
 
 
 def write_report(path, report) -> None:
@@ -170,9 +182,13 @@ def plot_script(summary_path: str, ranks, image_name: str) -> str:
     """Self-contained gnuplot script: two panels over the summary CSV,
     one curve per rank (noise-level MSE left, matrix MSE right)."""
 
+    def quoted(text: str) -> str:
+        # gnuplot writes a quote inside a single-quoted string as ''
+        return "'" + text.replace("'", "''") + "'"
+
     def panel(column: int) -> str:
         series = [
-            f"'{summary_path}' skip 1 using 2:($1=={r}?${column}:1/0) "
+            f"{quoted(summary_path)} skip 1 using 2:($1=={r}?${column}:1/0) "
             f"with linespoints title 'r={r}'"
             for r in ranks
         ]
@@ -183,7 +199,7 @@ def plot_script(summary_path: str, ranks, image_name: str) -> str:
         f"# Reads: {summary_path}",
         "set datafile separator ','",
         "set terminal pngcairo size 1100,450",
-        f"set output '{image_name}'",
+        f"set output {quoted(image_name)}",
         "set multiplot layout 1,2",
         "set key top left",
         "set xlabel 'sigma'",
@@ -227,46 +243,28 @@ def _cmd_denoise(args) -> int:
     _checked("--eta", _check_eta, args.eta)
     if args.sigma is not None:
         _checked("--sigma", _check_sigma, args.sigma)
-    matrix = read_matrix(args.input)
-    if args.sigma is None:
-        denoised, report = usvt_adaptive(matrix, args.eta)
-    else:
-        denoised, report = usvt_denoise(matrix, args.sigma, args.eta)
+    denoised, report = usvt_denoise(read_matrix(args.input), args.sigma, args.eta)
     write_matrix(args.output, denoised)
     write_report(args.report, report)
     return 0
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(f) for f in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(f) for f in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}")
-
-
 def _simulate_config(args) -> ExperimentConfig:
     # Only the flags given reach the config; every default is the
     # preset's or ExperimentConfig's own.
-    fields = {field: getattr(args, flag[2:]) for field, flag in _CONFIG_FLAGS.items()
-              if getattr(args, flag[2:]) is not None}
+    fields = {field: value for field, (flag, _) in _CONFIG_FLAGS.items()
+              if (value := getattr(args, flag[2:])) is not None}
     try:
         if args.preset is not None:
             return preset_config(args.preset, **fields)
-        missing = [_CONFIG_FLAGS[f] for f in ("m", "n", "ranks", "sigmas")
+        missing = [_CONFIG_FLAGS[f][0] for f in ("m", "n", "ranks", "sigmas")
                    if f not in fields]
         if missing:
             raise UsageError(
                 f"without --preset, {', '.join(missing)} are required")
         return ExperimentConfig(**fields)
     except ConfigError as exc:
-        raise UsageError(f"{_CONFIG_FLAGS[exc.field]}: {exc}") from exc
+        raise UsageError(f"{_CONFIG_FLAGS[exc.field][0]}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -324,19 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a seeded Monte Carlo study and write CSVs")
     p.add_argument("--preset", choices=sorted(PRESETS), default=None,
                    help="named study configuration")
-    p.add_argument("--m", type=int, default=None, help="signal rows")
-    p.add_argument("--n", type=int, default=None, help="signal columns")
-    p.add_argument("--ranks", type=_parse_int_list, default=None,
-                   help="comma-separated signal ranks")
-    p.add_argument("--sigmas", type=_parse_float_list, default=None,
-                   help="comma-separated noise levels")
-    p.add_argument("--reps", type=int, default=None,
-                   help="replications per (rank, sigma) cell")
-    p.add_argument("--eta", type=float, default=None,
-                   help="threshold margin in (0, 1]")
-    p.add_argument("--noise", choices=NOISE_KINDS, default=None,
-                   help="noise distribution")
-    p.add_argument("--seed", type=int, default=None, help="base seed")
+    for flag, options in _CONFIG_FLAGS.values():
+        p.add_argument(flag, **options)
     p.add_argument("--out", required=True, help="per-replication CSV to write")
     p.add_argument("--summary", required=True, help="per-cell summary CSV to write")
     p.add_argument("--plot", default=None,

@@ -80,43 +80,26 @@ def _check_sigma(sigma: float) -> float:
     return sigma
 
 
-def usvt_denoise(x, sigma: float, eta: float = DEFAULT_ETA):
+def usvt_denoise(x, sigma: float | None = None, eta: float = DEFAULT_ETA):
     """Threshold the SVD of x at (2 + eta) * sigma * sqrt(max(m, n)).
 
     Returns (denoised matrix, DenoiseReport).  Singular values exactly equal
-    to the threshold are kept.  sigma = 0 keeps everything and returns the
-    input unchanged.
+    to the threshold are kept; sigma = 0 keeps everything and returns the
+    input unchanged.  sigma None estimates it as sigma_hat from one
+    values-only spectral pass, which also gives the kept rank, so vectors
+    are computed only for a rank > 0; a sigma_hat of exactly 0 is flagged
+    in the report, not raised.  A known sigma takes one SVD for values and
+    vectors, a single spectral pass.
     """
     a = as_matrix(x)
     eta = _check_eta(eta)
-    return _truncate(a, _check_sigma(sigma), eta, None)
-
-
-def usvt_adaptive(x, eta: float = DEFAULT_ETA):
-    """Denoise with the estimated noise level; report records sigma_hat.
-
-    One values-only spectral pass gives sigma_hat, the threshold and the
-    kept rank; singular vectors are computed only when the rank is > 0.
-    A degenerate sigma_hat of exactly 0 yields threshold 0 and output equal
-    to the input, flagged in the report rather than raised.
-    """
-    a = as_matrix(x)
-    eta = _check_eta(eta)
-    values = singular_values(a)
-    return _truncate(a, _sigma_hat(values, a.shape), eta, values)
-
-
-def _truncate(a: np.ndarray, sigma: float, eta: float, values):
-    """Shared body of usvt_denoise and usvt_adaptive on a validated matrix.
-
-    `values` are a's singular values when the caller already has them; they
-    alone decide the kept rank, and vectors are computed only for a rank
-    > 0.  Without them (a known sigma) one SVD supplies values and vectors,
-    so a positive rank costs a single spectral pass.
-    """
     m, n = a.shape
-    work = a.T if m > n else a
-    law = _law(min(m, n) / max(m, n))
+    values = usv = None
+    if sigma is None:
+        values = singular_values(a)
+        sigma = _sigma_hat(values, a.shape)
+    else:
+        sigma = _check_sigma(sigma)
     threshold = (2.0 + eta) * sigma * math.sqrt(max(m, n))
     if not math.isfinite(threshold):
         raise ValueError(f"threshold (2 + eta) * sigma * sqrt(n) overflows for sigma {sigma}")
@@ -128,7 +111,7 @@ def _truncate(a: np.ndarray, sigma: float, eta: float, values):
         kept = min(m, n)
         denoised = a.copy()
     else:
-        usv = None
+        work = a.T if m > n else a
         if values is None:
             usv = svd(work)
             values = usv[1]
@@ -141,12 +124,18 @@ def _truncate(a: np.ndarray, sigma: float, eta: float, values):
             denoised = top.T if m > n else top
 
     report = DenoiseReport(
-        m=m, n=n, eta=eta, sigma_used=sigma, mu_gamma=law.median,
+        m=m, n=n, eta=eta, sigma_used=sigma,
+        mu_gamma=_law(min(m, n) / max(m, n)).median,
         threshold=threshold, kept_rank=kept,
         kept_indices=tuple(range(1, kept + 1)),
         degenerate_sigma=(sigma == 0.0),
     )
     return denoised, report
+
+
+def usvt_adaptive(x, eta: float = DEFAULT_ETA):
+    """usvt_denoise with the estimated noise level; report records sigma_hat."""
+    return usvt_denoise(x, None, eta)
 
 
 def mse(a, b) -> float:

@@ -13,6 +13,7 @@ versions that drew square Haar matrices; the law of every record does not.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,10 +21,17 @@ import numpy as np
 from .estimators import DEFAULT_ETA, _check_eta, mse, usvt_adaptive
 from .spectral import SvdConvergenceError
 
-NOISE_KINDS = ("gaussian", "rademacher", "uniform")
-
 SPECTRUM_LOG_PEAK = 3.0
 SPECTRUM_DECAY = 50.0
+
+# Noise kind -> sampler of an i.i.d. mean-zero unit-variance matrix.
+_NOISE = {
+    "gaussian": lambda rng, shape: rng.standard_normal(shape),
+    "rademacher": lambda rng, shape:
+        rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0,
+    "uniform": lambda rng, shape: rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape),
+}
+NOISE_KINDS = tuple(_NOISE)
 
 
 class ConfigError(ValueError):
@@ -48,7 +56,13 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        for name in ("m", "n", "replications", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(name, f"{name} must be an integer")
+        ranks = tuple(self.ranks)
+        if not all(isinstance(r, numbers.Integral) for r in ranks):
+            raise ConfigError("ranks", "ranks must be integers")
+        object.__setattr__(self, "ranks", tuple(int(r) for r in ranks))
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
         for dim in ("m", "n"):
             if getattr(self, dim) < 1:
@@ -128,14 +142,9 @@ def signal_matrix(r: int, m: int, n: int, rng: np.random.Generator) -> np.ndarra
 
 def noise_matrix(m: int, n: int, kind: str, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. mean-zero unit-variance noise of the requested kind."""
-    if kind == "gaussian":
-        return rng.standard_normal((m, n))
-    if kind == "rademacher":
-        return rng.integers(0, 2, size=(m, n)).astype(np.float64) * 2.0 - 1.0
-    if kind == "uniform":
-        half = math.sqrt(3.0)
-        return rng.uniform(-half, half, size=(m, n))
-    raise ValueError(f"noise kind must be one of {NOISE_KINDS}, got {kind!r}")
+    if kind not in NOISE_KINDS:
+        raise ValueError(f"noise kind must be one of {NOISE_KINDS}, got {kind!r}")
+    return _NOISE[kind](rng, (m, n))
 
 
 def cell_rng(seed: int, rank_index: int, sigma_index: int, rep: int) -> np.random.Generator:

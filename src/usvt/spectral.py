@@ -3,8 +3,9 @@
 Input validation, the thin SVD and the singular values the denoiser
 needs, the nuclear norm, and the Kolmogorov-Smirnov distance between the
 eigenvalues of X X^T / n and their Marchenko-Pastur limit.  Singular
-values are computed in the wide (m <= n) orientation, so x and x.T give
-bit-identical values.
+values are computed in the wide (m <= n) orientation, so a non-square x
+and x.T give bit-identical values.  A square x is never transposed: x and
+x.T are different inputs to LAPACK and agree only to rounding.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ def svd(x):
 def singular_values(x) -> np.ndarray:
     """Singular values of x, descending, length min(m, n).
 
-    Computed in the m <= n orientation so x and x.T yield bit-identical
-    values.
+    Computed in the m <= n orientation, so for m != n x and x.T yield
+    bit-identical values; for m == n they agree only to rounding.
     """
     a = as_matrix(x)
     if a.shape[0] > a.shape[1]:
@@ -61,16 +62,14 @@ def ks_distance(x, law: MPLaw) -> float:
     """sup_t |F_n(t) - F_gamma(t)| between the empirical CDF of the
     eigenvalues of X X^T / n (n = max(m, n)) and the Marchenko-Pastur limit.
 
-    The supremum is attained at eigenvalue jump points; both one-sided
-    limits are checked there, plus the support edges where F_gamma is
-    exactly 0 and 1.
+    The supremum is attained at eigenvalue jump points, where both one-sided
+    limits are checked.  F_gamma is 0 at the last eigenvalue <= gamma_minus
+    and 1 at the first one > gamma_plus, so the limits there already give
+    the mass outside the support.
     """
     evals = singular_values(x)[::-1] ** 2 / max(np.shape(x))  # ascending
     m = evals.size
     f_gamma = np.array([law.cdf(e) for e in evals])
     above = np.arange(1, m + 1) / m - f_gamma   # right limits of F_n
     below = f_gamma - np.arange(0, m) / m       # left limits of F_n
-    at_lower = float(np.mean(evals <= law.gamma_minus))
-    at_upper = 1.0 - float(np.mean(evals <= law.gamma_plus))
-    return float(max(np.abs(above).max(), np.abs(below).max(),
-                     at_lower, at_upper))
+    return float(max(np.abs(above).max(), np.abs(below).max()))

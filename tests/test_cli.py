@@ -14,6 +14,7 @@ from usvt import DenoiseReport, MPLaw, mse, signal_matrix, singular_values
 from usvt.cli import (
     MatrixFileError,
     main,
+    plot_script,
     read_matrix,
     write_matrix,
     write_report,
@@ -292,6 +293,13 @@ class TestSimulate:
         assert "set multiplot layout 1,2" in script
         assert str(summary) in script
         assert "r=2" in script
+
+    def test_plot_script_quotes_paths(self):
+        # gnuplot writes a quote inside a single-quoted string as ''
+        script = plot_script("it's.csv", (1,), "o'k.png")
+        assert "set output 'o''k.png'\n" in script
+        assert "plot 'it''s.csv' skip 1 using" in script
+        assert "'it's.csv'" not in script
 
     def test_deterministic_bytes(self, tmp_path):
         args = ["simulate", "--m", "10", "--n", "14", "--ranks", "2",

@@ -49,6 +49,10 @@ class TestExperimentConfig:
         dict(m=5, n=5, ranks=(1,), sigmas=(float("nan"),)),
         dict(m=5, n=5, ranks=(1,), sigmas=(1.0, float("inf"))),
         dict(m=5, n=5, ranks=(1,), sigmas=(1.0,), eta=float("nan")),
+        dict(m=5, n=5, ranks=(1.7,), sigmas=(1.0,)),
+        dict(m=6.5, n=5, ranks=(1,), sigmas=(1.0,)),
+        dict(m=5, n=5, ranks=(1,), sigmas=(1.0,), replications=1.5),
+        dict(m=5, n=5, ranks=(1,), sigmas=(1.0,), seed=2.5),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -210,6 +214,31 @@ class TestRunExperiment:
             (5, 0.1, 0.11600498970355239, 0.0031720085012169707, 5),
             (5, 1.0, 1.1308521309386124, 0.3847961516137929, 5),
         ]
+        records = run_experiment(cfg)
+        assert [(r.rank, r.sigma, r.kept_rank) for r in records] == \
+               [(rank, sigma, kept) for rank, sigma, _, _, kept in expected]
+        for rec, (_, _, sigma_hat, mse_matrix, _) in zip(records, expected):
+            assert rec.sigma_hat == pytest.approx(sigma_hat, rel=1e-12)
+            assert rec.mse_matrix == pytest.approx(mse_matrix, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("rademacher", [
+            (2, 0.1, 0.1027812399925312, 0.0014085372748520147, 2),
+            (2, 1.0, 1.041512662217017, 0.16918834645487726, 2),
+            (5, 0.1, 0.11077475672350892, 0.0038855593036239322, 5),
+            (5, 1.0, 1.175317950460863, 0.3850642854280548, 5),
+        ]),
+        ("uniform", [
+            (2, 0.1, 0.10413334100988403, 0.0018652553619236672, 2),
+            (2, 1.0, 1.04800498163416, 0.15668717799524104, 2),
+            (5, 0.1, 0.1141027329637026, 0.003364925680051265, 5),
+            (5, 1.0, 1.1059309070168992, 0.43050522480371517, 5),
+        ]),
+    ])
+    def test_pinned_stream_non_gaussian(self, kind, expected):
+        # as test_pinned_stream, for the noise kinds drawn by other rng calls
+        cfg = ExperimentConfig(m=20, n=40, ranks=(2, 5), sigmas=(0.1, 1.0),
+                               replications=1, seed=3, noise_kind=kind)
         records = run_experiment(cfg)
         assert [(r.rank, r.sigma, r.kept_rank) for r in records] == \
                [(rank, sigma, kept) for rank, sigma, _, _, kept in expected]

@@ -143,6 +143,10 @@ class TestKsDistance:
         x = embedded_diag([c, c, c], m, n)
         assert ks_distance(x, law) == pytest.approx(1.0, abs=1e-12)
 
+    def test_mass_below_support_gives_one(self):
+        # every eigenvalue 0 <= gamma_minus: F_n jumps to 1 where F_gamma is 0
+        assert ks_distance(np.zeros((3, 6)), MPLaw(0.5)) == 1.0
+
     def test_deterministic(self):
         # x.T has the same eigenvalues of X X^T / n, so the same distance
         x = np.random.default_rng(9).standard_normal((40, 80))
