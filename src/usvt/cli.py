@@ -143,6 +143,12 @@ def _scan_matrix(path) -> np.ndarray:
 def write_matrix(path, matrix: np.ndarray) -> None:
     a = np.asarray(matrix, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="") as fh:
+        if a.size and not a.any() and not np.signbit(a).any():
+            # every entry is +0.0 (a kept-0 denoise): all rows render alike
+            line = ",".join(map(repr, a[0].tolist())) + "\n"
+            for _ in range(len(a)):
+                fh.write(line)
+            return
         for row in a:
             # repr of a Python float is format_float's rendering; one row at
             # a time keeps the boxed floats small next to the matrix.

@@ -1,13 +1,18 @@
 """Seeded Monte Carlo study of the adaptive denoiser.
 
-Signal matrices are built as U D_r V^T from fresh Haar-random r-column
-frames (the first r columns of Haar orthogonal matrices, drawn by a thin
-QR) with the geometric spectrum lambda_i = exp(3 - (i - 1)/50); noise is
-i.i.d. with mean zero and unit variance.  Each (rank, sigma,
+The study's signal is U D_r V^T with fresh Haar-random r-column frames
+(the first r columns of Haar orthogonal matrices, drawn by a thin QR) and
+the geometric spectrum lambda_i = exp(3 - (i - 1)/50); noise is i.i.d.
+with mean zero and unit variance.  Rademacher and uniform cells draw the
+frames.  Gaussian noise is orthogonally invariant, so a Gaussian cell uses
+E D_r E^T, E = [I_r; 0], draws only its noise, and gives records with the
+same joint law: sigma_hat and the kept rank depend only on singular values,
+and thresholding is orthogonally equivariant.  Each (rank, sigma,
 replication) cell draws from its own named substream, so results are
-independent of execution order and may be computed in parallel.  The
-frames draw m x r and n x r Gaussians, so same-seed outputs differ from
-versions that drew square Haar matrices; the law of every record does not.
+independent of execution order and may be computed in parallel.  Same-seed
+Gaussian outputs differ from versions that drew Haar frames for them, and
+all outputs differ from versions that drew square Haar matrices; the law
+of every record does not.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ _NOISE = {
     "uniform": lambda rng, shape: rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape),
 }
 NOISE_KINDS = tuple(_NOISE)
+# Kinds whose noise matrix A has the law of O1 A O2 for fixed orthogonal O1,
+# O2: their cells take E D_r E^T as the signal and draw no Haar frame, which
+# leaves the law of every record unchanged (see the module docstring).
+_ORTHOGONALLY_INVARIANT = frozenset({"gaussian"})
 
 
 class ConfigError(ValueError):
@@ -164,7 +173,11 @@ def run_cell(config: ExperimentConfig, rank_index: int, sigma_index: int,
     r = config.ranks[rank_index]
     sigma = config.sigmas[sigma_index]
     rng = cell_rng(config.seed, rank_index, sigma_index, rep)
-    signal = signal_matrix(r, config.m, config.n, rng)
+    if config.noise_kind in _ORTHOGONALLY_INVARIANT:
+        signal = np.zeros((config.m, config.n))
+        signal[np.arange(r), np.arange(r)] = signal_spectrum(r)
+    else:
+        signal = signal_matrix(r, config.m, config.n, rng)
     noise = noise_matrix(config.m, config.n, config.noise_kind, rng)
     observed = signal + sigma * noise
     try:

@@ -38,6 +38,21 @@ class TestMatrixFile:
         write_matrix(p, x)
         assert np.array_equal(read_matrix(p), x)
 
+    @pytest.mark.parametrize("case", ["zeros", "one_negative_zero", "nonzero"])
+    def test_write_matches_row_loop(self, tmp_path, case):
+        # an all +0.0 matrix is written as one rendered row repeated; the
+        # bytes must be those of rendering every row
+        x = np.zeros((7, 5))
+        if case == "one_negative_zero":
+            x[3, 2] = -0.0
+        elif case == "nonzero":
+            x[6, 4] = 1e-300
+        p = tmp_path / "m.txt"
+        write_matrix(p, x)
+        expected = "".join(",".join(map(repr, row.tolist())) + "\n" for row in x)
+        assert p.read_text(encoding="utf-8") == expected
+        assert ("-0.0" in expected) == (case == "one_negative_zero")
+
     def test_write_then_read_is_canonical(self, tmp_path):
         p = tmp_path / "m.txt"
         write_lines(p, "1.50,2\n3,0.25\n")

@@ -1,6 +1,7 @@
 """Monte Carlo harness: Haar draws, signal/noise generators, seeded cells."""
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,6 +23,7 @@ from usvt import (
     signal_matrix,
     signal_spectrum,
     singular_values,
+    usvt_adaptive,
 )
 
 
@@ -190,9 +192,11 @@ class TestRunExperiment:
         assert len(records) == 1
         rec = records[0]
         assert rec.kept_rank == 1
-        # rebuild the cell's draws from its named substream
+        # rebuild the cell's draws from its named substream: a Gaussian cell
+        # draws only its noise and takes the diagonal signal E D_r E^T
         rng = cell_rng(5, 0, 0, 0)
-        signal = signal_matrix(1, 20, 20, rng)
+        signal = np.zeros((20, 20))
+        signal[0, 0] = signal_spectrum(1)[0]
         noise = noise_matrix(20, 20, "gaussian", rng)
         x = signal + 0.001 * noise
         assert rec.mse_matrix < mse(x, signal)
@@ -209,10 +213,10 @@ class TestRunExperiment:
         cfg = ExperimentConfig(m=20, n=40, ranks=(2, 5), sigmas=(0.1, 1.0),
                                replications=1, seed=3)
         expected = [
-            (2, 0.1, 0.10710629305813656, 0.0015364523260072368, 2),
-            (2, 1.0, 1.0424894532087094, 0.17640885346525184, 2),
-            (5, 0.1, 0.11600498970355239, 0.0031720085012169707, 5),
-            (5, 1.0, 1.1308521309386124, 0.3847961516137929, 5),
+            (2, 0.1, 0.10242332435898294, 0.0015385028732149428, 2),
+            (2, 1.0, 1.079137326299849, 0.20432659640809536, 2),
+            (5, 0.1, 0.11592091284849594, 0.002985958471803788, 5),
+            (5, 1.0, 1.1201235961350438, 0.3986678080454154, 5),
         ]
         records = run_experiment(cfg)
         assert [(r.rank, r.sigma, r.kept_rank) for r in records] == \
@@ -245,6 +249,53 @@ class TestRunExperiment:
         for rec, (_, _, sigma_hat, mse_matrix, _) in zip(records, expected):
             assert rec.sigma_hat == pytest.approx(sigma_hat, rel=1e-12)
             assert rec.mse_matrix == pytest.approx(mse_matrix, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, frames", [
+        ("gaussian", 0), ("rademacher", 2), ("uniform", 2)])
+    def test_haar_frames_only_for_kinds_that_need_them(self, monkeypatch,
+                                                       kind, frames):
+        from usvt import simulate
+
+        asked = []
+
+        def spy(dim, k, rng):
+            asked.append((dim, k))
+            return haar_frame(dim, k, rng)
+
+        monkeypatch.setattr(simulate, "haar_frame", spy)
+        cfg = ExperimentConfig(m=20, n=40, ranks=(3,), sigmas=(0.5,),
+                               replications=1, seed=2, noise_kind=kind)
+        run_cell(cfg, 0, 0, 0)
+        assert len(asked) == frames
+
+    def test_diagonal_gaussian_cell_has_the_haar_law(self):
+        # U D_r V^T + sigma A and E D_r E^T + sigma A give records with one
+        # joint law for Gaussian A; compare 600 Haar-frame cells, built as
+        # before, with 600 cells of run_cell's diagonal construction
+        m, n, r, sigma, cells = 40, 80, 5, 1.1, 600
+        cfg = ExperimentConfig(m=m, n=n, ranks=(r,), sigmas=(sigma,),
+                               replications=cells, eta=0.02, seed=17)
+        diagonal = run_experiment(cfg)
+        haar = []
+        for rep in range(cells):
+            rng = np.random.default_rng([29, rep])
+            signal = signal_matrix(r, m, n, rng)
+            observed = signal + sigma * noise_matrix(m, n, "gaussian", rng)
+            denoised, report = usvt_adaptive(observed, 0.02)
+            haar.append((report.sigma_used, mse(denoised, signal),
+                         report.kept_rank))
+        ks = stats.ks_2samp([rec.sigma_hat for rec in diagonal],
+                            [sigma_hat for sigma_hat, _, _ in haar])
+        assert ks.pvalue > 0.01
+        # at kept 0 mse is the atom ||M||^2/(mn), exact only for the diagonal
+        # signal: rounding to 1e-12 merges the Haar cells' copies of it
+        ks = stats.ks_2samp([round(rec.mse_matrix, 12) for rec in diagonal],
+                            [round(err, 12) for _, err, _ in haar])
+        assert ks.pvalue > 0.01
+        counts = [Counter(rec.kept_rank for rec in diagonal),
+                  Counter(kept for _, _, kept in haar)]
+        table = [[c[k] for k in sorted(counts[0] | counts[1])] for c in counts]
+        assert stats.chi2_contingency(table).pvalue > 0.01
 
     def test_record_count_and_order(self):
         cfg = ExperimentConfig(m=6, n=9, ranks=(1, 3), sigmas=(0.2, 0.5, 1.0),
