@@ -1,11 +1,12 @@
 """Dense-matrix spectral primitives.
 
-Input validation, the thin SVD and the singular values the denoiser
-needs, the nuclear norm, and the Kolmogorov-Smirnov distance between the
-eigenvalues of X X^T / n and their Marchenko-Pastur limit.  Singular
-values are computed in the wide (m <= n) orientation, so a non-square x
-and x.T give bit-identical values.  A square x is never transposed: x and
-x.T are different inputs to LAPACK and agree only to rounding.
+Input validation, the singular values and the rank-k part (from W W^T's
+top-k eigenvectors) the denoiser needs, the thin SVD it falls back to, the
+nuclear norm, and the Kolmogorov-Smirnov distance between the eigenvalues
+of X X^T / n and their Marchenko-Pastur limit.  Singular values are
+computed in the wide (m <= n) orientation W, so a non-square x and x.T
+give bit-identical values.  A square x is never transposed: x and x.T are
+different inputs to LAPACK and agree only to rounding.
 """
 
 from __future__ import annotations
@@ -42,15 +43,34 @@ def singular_values(x) -> np.ndarray:
     """Singular values of x, descending, length min(m, n).
 
     Computed in the m <= n orientation, so for m != n x and x.T yield
-    bit-identical values; for m == n they agree only to rounding.
+    bit-identical values; for m == n they agree only to rounding.  If the
+    SVD does not converge they are sqrt(max(eigenvalues of W W^T, 0)),
+    which needs no SVD iteration but loses the relative accuracy of values
+    far below the largest.
     """
-    a = as_matrix(x)
-    if a.shape[0] > a.shape[1]:
-        a = a.T
+    w = as_matrix(x)
+    if w.shape[0] > w.shape[1]:
+        w = w.T
     try:
-        return np.linalg.svd(a, compute_uv=False)
+        return np.linalg.svd(w, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
+        error = exc
+    with np.errstate(over="ignore"):
+        gram = w @ w.T
+    if np.isfinite(gram).all():
+        try:
+            return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0))
+        except np.linalg.LinAlgError as exc:
+            error = exc
+    raise SvdConvergenceError(f"SVD did not converge, nor its W W^T fallback: {error}") from error
+
+
+def rank_k_part(w: np.ndarray, k: int) -> np.ndarray:
+    """Q_k Q_k^T w, Q_k the top-k eigenvectors of w w^T for a wide w: the
+    rank-k SVD truncation to rounding while (s_k^2 - s_{k+1}^2) / s_1^2 is
+    well resolved, which the caller checks."""
+    q = np.linalg.eigh(w @ w.T)[1][:, -k:]
+    return q @ (q.T @ w)
 
 
 def nuclear_norm(x) -> float:

@@ -270,6 +270,26 @@ class TestDenoise:
         assert "overflows" in capsys.readouterr().err
         assert not out.exists() and not rep.exists()
 
+    def test_spectral_failure_falls_back_then_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a failed SVD leaves the values pass its W W^T eigenvalues (kept 0
+        # needs nothing else); only when those fail too is it exit 1
+        def exploding(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        x = np.random.default_rng(7).standard_normal((6, 10))
+        src, out, rep = (tmp_path / n for n in ("in.txt", "out.txt", "r.json"))
+        write_matrix(src, x)
+        argv = ["denoise", "--input", str(src), "--output", str(out), "--report", str(rep)]
+        monkeypatch.setattr(np.linalg, "svd", exploding)
+        assert main(argv) == 0
+        assert json.loads(rep.read_text())["kept_rank"] == 0
+        out.unlink()
+        rep.unlink()
+        monkeypatch.setattr(np.linalg, "eigvalsh", exploding)
+        assert main(argv) == 1
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
+
     def test_report_rejects_non_finite(self, tmp_path):
         report = DenoiseReport(m=2, n=2, eta=0.02, sigma_used=float("nan"),
                                mu_gamma=MU_1, threshold=float("nan"),

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from usvt import (
+    DEFAULT_ETA,
     estimate_sigma,
     estimators,
     mse,
@@ -20,6 +21,20 @@ def embedded_diag(values, m, n):
     for i, v in enumerate(values):
         a[i, i] = v
     return a
+
+
+def planted(spikes, m, n, seed=16):
+    """(x, tau): x = U diag(s) V^T in random frames, whose top singular values
+    are `spikes` times the threshold tau that sigma_hat of x gives; a fixed
+    bulk below them sets the median."""
+    bulk = np.linspace(0.3, 0.2, min(m, n) - len(spikes))
+    _, report = usvt_adaptive(embedded_diag(np.concatenate([[1e3] * len(spikes), bulk]), m, n))
+    tau = report.threshold
+    rng = np.random.default_rng(seed)
+    k = min(m, n)
+    u = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    return (u * np.concatenate([tau * np.asarray(spikes), bulk])) @ v.T, tau
 
 
 class TestEstimateSigma:
@@ -130,16 +145,28 @@ class TestUsvtDenoise:
         with pytest.raises(ValueError):
             usvt_denoise(np.ones((2, 2)), -1.0)
 
-    def test_known_sigma_takes_one_spectral_pass(self, monkeypatch):
-        x = 0.1 * np.random.default_rng(15).standard_normal((30, 50))
-        x[:3, :3] += np.diag([20.0, 15.0, 10.0])
+    @pytest.mark.parametrize("known", [True, False], ids=["known", "estimated"])
+    @pytest.mark.parametrize("spikes, solver",
+                             [([3.0, 2.0, 0.8], "rank_k_part"), ([3.0, 1.001, 0.999], "svd")],
+                             ids=["resolved_gap", "near_tie"])
+    def test_values_pass_then_gram_or_svd(self, monkeypatch, known, spikes, solver):
+        # one values-only pass decides k; the full SVD runs only when the
+        # relative squared gap at k is below GRAM_MIN_GAP
+        x, tau = planted(spikes, 20, 30)
+        calls = []
 
-        def no_values(a):
-            raise AssertionError("values-only pass before the SVD")
+        def spy(name, fn):
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(estimators, name, counted)
 
-        monkeypatch.setattr(estimators, "singular_values", no_values)
-        _, report = usvt_denoise(x, 0.1)
-        assert report.kept_rank == 3
+        for name in ("singular_values", "svd", "rank_k_part"):
+            spy(name, getattr(estimators, name))
+        sigma = tau / (2.0 + DEFAULT_ETA) / np.sqrt(30) if known else None
+        _, report = usvt_denoise(x, sigma)
+        assert report.kept_rank == 2
+        assert calls == ["singular_values", solver]
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1e308])
     def test_rejects_non_finite_sigma_or_threshold(self, sigma):
@@ -201,7 +228,8 @@ class TestUsvtAdaptive:
 
     @pytest.mark.parametrize("shape", [(30, 50), (50, 30)])
     def test_kept_rank_matrix_matches_full_svd_truncation(self, shape):
-        # reference: truncate numpy's SVD of the wide orientation
+        # reference: truncate numpy's SVD of the wide orientation; the Gram
+        # eigensolve agrees with it to rounding, not bit for bit
         rng = np.random.default_rng(14)
         x = 0.1 * rng.standard_normal(shape)
         x[:3, :3] += np.diag([20.0, 15.0, 10.0])
@@ -211,7 +239,28 @@ class TestUsvtAdaptive:
         k = int(np.count_nonzero(s >= report.threshold))
         top = (u[:, :k] * s[:k]) @ vt[:k]
         assert report.kept_rank == k == 3
+        expected = top.T if shape[0] > shape[1] else top
+        assert np.linalg.norm(denoised - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
+    def test_near_tie_output_is_the_svd_truncation(self, shape):
+        # a relative squared gap below GRAM_MIN_GAP: bit for bit numpy's truncation
+        x, _ = planted([3.0, 1.001, 0.999], *shape)
+        denoised, report = usvt_adaptive(x)
+        wide = x.T if shape[0] > shape[1] else x
+        u, s, vt = np.linalg.svd(wide, full_matrices=False)
+        top = (u[:, :2] * s[:2]) @ vt[:2]
+        assert report.kept_rank == 2
         assert np.array_equal(denoised, top.T if shape[0] > shape[1] else top)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scale_output_is_the_svd_truncation(self, scale):
+        # W W^T would under- or overflow: the guard takes the full SVD
+        x, _ = planted([3.0, 2.0, 0.8], 20, 30)
+        denoised, report = usvt_adaptive(scale * x)
+        u, s, vt = np.linalg.svd(scale * x, full_matrices=False)
+        assert report.kept_rank == 2
+        assert np.array_equal(denoised, (u[:, :2] * s[:2]) @ vt[:2])
 
     def test_beats_identity_in_signal_regime(self):
         # the published setting: M_50 at 200 x 1000, sigma = 1, eta = 0.02

@@ -10,7 +10,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usvt import MPLaw, singular_values, usvt_adaptive, usvt_denoise
+from usvt import DenoiseReport, MPLaw, estimate_sigma, singular_values, usvt_adaptive, usvt_denoise
+from usvt.estimators import GRAM_MIN_GAP
 
 # Derandomized so every run checks the same examples; no database writes.
 PROPERTIES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -33,6 +34,29 @@ def matrices(draw, shape="any"):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     signal = 3.0 * rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
     return signal + noise * rng.standard_normal((m, n))
+
+
+@st.composite
+def planted_gaps(draw):
+    """(x, k): U diag(s) V^T in random frames with s_1 = 1 (times a random
+    scale) and a relative squared gap s_k^2 - s_{k+1}^2 at the planted rank
+    k below GRAM_MIN_GAP (the guard's SVD), at it (rounding decides), just
+    above it and well above it; the rest of the spectrum is uniform on its
+    side of the gap."""
+    m, n = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    p = min(m, n)
+    k = draw(st.integers(1, p))
+    gap = GRAM_MIN_GAP * draw(st.sampled_from([0.3, 1.0, 1.0 + 1e-9, 1.01, 1.5, 4.0, 30.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s_k = math.sqrt(rng.uniform(gap, 1.0)) if k > 1 else 1.0
+    below = math.sqrt(s_k**2 - gap) if k < p else 0.0
+    s = np.concatenate([rng.uniform(s_k, 1.0, k), rng.uniform(0.0, below, p - k)])
+    s[0], s[k - 1] = 1.0, s_k
+    if k < p:
+        s[k] = below
+    frames = [np.linalg.qr(rng.standard_normal((d, p)))[0] for d in (m, n)]
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return (frames[0] * (scale * s)) @ frames[1].T, k
 
 
 sigmas = st.floats(0.0, 10.0)
@@ -118,3 +142,33 @@ def test_default_sigma_is_adaptive(x, eta):
     b, rb = usvt_adaptive(x, eta)
     assert ra == rb
     assert a.tobytes() == b.tobytes()
+
+
+@settings(PROPERTIES, max_examples=200)
+@given(planted_gaps(), st.booleans(), etas)
+def test_rank_k_part_is_numpys_truncation(planted, known, eta):
+    # known: a threshold midway across the planted gap, so k is kept;
+    # estimated: whatever k sigma_hat gives.  Either way the report is what
+    # the values pass alone implies, and the matrix is numpy's rank-k
+    # truncation to rounding, by Gram eigensolve or by the guard's SVD.
+    x, k = planted
+    m, n = x.shape
+    values = singular_values(x)
+    below = values[k] if k < len(values) else 0.0
+    sigma = (values[k - 1] + below) / 2 / (2.0 + eta) / math.sqrt(max(m, n)) if known else None
+    denoised, report = usvt_denoise(x, sigma, eta)
+
+    sigma = estimate_sigma(x) if sigma is None else sigma
+    threshold = (2.0 + eta) * sigma * math.sqrt(max(m, n))
+    kept = int(np.count_nonzero(values >= threshold))
+    assert report == DenoiseReport(
+        m=m, n=n, eta=eta, sigma_used=sigma, mu_gamma=MPLaw(min(m, n) / max(m, n)).median,
+        threshold=threshold, kept_rank=kept, kept_indices=tuple(range(1, kept + 1)),
+        degenerate_sigma=(sigma == 0.0))
+    assert kept == k or not known
+
+    wide = x.T if m > n else x
+    u, s, vt = np.linalg.svd(wide, full_matrices=False)
+    top = (u[:, :kept] * s[:kept]) @ vt[:kept]
+    expected = top.T if m > n else top
+    assert np.linalg.norm(denoised - expected) <= REL * np.linalg.norm(expected)

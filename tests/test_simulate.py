@@ -324,7 +324,10 @@ class TestRunExperiment:
         def exploding_svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
+        # the values pass falls back to the eigenvalues of W W^T, so that
+        # has to fail as well
         monkeypatch.setattr(np.linalg, "svd", exploding_svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", exploding_svd)
         from usvt import SvdConvergenceError
         cfg = ExperimentConfig(m=4, n=6, ranks=(2,), sigmas=(0.7,),
                                replications=1, seed=0)

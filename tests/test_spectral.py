@@ -18,6 +18,10 @@ def embedded_diag(values, m, n):
     return a
 
 
+def exploding(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
 class TestAsMatrix:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
@@ -66,8 +70,40 @@ class TestSvd:
         from usvt import SvdConvergenceError
         with pytest.raises(SvdConvergenceError):
             svd(np.ones((3, 3)))
+        # the values pass raises only once its W W^T fallback fails too
+        monkeypatch.setattr(np.linalg, "eigvalsh", exploding_svd)
         with pytest.raises(SvdConvergenceError):
             singular_values(np.ones((3, 3)))
+
+
+class TestValuesFallback:
+    """singular_values when LAPACK's SVD does not converge."""
+
+    @pytest.fixture
+    def no_svd(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", exploding)
+
+    @pytest.mark.parametrize("shape", [(12, 20), (20, 12), (15, 15), (1, 6)])
+    def test_gram_eigenvalues_stand_in(self, monkeypatch, shape):
+        x = np.random.default_rng(20).standard_normal(shape)
+        expected = np.linalg.svd(x, compute_uv=False)
+        monkeypatch.setattr(np.linalg, "svd", exploding)
+        values = singular_values(x)
+        assert values.shape == expected.shape
+        assert np.all(np.diff(values) <= 0) and np.all(values >= 0)
+        # W W^T eigenvalues are accurate relative to s_1^2, so small values
+        # only to about sqrt(eps) * s_1
+        assert_allclose(values, expected, rtol=0, atol=1e-7 * expected[0])
+
+    def test_rank_deficient_values_clip_at_zero(self, no_svd):
+        values = singular_values(np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5, 2.0]))
+        assert values[0] == pytest.approx(np.sqrt(14.0 * 6.25), rel=1e-13)
+        assert np.all(values[1:] >= 0.0) and np.all(values[1:] <= 1e-6)
+
+    def test_overflowing_gram_is_explicit(self, no_svd):
+        from usvt import SvdConvergenceError
+        with pytest.raises(SvdConvergenceError):
+            singular_values(np.full((3, 4), 1e200))
 
 
 class TestSingularValues:
