@@ -8,8 +8,7 @@ value of X, calibrated by the Marchenko-Pastur median:
 Denoising keeps exactly the singular components whose values reach
 (2 + eta) * sigma * sqrt(n) and zeroes the rest; the adaptive variant
 plugs in sigma_hat.  One values-only pass gives sigma_hat and the kept
-rank k; the rank-k part then comes from one eigensolve of W W^T (W the
-wide orientation of X), or from a full SVD when the gap at k is too small.
+rank k; `spectral.rank_k_part` then gives the rank-k SVD truncation.
 """
 
 from __future__ import annotations
@@ -21,13 +20,9 @@ from functools import lru_cache
 import numpy as np
 
 from .mp_law import MPLaw
-from .spectral import as_matrix, rank_k_part, singular_values, svd
+from .spectral import as_matrix, rank_k_part, singular_values
 
 DEFAULT_ETA = 0.02
-
-# rank_k_part is used while (s_k^2 - s_{k+1}^2) / s_1^2 >= GRAM_MIN_GAP at the
-# kept rank k: there it was measured within 3e-13 of numpy's SVD truncation.
-GRAM_MIN_GAP = 1e-2
 
 
 @lru_cache(maxsize=None)
@@ -93,9 +88,9 @@ def usvt_denoise(x, sigma: float | None = None, eta: float = DEFAULT_ETA):
     to the threshold are kept; sigma = 0 keeps everything and returns the
     input unchanged.  sigma None estimates it as sigma_hat; a sigma_hat of
     exactly 0 is flagged in the report, not raised.  Values come first: one
-    values-only pass gives sigma_hat and the kept rank k, then one
-    eigensolve of W W^T the rank-k part, or a full SVD when the relative
-    squared gap at k is below GRAM_MIN_GAP.
+    values-only pass gives sigma_hat and the kept rank k, then
+    `spectral.rank_k_part` the rank-k truncation, which computes singular
+    vectors only when the gap at k is too small for a Gram eigensolve.
     """
     a = as_matrix(x)
     eta = _check_eta(eta)
@@ -117,19 +112,7 @@ def usvt_denoise(x, sigma: float | None = None, eta: float = DEFAULT_ETA):
     else:
         values = singular_values(a) if values is None else values
         kept = int(np.count_nonzero(values >= threshold))
-        if kept == 0:
-            denoised = np.zeros_like(a)
-        else:
-            # C order, so x and x.T reach LAPACK as the same bytes
-            w = np.ascontiguousarray(a.T if m > n else a)
-            sk, below = np.append(values, 0.0)[kept - 1:kept + 1] / values[0]
-            # W W^T squares the scale: keep s_1 far from over- and underflow
-            if 1e-100 < values[0] < 1e100 and sk * sk - below * below >= GRAM_MIN_GAP:
-                top = rank_k_part(w, kept)
-            else:
-                u, s, vt = svd(w)
-                top = (u[:, :kept] * s[:kept]) @ vt[:kept]
-            denoised = top.T if m > n else top
+        denoised = rank_k_part(a, values, kept) if kept else np.zeros_like(a)
 
     report = DenoiseReport(
         m=m, n=n, eta=eta, sigma_used=sigma,

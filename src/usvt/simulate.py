@@ -179,17 +179,20 @@ def run_cell(config: ExperimentConfig, rank_index: int, sigma_index: int,
     else:
         signal = signal_matrix(r, config.m, config.n, rng)
     noise = noise_matrix(config.m, config.n, config.noise_kind, rng)
-    observed = signal + sigma * noise
+    cell = f"cell rank={r} sigma={sigma} rep={rep}"
     try:
-        denoised, report = usvt_adaptive(observed, config.eta)
-    except SvdConvergenceError as exc:
-        raise SvdConvergenceError(
-            f"cell rank={r} sigma={sigma} rep={rep}: {exc}") from exc
-    sigma_hat = report.sigma_used
+        # an overflow would write inf or nan into the records as a result
+        with np.errstate(over="raise"):
+            denoised, report = usvt_adaptive(signal + sigma * noise, config.eta)
+            sq_err_sigma = (report.sigma_used - sigma) ** 2
+            mse_matrix = mse(denoised, signal)
+    except ArithmeticError as exc:
+        raise ValueError(f"{cell}: a value overflows float64") from exc
+    except (ValueError, SvdConvergenceError) as exc:
+        raise type(exc)(f"{cell}: {exc}") from exc
     return ExperimentRecord(
-        rank=r, sigma=sigma, rep=rep, sigma_hat=sigma_hat,
-        sq_err_sigma=(sigma_hat - sigma) ** 2,
-        mse_matrix=mse(denoised, signal),
+        rank=r, sigma=sigma, rep=rep, sigma_hat=report.sigma_used,
+        sq_err_sigma=sq_err_sigma, mse_matrix=mse_matrix,
         kept_rank=report.kept_rank,
     )
 

@@ -360,6 +360,21 @@ class TestSimulate:
             assert float(row[4]) == rec.sq_err_sigma
             assert float(row[5]) == rec.mse_matrix
 
+    @pytest.mark.parametrize("sigma, code", [("1e150", 0), ("1e200", 1)])
+    def test_huge_sigma_runs_or_fails_cleanly(self, tmp_path, capsys, sigma, code):
+        # at 1e200 (sigma_hat - sigma)^2 is not a float64
+        out, summary = tmp_path / "r.csv", tmp_path / "s.csv"
+        assert main(["simulate", "--m", "8", "--n", "12", "--ranks", "2",
+                     "--sigmas", sigma, "--reps", "1", "--seed", "3",
+                     "--out", str(out), "--summary", str(summary)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == f"usvt: error: cell rank=2 sigma={float(sigma)} rep=0: " \
+                          "a value overflows float64\n"
+            assert not out.exists() and not summary.exists()
+        else:
+            assert err == "" and out.exists()
+
     def test_unknown_preset_lists_available(self, capsys):
         code = main(["simulate", "--preset", "paper-fig2",
                      "--out", "x", "--summary", "y"])
@@ -414,6 +429,21 @@ class TestExitCodes:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) == pytest.approx(MU_1, abs=1e-8)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum"], ["estimate-sigma"], ["denoise", "--sigma", "1"], ["denoise"],
+    ], ids=["spectrum", "estimate-sigma", "denoise-known", "denoise-estimated"])
+    def test_overflowing_singular_values_exit_one(self, tmp_path, capsys, argv):
+        # finite entries near +-1.5e308 whose s_1 is not a float64
+        src, out, rep = (tmp_path / n for n in ("in.txt", "out.txt", "r.json"))
+        write_matrix(src, 1.5e308 * np.random.default_rng(22).uniform(-1.0, 1.0, (20, 40)))
+        if argv[0] == "denoise":
+            argv = argv + ["--output", str(out), "--report", str(rep)]
+        assert main(argv + ["--input", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usvt: error: ") and "overflows float64" in captured.err
+        assert not out.exists() and not rep.exists()
 
     def test_import_loads_no_scipy(self):
         # scipy costs most of the start-up time; the package must not pull

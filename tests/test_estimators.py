@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from usvt import (
     DEFAULT_ETA,
     estimate_sigma,
-    estimators,
     mse,
     signal_matrix,
     singular_values,
@@ -35,6 +34,25 @@ def planted(spikes, m, n, seed=16):
     u = np.linalg.qr(rng.standard_normal((m, k)))[0]
     v = np.linalg.qr(rng.standard_normal((n, k)))[0]
     return (u * np.concatenate([tau * np.asarray(spikes), bulk])) @ v.T, tau
+
+
+def spy_linalg(monkeypatch):
+    """Record numpy's spectral calls: "values" for a values-only SVD, "svd"
+    for one with vectors, "eigh" for the Gram eigensolve."""
+    calls = []
+    svd, eigh = np.linalg.svd, np.linalg.eigh
+
+    def counted_svd(*args, **kwargs):
+        calls.append("svd" if kwargs.get("compute_uv", True) else "values")
+        return svd(*args, **kwargs)
+
+    def counted_eigh(*args, **kwargs):
+        calls.append("eigh")
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    return calls
 
 
 class TestEstimateSigma:
@@ -147,26 +165,17 @@ class TestUsvtDenoise:
 
     @pytest.mark.parametrize("known", [True, False], ids=["known", "estimated"])
     @pytest.mark.parametrize("spikes, solver",
-                             [([3.0, 2.0, 0.8], "rank_k_part"), ([3.0, 1.001, 0.999], "svd")],
+                             [([3.0, 2.0, 0.8], "eigh"), ([3.0, 1.001, 0.999], "svd")],
                              ids=["resolved_gap", "near_tie"])
     def test_values_pass_then_gram_or_svd(self, monkeypatch, known, spikes, solver):
         # one values-only pass decides k; the full SVD runs only when the
         # relative squared gap at k is below GRAM_MIN_GAP
         x, tau = planted(spikes, 20, 30)
-        calls = []
-
-        def spy(name, fn):
-            def counted(*args):
-                calls.append(name)
-                return fn(*args)
-            monkeypatch.setattr(estimators, name, counted)
-
-        for name in ("singular_values", "svd", "rank_k_part"):
-            spy(name, getattr(estimators, name))
+        calls = spy_linalg(monkeypatch)
         sigma = tau / (2.0 + DEFAULT_ETA) / np.sqrt(30) if known else None
         _, report = usvt_denoise(x, sigma)
         assert report.kept_rank == 2
-        assert calls == ["singular_values", solver]
+        assert calls == ["values", solver]
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1e308])
     def test_rejects_non_finite_sigma_or_threshold(self, sigma):
@@ -196,25 +205,16 @@ class TestUsvtAdaptive:
         assert np.abs(scaled - 5.0 * base).max() <= 1e-8
 
     def test_kept_zero_skips_singular_vectors(self, monkeypatch):
-        # the published setting keeps nothing: one values-only pass, no svd
+        # the published setting keeps nothing: one values-only pass, no
+        # vectors from either route
         rng = np.random.default_rng(13)
         x = signal_matrix(50, 200, 1000, rng) + rng.standard_normal((200, 1000))
         _, expected = usvt_denoise(x, estimate_sigma(x))
-        passes = []
-
-        def counted(a):
-            passes.append(a.shape)
-            return singular_values(a)
-
-        def no_svd(a):
-            raise AssertionError("singular vectors computed for kept rank 0")
-
-        monkeypatch.setattr(estimators, "singular_values", counted)
-        monkeypatch.setattr(estimators, "svd", no_svd)
+        calls = spy_linalg(monkeypatch)
         denoised, report = usvt_adaptive(x)
         assert report == expected and report.kept_rank == 0
         assert np.array_equal(denoised, np.zeros_like(x))
-        assert passes == [x.shape]
+        assert calls == ["values"]
 
     def test_estimated_threshold_tie_is_kept(self):
         # lambda_1 set to the float threshold the median of the rest yields
@@ -255,12 +255,15 @@ class TestUsvtAdaptive:
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_extreme_scale_output_is_the_svd_truncation(self, scale):
-        # W W^T would under- or overflow: the guard takes the full SVD
+        # W W^T is formed at the binade of max|W|, so any scale takes the Gram
+        # route; norms are taken at unit scale, where squares do not
+        # under- or overflow
         x, _ = planted([3.0, 2.0, 0.8], 20, 30)
         denoised, report = usvt_adaptive(scale * x)
         u, s, vt = np.linalg.svd(scale * x, full_matrices=False)
+        expected = (u[:, :2] * s[:2]) @ vt[:2] / scale
         assert report.kept_rank == 2
-        assert np.array_equal(denoised, (u[:, :2] * s[:2]) @ vt[:2])
+        assert np.linalg.norm(denoised / scale - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_beats_identity_in_signal_regime(self):
         # the published setting: M_50 at 200 x 1000, sigma = 1, eta = 0.02

@@ -5,13 +5,14 @@ an exactly low-rank matrix), drawn from a hypothesis-chosen seed.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usvt import DenoiseReport, MPLaw, estimate_sigma, singular_values, usvt_adaptive, usvt_denoise
-from usvt.estimators import GRAM_MIN_GAP
+from usvt.spectral import GRAM_MIN_GAP
 
 # Derandomized so every run checks the same examples; no database writes.
 PROPERTIES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -172,3 +173,15 @@ def test_rank_k_part_is_numpys_truncation(planted, known, eta):
     top = (u[:, :kept] * s[:kept]) @ vt[:kept]
     expected = top.T if m > n else top
     assert np.linalg.norm(denoised - expected) <= REL * np.linalg.norm(expected)
+
+
+@PROPERTIES
+@given(matrices(), st.one_of(st.none(), st.floats(1e-2, 10.0)), st.integers(-300, 300))
+def test_power_of_two_scaling_is_exact(x, sigma, j):
+    # 2^j is exact in float64 at these scales, and every W W^T is formed at
+    # the binade of max|W|, so LAPACK sees the same bits up to the power of two
+    a, ra = usvt_denoise(x, sigma)
+    b, rb = usvt_denoise(np.ldexp(x, j), None if sigma is None else math.ldexp(sigma, j))
+    assert b.tobytes() == np.ldexp(a, j).tobytes()
+    assert rb == replace(ra, sigma_used=math.ldexp(ra.sigma_used, j),
+                         threshold=math.ldexp(ra.threshold, j))

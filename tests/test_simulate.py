@@ -334,6 +334,26 @@ class TestRunExperiment:
         with pytest.raises(SvdConvergenceError, match="rank=2 sigma=0.7 rep=0"):
             run_experiment(cfg)
 
+    def test_vector_pass_failure_carries_cell_identity(self, monkeypatch):
+        # the values pass succeeds; eigh and the SVD with vectors both fail
+        svd = np.linalg.svd
+
+        def values_only(*args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        def exploding_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", values_only)
+        monkeypatch.setattr(np.linalg, "eigh", exploding_eigh)
+        from usvt import SvdConvergenceError
+        cfg = ExperimentConfig(m=10, n=15, ranks=(2,), sigmas=(0.01,),
+                               replications=1, seed=0)
+        with pytest.raises(SvdConvergenceError, match="cell rank=2 sigma=0.01 rep=0: .*rank-"):
+            run_experiment(cfg)
+
     def test_observed_matrix_mse_estimates_sigma_squared(self):
         # mse(X, M) concentrates at sigma^2 on the CLT scale 5 sigma^2/sqrt(mn)
         m, n = 200, 1000

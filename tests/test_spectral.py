@@ -1,12 +1,12 @@
-"""Spectral primitives: SVD contract, singular values, nuclear norm, KS; the public API."""
+"""Spectral primitives: rank-k truncation, singular values, nuclear norm, KS; the public API."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import usvt
-from usvt import MPLaw, ks_distance, nuclear_norm, singular_values
-from usvt.spectral import as_matrix, svd
+from usvt import MPLaw, SvdConvergenceError, ks_distance, nuclear_norm, singular_values
+from usvt.spectral import GRAM_MIN_GAP, as_matrix, rank_k_part
 
 MU_02 = 0.9329154766004399
 
@@ -20,6 +20,21 @@ def embedded_diag(values, m, n):
 
 def exploding(*args, **kwargs):
     raise np.linalg.LinAlgError("did not converge")
+
+
+def planted(values, m, n, seed=30):
+    """U diag(values) V^T in random frames, len(values) = min(m, n)."""
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.standard_normal((d, min(m, n))))[0] for d in (m, n))
+    return (u * values) @ v.T
+
+
+def truncation(x, k):
+    """numpy's rank-k SVD truncation of x, computed in the wide orientation."""
+    wide = x.T if x.shape[0] > x.shape[1] else x
+    u, s, vt = np.linalg.svd(wide, full_matrices=False)
+    top = (u[:, :k] * s[:k]) @ vt[:k]
+    return top.T if x.shape[0] > x.shape[1] else top
 
 
 class TestAsMatrix:
@@ -37,43 +52,64 @@ class TestAsMatrix:
 
 
 class TestSvd:
-    def test_identity(self):
-        _, s, _ = svd(np.eye(3))
-        assert_allclose(s, [1.0, 1.0, 1.0], atol=1e-14)
-
-    def test_embedded_diagonal(self):
-        u, s, vt = svd(embedded_diag([3.0, 2.0, 1.0], 3, 5))
-        assert s.tolist() == [3.0, 2.0, 1.0]
-        assert u.shape == (3, 3)
-        assert vt.shape == (3, 5)
+    """rank_k_part, the rank-k SVD truncation."""
 
     def test_contract_on_random_shapes(self):
+        # at k = min(m, n) the truncation is x itself, by either route
         rng = np.random.default_rng(100)
         for _ in range(200):
             m = int(rng.integers(1, 65))
             n = int(rng.integers(1, 65))
             x = rng.standard_normal((m, n))
-            u, s, vt = svd(x)
-            k = min(m, n)
-            scale = max(1.0, np.linalg.norm(x))
-            assert np.linalg.norm((u * s) @ vt - x) <= 1e-10 * scale
-            assert np.all(np.diff(s) <= 0)
-            assert np.all(s >= 0)
-            assert np.linalg.norm(u.T @ u - np.eye(k)) <= 1e-10
-            assert np.linalg.norm(vt @ vt.T - np.eye(k)) <= 1e-10
+            top = rank_k_part(x, singular_values(x), min(m, n))
+            assert top.shape == x.shape
+            assert np.linalg.norm(top - x) <= 1e-10 * max(1.0, np.linalg.norm(x))
 
     def test_convergence_failure_is_explicit(self, monkeypatch):
-        def exploding_svd(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(np.linalg, "svd", exploding_svd)
-        from usvt import SvdConvergenceError
-        with pytest.raises(SvdConvergenceError):
-            svd(np.ones((3, 3)))
         # the values pass raises only once its W W^T fallback fails too
-        monkeypatch.setattr(np.linalg, "eigvalsh", exploding_svd)
+        monkeypatch.setattr(np.linalg, "svd", exploding)
+        monkeypatch.setattr(np.linalg, "eigvalsh", exploding)
         with pytest.raises(SvdConvergenceError):
             singular_values(np.ones((3, 3)))
+
+
+class TestVectorFallback:
+    """rank_k_part when the LAPACK route it chose does not converge."""
+
+    SPECTRA = {"resolved_gap": [3.0, 2.0, 0.8], "near_tie": [3.0, 1.001, 0.999]}
+
+    def spectrum(self, gap):
+        # k = 2 with (s_2^2 - s_3^2) / s_1^2 well above or below GRAM_MIN_GAP
+        values = np.concatenate([self.SPECTRA[gap], np.linspace(0.3, 0.1, 17)])
+        assert ((values[1] ** 2 - values[2] ** 2) / values[0] ** 2 >= GRAM_MIN_GAP) \
+            == (gap == "resolved_gap")
+        return values
+
+    @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
+    def test_failed_eigh_takes_the_svd(self, monkeypatch, shape):
+        x = planted(self.spectrum("resolved_gap"), *shape)
+        values = singular_values(x)
+        monkeypatch.setattr(np.linalg, "eigh", exploding)
+        top = rank_k_part(x, values, 2)
+        assert np.linalg.norm(top - truncation(x, 2)) <= 1e-12 * np.linalg.norm(top)
+
+    @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
+    def test_failed_svd_at_a_near_tie_takes_the_gram(self, monkeypatch, shape):
+        x = planted(self.spectrum("near_tie"), *shape)
+        values, expected = singular_values(x), truncation(x, 2)
+        monkeypatch.setattr(np.linalg, "svd", exploding)
+        top = rank_k_part(x, values, 2)
+        # a relative squared gap of 4e-4 leaves the Gram route about 1e-11 off
+        assert np.linalg.norm(top - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("gap", ["resolved_gap", "near_tie"])
+    def test_both_failing_is_explicit(self, monkeypatch, gap):
+        x = planted(self.spectrum(gap), 20, 30)
+        values = singular_values(x)
+        monkeypatch.setattr(np.linalg, "svd", exploding)
+        monkeypatch.setattr(np.linalg, "eigh", exploding)
+        with pytest.raises(SvdConvergenceError, match="rank-2"):
+            rank_k_part(x, values, 2)
 
 
 class TestValuesFallback:
@@ -100,10 +136,18 @@ class TestValuesFallback:
         assert values[0] == pytest.approx(np.sqrt(14.0 * 6.25), rel=1e-13)
         assert np.all(values[1:] >= 0.0) and np.all(values[1:] <= 1e-6)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scales_are_rescaled(self, monkeypatch, scale):
+        # W W^T is formed at the binade of max|W|: no over- or underflow
+        x = scale * np.random.default_rng(21).standard_normal((12, 20))
+        expected = np.linalg.svd(x, compute_uv=False)
+        monkeypatch.setattr(np.linalg, "svd", exploding)
+        assert_allclose(singular_values(x), expected, rtol=0, atol=1e-7 * expected[0])
+
     def test_overflowing_gram_is_explicit(self, no_svd):
-        from usvt import SvdConvergenceError
-        with pytest.raises(SvdConvergenceError):
-            singular_values(np.full((3, 4), 1e200))
+        # s_1 = sqrt(12) * 1.5e308 is not a float64
+        with pytest.raises(ValueError, match="overflows float64"):
+            singular_values(np.full((3, 4), 1.5e308))
 
 
 class TestSingularValues:
@@ -115,6 +159,11 @@ class TestSingularValues:
         v = np.array([0.0, 1.0, 0.0, 0.0])
         s = singular_values(-7.0 * np.outer(u, v))
         assert_allclose(s, [7.0, 0.0, 0.0], atol=1e-14)
+
+    def test_overflowing_values_are_explicit(self):
+        x = 1.5e308 * np.random.default_rng(22).uniform(-1.0, 1.0, (20, 40))
+        with pytest.raises(ValueError, match="overflows float64"):
+            singular_values(x)
 
     def test_transpose_invariance(self):
         x = np.random.default_rng(1).standard_normal((9, 17))
