@@ -179,9 +179,26 @@ def write_summary(path, rows) -> None:
 def write_report(path, report) -> None:
     # Rendered before the file is opened: a non-finite field raises here
     # instead of leaving a truncated or non-JSON report behind.
-    text = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
+    _write_text(path, json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
+
+
+def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+
+
+def _write_all(*writes) -> None:
+    """Run each (writer, path, data) in turn.  If one raises, the files the
+    earlier ones wrote are removed, so a failed command leaves no output."""
+    done = []
+    try:
+        for write, path, data in writes:
+            write(path, data)
+            done.append(path)
+    except BaseException:
+        for path in done:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 def plot_script(summary_path: str, ranks, image_name: str) -> str:
@@ -250,8 +267,7 @@ def _cmd_denoise(args) -> int:
     if args.sigma is not None:
         _checked("--sigma", _check_sigma, args.sigma)
     denoised, report = usvt_denoise(read_matrix(args.input), args.sigma, args.eta)
-    write_matrix(args.output, denoised)
-    write_report(args.report, report)
+    _write_all((write_matrix, args.output, denoised), (write_report, args.report, report))
     return 0
 
 
@@ -278,13 +294,12 @@ def _simulate_config(args) -> ExperimentConfig:
 def _cmd_simulate(args) -> int:
     config = _simulate_config(args)
     records = run_experiment(config)
-    write_results(args.out, records)
-    summary = aggregate(records)
-    write_summary(args.summary, summary)
+    writes = [(write_results, args.out, records),
+              (write_summary, args.summary, aggregate(records))]
     if args.plot is not None:
         image = Path(args.plot).stem + ".png"
-        with open(args.plot, "w", encoding="utf-8", newline="") as fh:
-            fh.write(plot_script(str(args.summary), config.ranks, image))
+        writes.append((_write_text, args.plot, plot_script(str(args.summary), config.ranks, image)))
+    _write_all(*writes)
     return 0
 
 

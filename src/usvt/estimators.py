@@ -7,8 +7,8 @@ value of X, calibrated by the Marchenko-Pastur median:
 
 Denoising keeps exactly the singular components whose values reach
 (2 + eta) * sigma * sqrt(n) and zeroes the rest; the adaptive variant
-plugs in sigma_hat.  One values-only pass gives sigma_hat and the kept
-rank k; `spectral.rank_k_part` then gives the rank-k SVD truncation.
+plugs in sigma_hat.  `_decide` makes that choice from the singular values
+and the shape alone; `spectral.rank_k_part` gives the rank-k truncation.
 """
 
 from __future__ import annotations
@@ -56,9 +56,12 @@ class DenoiseReport:
 
 
 def _sigma_hat(values: np.ndarray, shape: tuple[int, int]) -> float:
-    """med(values) / sqrt(n * mu_gamma) for a matrix of the given shape."""
+    """med(values) / sqrt(n * mu_gamma) for the descending singular values."""
     lo, hi = min(shape), max(shape)
-    return float(np.median(values)) / math.sqrt(hi * _law(lo / hi).median)
+    a, b = float(values[(lo - 1) // 2]), float(values[lo // 2])
+    # np.median's (a + b) / 2, halved first where the sum overflows
+    median = (a + b) / 2 if math.isfinite(a + b) else a / 2 + b / 2
+    return median / math.sqrt(hi * _law(lo / hi).median)
 
 
 def estimate_sigma(x) -> float:
@@ -78,50 +81,45 @@ def _check_sigma(sigma: float) -> float:
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    return sigma
+    return abs(sigma)  # -0.0 is reported as 0.0
+
+
+def _decide(values, shape: tuple[int, int], sigma: float | None, eta: float) -> DenoiseReport:
+    """The keep/drop decision from x's descending singular values and shape
+    alone: sigma None plugs in sigma_hat, and each value reaching the
+    threshold is kept.  A zero threshold keeps all min(m, n), so `values`
+    may be None at sigma 0.  Raises ValueError if the threshold overflows."""
+    m, n = shape
+    sigma = _sigma_hat(values, shape) if sigma is None else sigma
+    threshold = (2.0 + eta) * sigma * math.sqrt(max(m, n))
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold (2 + eta) * sigma * sqrt(n) overflows for sigma {sigma}")
+    kept = min(m, n) if threshold == 0.0 else int(np.count_nonzero(values >= threshold))
+    return DenoiseReport(
+        m=m, n=n, eta=eta, sigma_used=sigma, mu_gamma=_law(min(m, n) / max(m, n)).median,
+        threshold=threshold, kept_rank=kept, kept_indices=tuple(range(1, kept + 1)),
+        degenerate_sigma=(sigma == 0.0))
 
 
 def usvt_denoise(x, sigma: float | None = None, eta: float = DEFAULT_ETA):
     """Threshold the SVD of x at (2 + eta) * sigma * sqrt(max(m, n)).
 
     Returns (denoised matrix, DenoiseReport).  Singular values exactly equal
-    to the threshold are kept; sigma = 0 keeps everything and returns the
-    input unchanged.  sigma None estimates it as sigma_hat; a sigma_hat of
-    exactly 0 is flagged in the report, not raised.  Values come first: one
-    values-only pass gives sigma_hat and the kept rank k, then
-    `spectral.rank_k_part` the rank-k truncation, which computes singular
-    vectors only when the gap at k is too small for a Gram eigensolve.
+    to the threshold are kept; sigma = 0 returns a copy of the input and
+    runs no spectral pass.  sigma None estimates it as sigma_hat; a
+    sigma_hat of exactly 0 is flagged in the report, not raised.  One
+    values-only pass feeds `_decide`; `spectral.rank_k_part` then gives the
+    rank-k truncation.
     """
     a = as_matrix(x)
     eta = _check_eta(eta)
-    m, n = a.shape
-    if sigma is None:
-        values = singular_values(a)
-        sigma = _sigma_hat(values, a.shape)
-    else:
-        values, sigma = None, _check_sigma(sigma)
-    threshold = (2.0 + eta) * sigma * math.sqrt(max(m, n))
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold (2 + eta) * sigma * sqrt(n) overflows for sigma {sigma}")
-
-    if threshold == 0.0:
-        # Zero threshold keeps every index (lambda_i >= 0) and the
-        # reconstruction is the input itself; skip the SVD round trip so
-        # the identity is exact.
-        kept, denoised = min(m, n), a.copy()
-    else:
-        values = singular_values(a) if values is None else values
-        kept = int(np.count_nonzero(values >= threshold))
-        denoised = rank_k_part(a, values, kept) if kept else np.zeros_like(a)
-
-    report = DenoiseReport(
-        m=m, n=n, eta=eta, sigma_used=sigma,
-        mu_gamma=_law(min(m, n) / max(m, n)).median,
-        threshold=threshold, kept_rank=kept,
-        kept_indices=tuple(range(1, kept + 1)),
-        degenerate_sigma=(sigma == 0.0),
-    )
-    return denoised, report
+    sigma = None if sigma is None else _check_sigma(sigma)
+    values = None if sigma == 0.0 else singular_values(a)
+    report = _decide(values, a.shape, sigma, eta)
+    k = report.kept_rank
+    if report.threshold == 0.0:  # all kept: the input itself, exactly
+        return a.copy(), report
+    return (rank_k_part(a, values, k) if k else np.zeros_like(a)), report
 
 
 def usvt_adaptive(x, eta: float = DEFAULT_ETA):

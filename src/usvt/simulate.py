@@ -85,6 +85,9 @@ class ExperimentConfig:
         if not self.sigmas or not all(0.0 < s < math.inf for s in self.sigmas):
             raise ConfigError(
                 "sigmas", "sigmas must be nonempty, finite and strictly positive")
+        for name in ("ranks", "sigmas"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ConfigError(name, f"{name} must not repeat a value")
         if self.replications < 1:
             raise ConfigError("replications", "replications must be >= 1")
         try:

@@ -113,18 +113,21 @@ def nuclear_norm(x) -> float:
     return float(singular_values(x).sum())
 
 
-def ks_distance(x, law: MPLaw) -> float:
-    """sup_t |F_n(t) - F_gamma(t)| between the empirical CDF of the
-    eigenvalues of X X^T / n (n = max(m, n)) and the Marchenko-Pastur limit.
+def ks_distance(values, shape) -> float:
+    """sup_t |F_n(t) - F_gamma(t)| between the empirical CDF of s_i^2 / n,
+    for any 1 to min(m, n) singular values s_i of an m x n matrix in any
+    order, and the Marchenko-Pastur law, gamma = min(m, n) / n, n = max(m, n).
 
     The supremum is attained at eigenvalue jump points, where both one-sided
     limits are checked.  F_gamma is 0 at the last eigenvalue <= gamma_minus
     and 1 at the first one > gamma_plus, so the limits there already give
     the mass outside the support.
     """
-    evals = singular_values(x)[::-1] ** 2 / max(np.shape(x))  # ascending
-    m = evals.size
+    lo, hi = min(shape), max(shape)
+    s = np.asarray(values, dtype=np.float64)
+    if s.ndim != 1 or not 1 <= s.size <= lo or not np.isfinite(s).all():
+        raise ValueError(f"expected 1 to {lo} finite singular values, got shape {s.shape}")
+    law, evals = MPLaw(lo / hi), np.sort(s ** 2) / hi
     f_gamma = np.array([law.cdf(e) for e in evals])
-    above = np.arange(1, m + 1) / m - f_gamma   # right limits of F_n
-    below = f_gamma - np.arange(0, m) / m       # left limits of F_n
-    return float(max(np.abs(above).max(), np.abs(below).max()))
+    f_n = np.arange(evals.size + 1) / evals.size  # limits at jump i: f_n[i], f_n[i + 1]
+    return float(max(np.abs(f_n[1:] - f_gamma).max(), np.abs(f_gamma - f_n[:-1]).max()))

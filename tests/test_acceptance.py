@@ -24,6 +24,7 @@ from usvt import (
     run_cell,
     run_experiment,
     signal_matrix,
+    singular_values,
     usvt_adaptive,
     usvt_denoise,
 )
@@ -93,11 +94,10 @@ def test_criterion_3_sigma_hat_mse_decays_with_n():
 
 
 def test_criterion_4_spectral_law_convergence():
-    law = MPLaw(0.5)
     hits = 0
     for s in range(20):
         x = np.random.default_rng(500 + s).standard_normal((1000, 2000))
-        hits += ks_distance(x, law) <= 0.05
+        hits += ks_distance(singular_values(x), x.shape) <= 0.05
     assert hits >= 19  # >= 95% of 20 draws
 
 

@@ -154,6 +154,15 @@ class TestEstimateSigma:
         assert main(["estimate-sigma", "--input", str(p)]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(2.0, abs=0.06)
 
+    def test_even_median_of_huge_values_is_finite(self, tmp_path, capsys):
+        # (s_1 + s_2) / 2 overflows although both values are finite
+        p = tmp_path / "big.txt"
+        write_lines(p, "1e308,0\n0,1e308\n")
+        assert main(["estimate-sigma", "--input", str(p)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert float(captured.out) == pytest.approx(1e308 / (2 * MU_1) ** 0.5)
+
     def test_ragged_file_runtime_error(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
         write_lines(p, "1,2\n3\n")
@@ -270,6 +279,33 @@ class TestDenoise:
         assert "overflows" in capsys.readouterr().err
         assert not out.exists() and not rep.exists()
 
+    def test_even_median_of_huge_values_overflows_threshold(self, tmp_path, capsys):
+        src, out, rep = (tmp_path / n for n in ("in.txt", "out.txt", "r.json"))
+        write_lines(src, "1e308,0\n0,1e308\n")
+        assert main(["denoise", "--input", str(src),
+                     "--output", str(out), "--report", str(rep)]) == 1
+        assert "overflows for sigma 8.75" in capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
+
+    def test_negative_zero_sigma_is_reported_as_zero(self, tmp_path):
+        x = np.random.default_rng(4).standard_normal((5, 9))
+        src, out, rep = (tmp_path / n for n in ("in.txt", "out.txt", "r.json"))
+        write_matrix(src, x)
+        assert main(["denoise", "--input", str(src), "--sigma", "-0",
+                     "--output", str(out), "--report", str(rep)]) == 0
+        assert out.read_bytes() == src.read_bytes()
+        text = rep.read_text()
+        assert '"sigma_used": 0.0,' in text and '"threshold": 0.0,' in text
+        assert "-0.0" not in text and json.loads(text)["kept_rank"] == 5
+
+    def test_failed_report_write_leaves_no_output(self, tmp_path, capsys):
+        src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        write_matrix(src, np.random.default_rng(4).standard_normal((5, 9)))
+        assert main(["denoise", "--input", str(src), "--output", str(out),
+                     "--report", str(tmp_path / "missing" / "r.json")]) == 1
+        assert capsys.readouterr().err.startswith("usvt: error: ")
+        assert not out.exists()
+
     def test_spectral_failure_falls_back_then_exits_one(self, tmp_path, capsys, monkeypatch):
         # a failed SVD leaves the values pass its W W^T eigenvalues (kept 0
         # needs nothing else); only when those fail too is it exit 1
@@ -374,6 +410,28 @@ class TestSimulate:
             assert not out.exists() and not summary.exists()
         else:
             assert err == "" and out.exists()
+
+    @pytest.mark.parametrize("bad", ["summary", "plot"])
+    def test_failed_later_write_leaves_no_output(self, tmp_path, capsys, bad):
+        paths = {name: tmp_path / f"{name}.txt" for name in ("out", "summary", "plot")}
+        paths[bad] = tmp_path / "missing" / f"{bad}.txt"
+        argv = ["simulate", "--m", "8", "--n", "12", "--ranks", "2", "--sigmas", "0.5",
+                "--reps", "1"]
+        for name, path in paths.items():
+            argv += [f"--{name}", str(path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usvt: error: ")
+        assert not any(path.exists() for path in paths.values())
+
+    @pytest.mark.parametrize("flag, value", [("--ranks", "2,2"), ("--sigmas", "0.5,0.50")])
+    def test_repeated_grid_value_is_usage_error(self, tmp_path, capsys, flag, value):
+        # repeats would write records whose (rank, sigma, rep) keys collide
+        out, summary = tmp_path / "r.csv", tmp_path / "s.csv"
+        argv = ["simulate", "--m", "8", "--n", "12", "--ranks", "2", "--sigmas", "0.5",
+                "--reps", "2", "--out", str(out), "--summary", str(summary)]
+        assert main(argv + [flag, value]) == 2  # the last value of a flag wins
+        assert capsys.readouterr().err.startswith(f"usvt: error: {flag}: ")
+        assert not out.exists() and not summary.exists()
 
     def test_unknown_preset_lists_available(self, capsys):
         code = main(["simulate", "--preset", "paper-fig2",

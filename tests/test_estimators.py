@@ -1,11 +1,14 @@
 """Noise-level estimation, thresholding, and the MSE metric."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from usvt import (
     DEFAULT_ETA,
+    MPLaw,
     estimate_sigma,
     mse,
     signal_matrix,
@@ -13,6 +16,7 @@ from usvt import (
     usvt_adaptive,
     usvt_denoise,
 )
+from usvt.estimators import _decide
 
 
 def embedded_diag(values, m, n):
@@ -77,6 +81,44 @@ class TestEstimateSigma:
         assert estimate_sigma(x) == estimate_sigma(x.T)
 
 
+    @pytest.mark.parametrize("shape", [(4, 6), (5, 5), (7, 3), (1, 4), (2, 2)])
+    def test_median_is_numpys(self, shape):
+        x = np.random.default_rng(sum(shape)).standard_normal(shape)
+        lo, hi = min(shape), max(shape)
+        expected = float(np.median(singular_values(x))) / math.sqrt(hi * MPLaw(lo / hi).median)
+        assert estimate_sigma(x) == expected
+
+    def test_even_median_of_huge_values_is_finite(self):
+        # (s_1 + s_2) / 2 overflows although both values are finite
+        x = np.diag([1e308, 1e308])
+        assert estimate_sigma(x) == pytest.approx(1e308 / math.sqrt(2 * MPLaw(1.0).median))
+        with pytest.raises(ValueError, match="overflows"):
+            usvt_denoise(x)
+
+
+class TestDecide:
+    def test_value_at_threshold_kept_next_below_dropped(self):
+        shape, sigma = (3, 7), 0.3
+        tau = _decide(np.zeros(3), shape, sigma, DEFAULT_ETA).threshold
+        assert tau == (2.0 + DEFAULT_ETA) * sigma * math.sqrt(7)
+        for top, kept in ((tau, 1), (np.nextafter(tau, 0.0), 0)):
+            report = _decide(np.array([top, tau / 2, 0.0]), shape, sigma, DEFAULT_ETA)
+            assert report.threshold == tau
+            assert (report.kept_rank, report.kept_indices) == (kept, tuple(range(1, kept + 1)))
+
+    def test_no_values_at_sigma_zero_keeps_all(self):
+        report = _decide(None, (3, 5), 0.0, DEFAULT_ETA)
+        assert report.threshold == 0.0
+        assert (report.kept_rank, report.kept_indices) == (3, (1, 2, 3))
+        assert report.degenerate_sigma
+
+    @pytest.mark.parametrize("sigma", [1e308, None])
+    def test_overflowing_threshold_raises(self, sigma):
+        # sigma_hat of these values is finite, its threshold is not
+        with pytest.raises(ValueError, match="overflows"):
+            _decide(np.array([1e308, 1e308]), (2, 2), sigma, DEFAULT_ETA)
+
+
 class TestUsvtDenoise:
     def test_sigma_zero_returns_input(self):
         x = np.random.default_rng(2).standard_normal((5, 8))
@@ -86,6 +128,26 @@ class TestUsvtDenoise:
         assert report.kept_indices == tuple(range(1, 6))
         assert report.threshold == 0.0
         assert report.degenerate_sigma
+
+    def test_known_sigma_zero_calls_no_linalg(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg was called at sigma 0")
+
+        for name in dir(np.linalg):
+            routine = getattr(np.linalg, name)
+            if not name.startswith("_") and callable(routine) and not isinstance(routine, type):
+                monkeypatch.setattr(np.linalg, name, forbidden)
+        x = np.random.default_rng(2).standard_normal((5, 8))
+        denoised, report = usvt_denoise(x, 0.0)
+        assert denoised.tobytes() == x.tobytes()
+        assert report.kept_rank == 5
+
+    def test_negative_zero_sigma_is_reported_as_zero(self):
+        x = np.random.default_rng(2).standard_normal((5, 8))
+        denoised, report = usvt_denoise(x, -0.0)
+        assert denoised.tobytes() == x.tobytes()
+        assert math.copysign(1.0, report.sigma_used) == 1.0
+        assert math.copysign(1.0, report.threshold) == 1.0
 
     def test_huge_sigma_returns_zero(self):
         x = np.random.default_rng(3).standard_normal((6, 10))

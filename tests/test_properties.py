@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usvt import DenoiseReport, MPLaw, estimate_sigma, singular_values, usvt_adaptive, usvt_denoise
+from usvt.estimators import _decide
 from usvt.spectral import GRAM_MIN_GAP
 
 # Derandomized so every run checks the same examples; no database writes.
@@ -90,6 +91,13 @@ def test_kept_set_is_inclusive_prefix(x, sigma, eta):
     k = int(np.count_nonzero(singular_values(x) >= report.threshold))
     assert report.kept_rank == k
     assert report.kept_indices == tuple(range(1, k + 1))
+
+
+@PROPERTIES
+@given(matrices(), st.one_of(st.none(), sigmas), etas)
+def test_report_is_the_decision_on_values_and_shape(x, sigma, eta):
+    _, report = usvt_denoise(x, sigma, eta)
+    assert report == _decide(singular_values(x), x.shape, sigma, eta)
 
 
 @PROPERTIES

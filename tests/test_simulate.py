@@ -25,6 +25,7 @@ from usvt import (
     singular_values,
     usvt_adaptive,
 )
+from usvt.simulate import ConfigError
 
 
 class TestExperimentConfig:
@@ -59,6 +60,14 @@ class TestExperimentConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, grid", [("ranks", (2, 1, 2)), ("sigmas", (0.5, 0.50))])
+    def test_rejects_repeated_grid_value(self, field, grid):
+        # a repeat would write records whose (rank, sigma, rep) keys collide
+        kwargs = {"m": 5, "n": 5, "ranks": (1,), "sigmas": (1.0,), field: grid}
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(**kwargs)
+        assert info.value.field == field
 
 
 class TestHaarOrthogonal:

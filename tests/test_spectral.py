@@ -226,27 +226,43 @@ class TestKsDistance:
         m, n = 3, 6
         c = np.sqrt(n * (law.gamma_plus + 1.0))
         x = embedded_diag([c, c, c], m, n)
-        assert ks_distance(x, law) == pytest.approx(1.0, abs=1e-12)
+        assert ks_distance(singular_values(x), x.shape) == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_below_support_gives_one(self):
         # every eigenvalue 0 <= gamma_minus: F_n jumps to 1 where F_gamma is 0
-        assert ks_distance(np.zeros((3, 6)), MPLaw(0.5)) == 1.0
+        assert ks_distance(singular_values(np.zeros((3, 6))), (3, 6)) == 1.0
 
     def test_deterministic(self):
         # x.T has the same eigenvalues of X X^T / n, so the same distance
         x = np.random.default_rng(9).standard_normal((40, 80))
-        law = MPLaw(0.5)
-        assert ks_distance(x, law) == ks_distance(x, law) == ks_distance(x.T, law)
+        d = ks_distance(singular_values(x), x.shape)
+        assert d == ks_distance(singular_values(x), x.shape) == \
+            ks_distance(singular_values(x.T), x.T.shape)
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(10)
         for _ in range(5):
             x = rng.standard_normal((20, 30))
-            assert 0.0 <= ks_distance(x, MPLaw(20 / 30)) <= 1.0
+            assert 0.0 <= ks_distance(singular_values(x), x.shape) <= 1.0
 
     def test_large_gaussian_close_to_limit(self):
         x = np.random.default_rng(500).standard_normal((1000, 2000))
-        assert ks_distance(x, MPLaw(0.5)) <= 0.05
+        assert ks_distance(singular_values(x), x.shape) <= 0.05
+
+    def test_values_in_any_order(self):
+        # the values are sorted first, and a tail of them is a valid input
+        x = np.random.default_rng(11).standard_normal((20, 30))
+        values = singular_values(x)
+        shuffled = np.random.default_rng(12).permutation(values)
+        assert ks_distance(shuffled, x.shape) == ks_distance(values, x.shape)
+        assert 0.0 <= ks_distance(values[5:], x.shape) <= 1.0
+
+    @pytest.mark.parametrize("values", [
+        [1.0, float("nan")], [1.0, float("inf")], [[1.0, 0.5]], [], [1.0] * 5,
+    ], ids=["nan", "inf", "2d", "empty", "too_many"])
+    def test_rejects_bad_values(self, values):
+        with pytest.raises(ValueError):
+            ks_distance(values, (2, 4))
 
 
 class TestPublicApi:
