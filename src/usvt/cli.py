@@ -246,7 +246,13 @@ def _checked(flag: str, check, value):
 
 def _cmd_mp_quantile(args) -> int:
     law = _checked("--gamma", MPLaw, args.gamma)
-    print(format_float(_checked("--p", law.quantile, args.p)))
+    try:
+        value = _checked("--p", law.quantile, args.p)
+    except RuntimeError as exc:
+        # a valid level whose quantile the bisection cannot certify (at
+        # gamma below about 1e-9): a runtime failure, not a usage error
+        raise ValueError(f"--gamma {args.gamma!r}: {exc}") from exc
+    print(format_float(value))
     return 0
 
 

@@ -114,8 +114,15 @@ def usvt_denoise(x, sigma: float | None = None, eta: float = DEFAULT_ETA):
     a = as_matrix(x)
     eta = _check_eta(eta)
     sigma = None if sigma is None else _check_sigma(sigma)
+    return _denoise(a, a.shape, sigma, eta)
+
+
+def _denoise(a: np.ndarray, shape: tuple[int, int], sigma: float | None, eta: float):
+    """usvt_denoise of the validated matrix a, with sigma_hat, the threshold
+    and the report of a matrix of `shape` whose singular values are a's:
+    a.shape for usvt_denoise, the m x n cell for a reduced simulation cell."""
     values = None if sigma == 0.0 else singular_values(a)
-    report = _decide(values, a.shape, sigma, eta)
+    report = _decide(values, shape, sigma, eta)
     k = report.kept_rank
     if report.threshold == 0.0:  # all kept: the input itself, exactly
         return a.copy(), report

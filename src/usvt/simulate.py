@@ -7,12 +7,30 @@ with mean zero and unit variance.  Rademacher and uniform cells draw the
 frames.  Gaussian noise is orthogonally invariant, so a Gaussian cell uses
 E D_r E^T, E = [I_r; 0], draws only its noise, and gives records with the
 same joint law: sigma_hat and the kept rank depend only on singular values,
-and thresholding is orthogonally equivariant.  Each (rank, sigma,
-replication) cell draws from its own named substream, so results are
-independent of execution order and may be computed in parallel.  Same-seed
-Gaussian outputs differ from versions that drew Haar frames for them, and
-all outputs differ from versions that drew square Haar matrices; the law
-of every record does not.
+and thresholding is orthogonally equivariant.
+
+A Gaussian cell with lo + r < hi, lo = min(m, n), hi = max(m, n), goes
+further and is drawn in reduced Bartlett form.  In the wide orientation
+its matrix is [D_r (+) 0 + sigma A_1 | sigma G]: the signal and the lo x r
+noise A_1 fill the first r columns, and G is lo x (hi - r) pure noise.
+By Bartlett's decomposition G = T H, with T lo x lo lower triangular,
+T_ii = sqrt(chi2(hi - r - i + 1)), N(0, 1) below the diagonal, H with
+orthonormal rows, and T independent of A_1.  Right-multiplying by an
+orthogonal matrix that fixes the first r columns changes neither the
+singular values nor ||T(X) - M||_F, so the lo x (lo + r) matrix
+[D_r (+) 0 + sigma A_1 | sigma T] gives records with the law of the m x n
+cell.  It is decided with the m x n shape (sigma_hat, the threshold) and
+its squared error is divided by m n.  Its draws, in order: A_1 row by row
+(lo r normals), T's strictly lower entries row by row (lo (lo - 1)/2
+normals), then T's diagonal top to bottom (lo chi-squares).  A Gaussian
+cell with lo + r >= hi draws the full m x n noise, as the other kinds do.
+
+Each (rank, sigma, replication) cell draws from its own named substream,
+so results are independent of execution order and may be computed in
+parallel.  Same-seed Gaussian outputs with lo + r < hi differ from versions
+that drew the full noise for them, all Gaussian outputs differ from
+versions that drew Haar frames for them, and all outputs differ from
+versions that drew square Haar matrices; the law of every record does not.
 """
 
 from __future__ import annotations
@@ -23,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import DEFAULT_ETA, _check_eta, mse, usvt_adaptive
+from .estimators import DEFAULT_ETA, _check_eta, _denoise
 from .spectral import SvdConvergenceError
 
 SPECTRUM_LOG_PEAK = 3.0
@@ -38,8 +56,9 @@ _NOISE = {
 }
 NOISE_KINDS = tuple(_NOISE)
 # Kinds whose noise matrix A has the law of O1 A O2 for fixed orthogonal O1,
-# O2: their cells take E D_r E^T as the signal and draw no Haar frame, which
-# leaves the law of every record unchanged (see the module docstring).
+# O2: their cells take E D_r E^T as the signal, draw no Haar frame and, when
+# lo + r < hi, are drawn in reduced Bartlett form, which leaves the law of
+# every record unchanged (see the module docstring).
 _ORTHOGONALLY_INVARIANT = frozenset({"gaussian"})
 
 
@@ -170,25 +189,43 @@ def cell_rng(seed: int, rank_index: int, sigma_index: int, rep: int) -> np.rando
     return np.random.default_rng(ss)
 
 
+def _bartlett_noise(lo: int, hi: int, r: int, rng: np.random.Generator) -> np.ndarray:
+    """The reduced noise [A_1 | T], lo x (lo + r), of a wide lo x hi
+    Gaussian cell of rank r, drawn in the order the module docstring gives."""
+    noise = np.zeros((lo, lo + r))
+    noise[:, :r] = rng.standard_normal((lo, r))
+    t = noise[:, r:]
+    t[np.tril_indices(lo, -1)] = rng.standard_normal(lo * (lo - 1) // 2)
+    t[np.diag_indices(lo)] = np.sqrt(rng.chisquare(hi - r - np.arange(lo)))
+    return noise
+
+
 def run_cell(config: ExperimentConfig, rank_index: int, sigma_index: int,
              rep: int) -> ExperimentRecord:
     """Draw one (signal, noise) pair, denoise adaptively, record metrics."""
+    m, n = config.m, config.n
     r = config.ranks[rank_index]
     sigma = config.sigmas[sigma_index]
     rng = cell_rng(config.seed, rank_index, sigma_index, rep)
     if config.noise_kind in _ORTHOGONALLY_INVARIANT:
-        signal = np.zeros((config.m, config.n))
+        lo, hi = min(m, n), max(m, n)
+        if lo + r < hi:
+            noise = _bartlett_noise(lo, hi, r, rng)
+        else:
+            noise = noise_matrix(m, n, config.noise_kind, rng)
+        signal = np.zeros(noise.shape)
         signal[np.arange(r), np.arange(r)] = signal_spectrum(r)
     else:
-        signal = signal_matrix(r, config.m, config.n, rng)
-    noise = noise_matrix(config.m, config.n, config.noise_kind, rng)
+        signal = signal_matrix(r, m, n, rng)
+        noise = noise_matrix(m, n, config.noise_kind, rng)
     cell = f"cell rank={r} sigma={sigma} rep={rep}"
     try:
         # an overflow would write inf or nan into the records as a result
         with np.errstate(over="raise"):
-            denoised, report = usvt_adaptive(signal + sigma * noise, config.eta)
+            # decided and scored as the m x n cell, also in reduced form
+            denoised, report = _denoise(signal + sigma * noise, (m, n), None, config.eta)
             sq_err_sigma = (report.sigma_used - sigma) ** 2
-            mse_matrix = mse(denoised, signal)
+            mse_matrix = float(np.sum((denoised - signal) ** 2)) / (m * n)
     except ArithmeticError as exc:
         raise ValueError(f"{cell}: a value overflows float64") from exc
     except (ValueError, SvdConvergenceError) as exc:

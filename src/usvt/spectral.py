@@ -121,12 +121,15 @@ def ks_distance(values, shape) -> float:
     The supremum is attained at eigenvalue jump points, where both one-sided
     limits are checked.  F_gamma is 0 at the last eigenvalue <= gamma_minus
     and 1 at the first one > gamma_plus, so the limits there already give
-    the mass outside the support.
+    the mass outside the support.  A value with |s| >= 4 sqrt(n) has
+    s^2 / n >= 16 > gamma_plus, where F_gamma is 1, so it is clipped there
+    before it is squared, which keeps s^2 finite.
     """
     lo, hi = min(shape), max(shape)
     s = np.asarray(values, dtype=np.float64)
     if s.ndim != 1 or not 1 <= s.size <= lo or not np.isfinite(s).all():
         raise ValueError(f"expected 1 to {lo} finite singular values, got shape {s.shape}")
+    s = np.minimum(np.abs(s), 4.0 * np.sqrt(hi))
     law, evals = MPLaw(lo / hi), np.sort(s ** 2) / hi
     f_gamma = np.array([law.cdf(e) for e in evals])
     f_n = np.arange(evals.size + 1) / evals.size  # limits at jump i: f_n[i], f_n[i + 1]

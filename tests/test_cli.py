@@ -117,6 +117,17 @@ class TestMpQuantile:
         assert main(["mp-quantile", "--gamma", "0.5"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("gamma", ["1e-12", "1e-9"])
+    def test_uncertified_quantile_is_runtime_error(self, capsys, gamma):
+        # a valid gamma so small that the bisection cannot certify the
+        # quantile: exit 1, one error line, nothing printed
+        assert main(["mp-quantile", "--gamma", gamma, "--p", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usvt: error: --gamma {float(gamma)!r}: ")
+        assert "certification" in captured.err
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("flag,value", [
         ("--gamma", "nan"), ("--gamma", "inf"), ("--p", "nan"), ("--p", "inf"),
     ])

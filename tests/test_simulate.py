@@ -25,7 +25,8 @@ from usvt import (
     singular_values,
     usvt_adaptive,
 )
-from usvt.simulate import ConfigError
+from usvt.estimators import _denoise
+from usvt.simulate import ConfigError, _bartlett_noise
 
 
 class TestExperimentConfig:
@@ -222,10 +223,10 @@ class TestRunExperiment:
         cfg = ExperimentConfig(m=20, n=40, ranks=(2, 5), sigmas=(0.1, 1.0),
                                replications=1, seed=3)
         expected = [
-            (2, 0.1, 0.10242332435898294, 0.0015385028732149428, 2),
-            (2, 1.0, 1.079137326299849, 0.20432659640809536, 2),
-            (5, 0.1, 0.11592091284849594, 0.002985958471803788, 5),
-            (5, 1.0, 1.1201235961350438, 0.3986678080454154, 5),
+            (2, 0.1, 0.10010141476991771, 0.001344158111831457, 2),
+            (2, 1.0, 1.0455115184287098, 0.22390547731933017, 2),
+            (5, 0.1, 0.11058107328635122, 0.0033435725409467374, 5),
+            (5, 1.0, 1.0420063940683602, 0.37919033336267427, 5),
         ]
         records = run_experiment(cfg)
         assert [(r.rank, r.sigma, r.kept_rank) for r in records] == \
@@ -374,6 +375,118 @@ class TestRunExperiment:
             for sigma in (1.0,):
                 dev = abs(mse(signal + sigma * noise, signal) - sigma**2)
                 assert dev <= band * sigma**2
+
+
+class TestReducedGaussianCell:
+    """A Gaussian cell with lo + r < hi is drawn in reduced Bartlett form,
+    lo x (lo + r), and decided and scored as the lo x hi cell it stands for."""
+
+    @pytest.mark.parametrize("sigma, kept", [(4.0, 0), (0.05, 4)])
+    def test_lq_factor_gives_the_same_cell(self, sigma, kept):
+        # [S + sigma A_1 | sigma G] and [S + sigma A_1 | sigma L], G = L Q,
+        # differ by an orthogonal map fixing the signal's columns: same
+        # singular values, kept rank and squared error
+        lo, hi, r = 30, 90, 4
+        rng = np.random.default_rng(31)
+        a1 = rng.standard_normal((lo, r))
+        g = rng.standard_normal((lo, hi - r))
+        lower = np.linalg.qr(g.T)[1].T
+        head = np.zeros((lo, r))
+        head[np.arange(r), np.arange(r)] = signal_spectrum(r)
+        errors = []
+        for rest in (g, lower):
+            signal = np.hstack([head, np.zeros_like(rest)])
+            observed = signal + sigma * np.hstack([a1, rest])
+            denoised, report = _denoise(observed, (lo, hi), None, 0.02)
+            assert report.kept_rank == kept
+            errors.append((singular_values(observed), np.sum((denoised - signal) ** 2)))
+        (full_values, full_err), (lq_values, lq_err) = errors
+        assert_allclose(lq_values, full_values, rtol=1e-12, atol=0)
+        assert lq_err == pytest.approx(full_err, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.72, 0.3])
+    def test_reduced_cell_has_the_law_of_the_full_cell(self, sigma):
+        # 600 reduced run_experiment cells against 600 full-draw 40 x 200
+        # diagonal cells built here: sigma_hat, mse_matrix and kept rank
+        m, n, r, cells = 40, 200, 5, 600
+        cfg = ExperimentConfig(m=m, n=n, ranks=(r,), sigmas=(sigma,),
+                               replications=cells, eta=0.02, seed=19)
+        reduced = run_experiment(cfg)
+        signal = np.zeros((m, n))
+        signal[np.arange(r), np.arange(r)] = signal_spectrum(r)
+        full = []
+        for rep in range(cells):
+            noise = np.random.default_rng([37, rep]).standard_normal((m, n))
+            denoised, report = usvt_adaptive(signal + sigma * noise, 0.02)
+            full.append((report.sigma_used, mse(denoised, signal), report.kept_rank))
+        ks = stats.ks_2samp([rec.sigma_hat for rec in reduced],
+                            [sigma_hat for sigma_hat, _, _ in full])
+        assert ks.pvalue > 0.01
+        # the kept-0 atom ||M||^2/(mn) is summed over different zeros on
+        # each side; rounding to 1e-12 merges its copies
+        ks = stats.ks_2samp([round(rec.mse_matrix, 12) for rec in reduced],
+                            [round(err, 12) for _, err, _ in full])
+        assert ks.pvalue > 0.01
+        counts = [Counter(rec.kept_rank for rec in reduced),
+                  Counter(kept for _, _, kept in full)]
+        table = [[c[k] for k in sorted(counts[0] | counts[1])] for c in counts]
+        assert len(table[0]) == 1 or stats.chi2_contingency(table).pvalue > 0.01
+
+    def test_bartlett_factor_has_the_wishart_mean(self):
+        # [A_1 | T] with T T^T ~ G G^T, G lo x (hi - r) Gaussian: E[T T^T] is
+        # (hi - r) I; a chi-square degree off by one moves a diagonal mean by 1
+        lo, hi, r, draws = 3, 10, 2, 4000
+        rng = np.random.default_rng(23)
+        noise = np.array([_bartlett_noise(lo, hi, r, rng) for _ in range(draws)])
+        t = noise[:, :, r:]
+        assert np.all(np.triu(t, 1) == 0.0) and np.all(np.diagonal(t, axis1=1, axis2=2) > 0)
+        assert_allclose(np.mean(t @ t.transpose(0, 2, 1), axis=0),
+                        (hi - r) * np.eye(lo), rtol=0, atol=0.3)
+        assert abs(noise[:, :, :r].mean()) <= 0.05
+        assert abs(noise[:, :, :r].var() - 1.0) <= 0.05
+
+    @pytest.mark.parametrize("m, n, r", [(20, 40, 20), (40, 20, 20), (25, 25, 3)])
+    def test_full_draw_when_nothing_is_saved(self, m, n, r):
+        # lo + r >= hi: the cell is the full m x n draw, bit for bit
+        cfg = ExperimentConfig(m=m, n=n, ranks=(r,), sigmas=(0.3,),
+                               replications=1, seed=6)
+        signal = np.zeros((m, n))
+        signal[np.arange(r), np.arange(r)] = signal_spectrum(r)
+        noise = cell_rng(6, 0, 0, 0).standard_normal((m, n))
+        denoised, report = usvt_adaptive(signal + 0.3 * noise, cfg.eta)
+        rec = run_cell(cfg, 0, 0, 0)
+        assert (rec.sigma_hat, rec.mse_matrix, rec.kept_rank) == \
+            (report.sigma_used, mse(denoised, signal), report.kept_rank)
+
+    def test_tall_cell_is_the_wide_cell(self):
+        # both orientations reduce to the same lo x (lo + r) draw
+        wide, tall = (ExperimentConfig(m=m, n=n, ranks=(3,), sigmas=(0.4,),
+                                       replications=2, seed=8)
+                      for m, n in ((20, 50), (50, 20)))
+        assert run_experiment(wide) == run_experiment(tall)
+
+    @pytest.mark.parametrize("m, n, r, seen", [
+        (20, 40, 3, (20, 23)), (40, 20, 3, (20, 23)),
+        (20, 40, 20, (20, 40)), (40, 20, 20, (40, 20)), (30, 30, 1, (30, 30)),
+    ])
+    def test_values_pass_shape(self, monkeypatch, m, n, r, seen):
+        from usvt import estimators
+
+        shapes = []
+
+        def spy(x):
+            shapes.append(x.shape)
+            return singular_values(x)
+
+        monkeypatch.setattr(estimators, "singular_values", spy)
+        cfg = ExperimentConfig(m=m, n=n, ranks=(r,), sigmas=(8.0,),
+                               replications=1, seed=4)
+        rec = run_cell(cfg, 0, 0, 0)
+        assert shapes == [seen]
+        # kept 0: the squared error is ||D_r||^2, over the cell's m n entries
+        assert rec.kept_rank == 0
+        assert rec.mse_matrix == pytest.approx(
+            np.sum(signal_spectrum(r) ** 2) / (m * n), rel=1e-12)
 
 
 class TestPaperPresetRegime:

@@ -257,6 +257,16 @@ class TestKsDistance:
         assert ks_distance(shuffled, x.shape) == ks_distance(values, x.shape)
         assert 0.0 <= ks_distance(values[5:], x.shape) <= 1.0
 
+    def test_huge_values_do_not_overflow(self):
+        # s^2 of 1e308 is beyond float64: the distance is the one of any
+        # value past the support, with no overflow warning (an error here)
+        assert ks_distance(np.array([1e308, 1e308]), (2, 2)) == 1.0
+        values = singular_values(np.random.default_rng(13).standard_normal((20, 40)))
+        beyond = np.sqrt(40 * (MPLaw(0.5).gamma_plus + 1.0))
+        huge, past = values.copy(), values.copy()
+        huge[:2], past[:2] = (1e308, -1e200), (beyond, beyond)
+        assert ks_distance(huge, (20, 40)) == ks_distance(past, (20, 40))
+
     @pytest.mark.parametrize("values", [
         [1.0, float("nan")], [1.0, float("inf")], [[1.0, 0.5]], [], [1.0] * 5,
     ], ids=["nan", "inf", "2d", "empty", "too_many"])
