@@ -9,6 +9,14 @@ Denoising keeps exactly the singular components whose values reach
 (2 + eta) * sigma * sqrt(n) and zeroes the rest; the adaptive variant
 plugs in sigma_hat.  `_decide` makes that choice from the singular values
 and the shape alone; `spectral.rank_k_part` gives the rank-k truncation.
+
+The values come from one eigvalsh of W W^T (`spectral._gram_route`), which
+falls back to gesdd where their spread would make sigma_hat inaccurate.
+Their error can still move a value across the threshold, so where some
+s_i^2 lies within the route's error band of tau^2, widened by tau^2's own
+error through sigma_hat, gesdd's values decide instead: the kept rank is
+always gesdd's, and sigma_hat and tau differ from gesdd's only in the last
+digits.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mp_law import MPLaw
-from .spectral import as_matrix, rank_k_part, singular_values
+from .spectral import _gram_route, as_matrix, rank_k_part, singular_values
 
 DEFAULT_ETA = 0.02
 
@@ -67,7 +75,7 @@ def _sigma_hat(values: np.ndarray, shape: tuple[int, int]) -> float:
 def estimate_sigma(x) -> float:
     """Median-singular-value estimate of the noise level; 0 for X = 0."""
     a = as_matrix(x)
-    return _sigma_hat(singular_values(a), a.shape)
+    return _sigma_hat(_gram_route(a)[0], a.shape)
 
 
 def _check_eta(eta: float) -> float:
@@ -108,8 +116,9 @@ def usvt_denoise(x, sigma: float | None = None, eta: float = DEFAULT_ETA):
     to the threshold are kept; sigma = 0 returns a copy of the input and
     runs no spectral pass.  sigma None estimates it as sigma_hat; a
     sigma_hat of exactly 0 is flagged in the report, not raised.  One
-    values-only pass feeds `_decide`; `spectral.rank_k_part` then gives the
-    rank-k truncation.
+    eigvalsh of W W^T (gesdd where the module docstring says) feeds
+    `_decide`; `spectral.rank_k_part` then gives the rank-k truncation from
+    the same W W^T.
     """
     a = as_matrix(x)
     eta = _check_eta(eta)
@@ -117,16 +126,41 @@ def usvt_denoise(x, sigma: float | None = None, eta: float = DEFAULT_ETA):
     return _denoise(a, a.shape, sigma, eta)
 
 
+def _near_threshold(values: np.ndarray, report: DenoiseReport, tol: float,
+                    estimated: bool) -> bool:
+    """Whether some s_i^2 lies within tol s_1^2 of tau^2, the band being
+    widened by tol s_1^2 tau^2 / s_med^2 (s_med the lower middle value),
+    the error of tau^2 through sigma_hat, when sigma was estimated."""
+    s1, tau = values[0], report.threshold
+    if tau / 2.0 > s1:  # every s_i^2 < tau^2 / 4
+        return False
+    u, t = (values / s1) ** 2, (tau / s1) ** 2
+    band = tol * (1.0 + t / u[u.size // 2]) if estimated else tol
+    return bool(np.any(np.abs(u - t) <= band))
+
+
+def _decided_values(a: np.ndarray, shape: tuple[int, int], sigma: float | None, eta: float):
+    """(values, gram, report): the singular values _denoise decides on, the
+    scaled W W^T they came from (None for gesdd's) and the decision."""
+    if sigma == 0.0:
+        return None, None, _decide(None, shape, sigma, eta)
+    values, gram, tol = _gram_route(a)
+    report = _decide(values, shape, sigma, eta)
+    if gram is not None and _near_threshold(values, report, tol, sigma is None):
+        values, gram = singular_values(a), None
+        report = _decide(values, shape, sigma, eta)
+    return values, gram, report
+
+
 def _denoise(a: np.ndarray, shape: tuple[int, int], sigma: float | None, eta: float):
     """usvt_denoise of the validated matrix a, with sigma_hat, the threshold
     and the report of a matrix of `shape` whose singular values are a's:
     a.shape for usvt_denoise, the m x n cell for a reduced simulation cell."""
-    values = None if sigma == 0.0 else singular_values(a)
-    report = _decide(values, shape, sigma, eta)
+    values, gram, report = _decided_values(a, shape, sigma, eta)
     k = report.kept_rank
     if report.threshold == 0.0:  # all kept: the input itself, exactly
         return a.copy(), report
-    return (rank_k_part(a, values, k) if k else np.zeros_like(a)), report
+    return (rank_k_part(a, values, k, gram) if k else np.zeros_like(a)), report
 
 
 def usvt_adaptive(x, eta: float = DEFAULT_ETA):

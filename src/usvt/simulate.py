@@ -62,6 +62,11 @@ NOISE_KINDS = tuple(_NOISE)
 _ORTHOGONALLY_INVARIANT = frozenset({"gaussian"})
 
 
+def _is_integer(value) -> bool:
+    # bool is an Integral, but True is no dimension, rank or seed
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class ConfigError(ValueError):
     """An ExperimentConfig field is invalid; `field` names it."""
 
@@ -85,10 +90,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("m", "n", "replications", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not _is_integer(getattr(self, name)):
                 raise ConfigError(name, f"{name} must be an integer")
+            object.__setattr__(self, name, int(getattr(self, name)))
         ranks = tuple(self.ranks)
-        if not all(isinstance(r, numbers.Integral) for r in ranks):
+        if not all(_is_integer(r) for r in ranks):
             raise ConfigError("ranks", "ranks must be integers")
         object.__setattr__(self, "ranks", tuple(int(r) for r in ranks))
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))

@@ -7,9 +7,20 @@ Values and truncation are computed in the wide (m <= n) orientation W, so
 a non-square x and x.T give bit-identical results; a square x is never
 transposed, so x and x.T agree only to rounding.  W W^T is formed at an
 exact power-of-two scale, so it neither over- nor underflows.
+
+`singular_values` is LAPACK's values-only SVD (gesdd), accurate for every
+value.  The denoiser takes its values from one eigvalsh of W W^T instead
+(`_gram_route`), two to four times cheaper, and the same W W^T then gives
+the rank-k part.  The eigenvalues' error |dlambda_i| is about
+eps * lambda_1, so the median's relative error grows with the spread
+lambda_1 / lambda_med; beyond GRAM_MAX_SPREAD the route is refused and
+gesdd runs.
 """
 
 from __future__ import annotations
+
+import math
+from functools import partial
 
 import numpy as np
 
@@ -18,6 +29,12 @@ from .mp_law import MPLaw
 # rank_k_part takes the Gram eigensolve while (s_k^2 - s_{k+1}^2) / s_1^2 >=
 # GRAM_MIN_GAP: there it was measured within 3e-13 of numpy's SVD truncation.
 GRAM_MIN_GAP = 1e-2
+
+# _gram_route takes the eigenvalues of W W^T while 0 < lambda_med and
+# lambda_1 <= GRAM_MAX_SPREAD * lambda_med, lambda_med the lower middle one.
+# The relative error of their median against gesdd's was measured at most
+# 1.3 eps * lambda_1 / lambda_med (1 x 7 to 600 x 1200), so at most 3e-13.
+GRAM_MAX_SPREAD = 2.0 ** 10
 
 
 class SvdConvergenceError(RuntimeError):
@@ -34,12 +51,52 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
+def _wide(a: np.ndarray) -> np.ndarray:
+    # C order, so x and x.T reach LAPACK as the same bytes
+    return np.ascontiguousarray(a if a.shape[0] <= a.shape[1] else a.T)
+
+
 def _gram(w: np.ndarray):
     """(W W^T / 4^e, e), formed exactly from W / 2^e with 2^e the binade of
     max|W|, so that its entries stay below n."""
     e = np.frexp(np.abs(w).max())[1]
     v = np.ldexp(w, -e)
     return v @ v.T, e
+
+
+def _gram_values(w: np.ndarray):
+    """(lambda, e, gram): the eigenvalues lambda of gram = W W^T / 4^e,
+    descending, so that s_i = sqrt(lambda_i) 2^e."""
+    gram, e = _gram(w)
+    return np.linalg.eigvalsh(gram)[::-1], e, gram
+
+
+def _overflows(s1, e: int) -> bool:
+    # s_1 2^e is a finite float64 while its binary exponent is at most 1024
+    return not np.isfinite(s1) or np.frexp(s1)[1] + e > 1024
+
+
+def _svd_values(w: np.ndarray, fallback) -> np.ndarray:
+    """gesdd's singular values of the wide matrix w, descending.  Where gesdd
+    does not converge, fallback() gives W W^T's (lambda, e) instead, unless
+    fallback is None.  Raises SvdConvergenceError when no route converges
+    and ValueError when s_1 overflows float64."""
+    e = 0
+    try:
+        s = np.linalg.svd(w, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        if fallback is None:
+            raise SvdConvergenceError(
+                f"neither eigvalsh of W W^T nor the SVD converged: {exc}") from exc
+        try:
+            lam, e = fallback()
+        except np.linalg.LinAlgError as exc:
+            raise SvdConvergenceError(
+                f"SVD did not converge, nor its W W^T fallback: {exc}") from exc
+        s = np.sqrt(np.maximum(lam, 0.0))
+    if _overflows(s[0], e):
+        raise ValueError("the largest singular value overflows float64")
+    return np.ldexp(s, e)
 
 
 def singular_values(x) -> np.ndarray:
@@ -54,24 +111,37 @@ def singular_values(x) -> np.ndarray:
     w = as_matrix(x)
     if w.shape[0] > w.shape[1]:
         w = w.T
-    e = 0
+    return _svd_values(w, lambda: _gram_values(w)[:2])
+
+
+def _gram_route(a: np.ndarray):
+    """(values, gram, tol) of the validated matrix a.
+
+    values are a's singular values, descending, as sqrt(lambda_i) 2^e from
+    the eigenvalues lambda_i of gram = W W^T / 4^e, with
+    |lambda_i 4^e - s_i^2| <= tol s_1^2 against gesdd's s_i:
+    tol = 16 (1 + sqrt(min(m, n))) eps is over six times the largest error
+    measured, 2.4 (1 + sqrt(min(m, n))) eps from 1 x 3 to 1000 x 1000.  Where
+    lambda_med <= 0, lambda_1 > GRAM_MAX_SPREAD lambda_med, eigvalsh does not
+    converge or s_1 overflows, values are gesdd's instead, with the same
+    errors as singular_values(a), and gram and tol are None; eigvalsh is
+    never run twice.
+    """
+    w = _wide(a)
     try:
-        s = np.linalg.svd(w, compute_uv=False)
+        lam, e, gram = _gram_values(w)
     except np.linalg.LinAlgError:
-        gram, e = _gram(w)
-        try:
-            s = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0))
-        except np.linalg.LinAlgError as exc:
-            raise SvdConvergenceError(
-                f"SVD did not converge, nor its W W^T fallback: {exc}") from exc
-    # s_1 2^e is a finite float64 while its binary exponent is at most 1024
-    if not np.isfinite(s[0]) or np.frexp(s[0])[1] + e > 1024:
-        raise ValueError("the largest singular value overflows float64")
-    return np.ldexp(s, e)
+        return _svd_values(w, None), None, None
+    median = lam[lam.size // 2]
+    s = np.sqrt(np.maximum(lam, 0.0))
+    if 0.0 < median and lam[0] <= GRAM_MAX_SPREAD * median and not _overflows(s[0], e):
+        tol = 16.0 * (1.0 + math.sqrt(lam.size)) * np.finfo(np.float64).eps
+        return np.ldexp(s, e), gram, tol
+    return _svd_values(w, lambda: (lam, e)), None, None
 
 
-def _gram_part(w: np.ndarray, k: int) -> np.ndarray:
-    q = np.linalg.eigh(_gram(w)[0])[1][:, -k:]
+def _gram_part(w: np.ndarray, k: int, gram=None) -> np.ndarray:
+    q = np.linalg.eigh(_gram(w)[0] if gram is None else gram)[1][:, -k:]
     return q @ (q.T @ w)
 
 
@@ -80,21 +150,21 @@ def _svd_part(w: np.ndarray, k: int) -> np.ndarray:
     return (u[:, :k] * s[:k]) @ vt[:k]
 
 
-def rank_k_part(a: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+def rank_k_part(a: np.ndarray, values: np.ndarray, k: int, gram=None) -> np.ndarray:
     """The rank-k SVD truncation of a validated matrix a, 1 <= k.
 
-    `values` are a's singular values, descending.  At a relative squared gap
-    (s_k^2 - s_{k+1}^2) / s_1^2 >= GRAM_MIN_GAP it is Q_k Q_k^T W, Q_k the
-    top-k eigenvectors of W W^T, and no singular vectors are computed;
+    `values` are a's singular values, descending, and `gram` the scaled
+    W W^T of `_gram_route`, formed here when None.  At a relative squared
+    gap (s_k^2 - s_{k+1}^2) / s_1^2 >= GRAM_MIN_GAP it is Q_k Q_k^T W, Q_k
+    the top-k eigenvectors of W W^T, and no singular vectors are computed;
     below it, numpy's thin SVD is truncated.  When the chosen LAPACK route
     does not converge the other one runs; only when both fail is
     SvdConvergenceError raised.
     """
     wide = a.shape[0] <= a.shape[1]
-    # C order, so x and x.T reach LAPACK as the same bytes
-    w = np.ascontiguousarray(a if wide else a.T)
+    w = _wide(a)
     sk, below = np.append(values, 0.0)[k - 1:k + 1] / values[0]
-    first, second = _gram_part, _svd_part
+    first, second = partial(_gram_part, gram=gram), _svd_part
     if sk * sk - below * below < GRAM_MIN_GAP:
         first, second = second, first
     try:

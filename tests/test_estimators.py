@@ -17,6 +17,7 @@ from usvt import (
     usvt_denoise,
 )
 from usvt.estimators import _decide
+from usvt.spectral import GRAM_MAX_SPREAD, _gram_route
 
 
 def embedded_diag(values, m, n):
@@ -42,9 +43,10 @@ def planted(spikes, m, n, seed=16):
 
 def spy_linalg(monkeypatch):
     """Record numpy's spectral calls: "values" for a values-only SVD, "svd"
-    for one with vectors, "eigh" for the Gram eigensolve."""
+    for one with vectors, "eigvalsh" for the Gram values, "eigh" for the
+    Gram eigensolve."""
     calls = []
-    svd, eigh = np.linalg.svd, np.linalg.eigh
+    svd, eigh, eigvalsh = np.linalg.svd, np.linalg.eigh, np.linalg.eigvalsh
 
     def counted_svd(*args, **kwargs):
         calls.append("svd" if kwargs.get("compute_uv", True) else "values")
@@ -54,8 +56,13 @@ def spy_linalg(monkeypatch):
         calls.append("eigh")
         return eigh(*args, **kwargs)
 
+    def counted_eigvalsh(*args, **kwargs):
+        calls.append("eigvalsh")
+        return eigvalsh(*args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     return calls
 
 
@@ -83,9 +90,10 @@ class TestEstimateSigma:
 
     @pytest.mark.parametrize("shape", [(4, 6), (5, 5), (7, 3), (1, 4), (2, 2)])
     def test_median_is_numpys(self, shape):
+        # of the values the Gram route gives
         x = np.random.default_rng(sum(shape)).standard_normal(shape)
         lo, hi = min(shape), max(shape)
-        expected = float(np.median(singular_values(x))) / math.sqrt(hi * MPLaw(lo / hi).median)
+        expected = float(np.median(_gram_route(x)[0])) / math.sqrt(hi * MPLaw(lo / hi).median)
         assert estimate_sigma(x) == expected
 
     def test_even_median_of_huge_values_is_finite(self):
@@ -230,14 +238,15 @@ class TestUsvtDenoise:
                              [([3.0, 2.0, 0.8], "eigh"), ([3.0, 1.001, 0.999], "svd")],
                              ids=["resolved_gap", "near_tie"])
     def test_values_pass_then_gram_or_svd(self, monkeypatch, known, spikes, solver):
-        # one values-only pass decides k; the full SVD runs only when the
-        # relative squared gap at k is below GRAM_MIN_GAP
+        # the Gram values decide k; the same W W^T gives the kept part, and
+        # the full SVD runs only when the relative squared gap at k is below
+        # GRAM_MIN_GAP
         x, tau = planted(spikes, 20, 30)
         calls = spy_linalg(monkeypatch)
         sigma = tau / (2.0 + DEFAULT_ETA) / np.sqrt(30) if known else None
         _, report = usvt_denoise(x, sigma)
         assert report.kept_rank == 2
-        assert calls == ["values", solver]
+        assert calls == ["eigvalsh", solver]
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1e308])
     def test_rejects_non_finite_sigma_or_threshold(self, sigma):
@@ -267,7 +276,7 @@ class TestUsvtAdaptive:
         assert np.abs(scaled - 5.0 * base).max() <= 1e-8
 
     def test_kept_zero_skips_singular_vectors(self, monkeypatch):
-        # the published setting keeps nothing: one values-only pass, no
+        # the published setting keeps nothing: one eigvalsh of W W^T, no
         # vectors from either route
         rng = np.random.default_rng(13)
         x = signal_matrix(50, 200, 1000, rng) + rng.standard_normal((200, 1000))
@@ -276,7 +285,7 @@ class TestUsvtAdaptive:
         denoised, report = usvt_adaptive(x)
         assert report == expected and report.kept_rank == 0
         assert np.array_equal(denoised, np.zeros_like(x))
-        assert calls == ["values"]
+        assert calls == ["eigvalsh"]
 
     def test_estimated_threshold_tie_is_kept(self):
         # lambda_1 set to the float threshold the median of the rest yields
@@ -334,6 +343,147 @@ class TestUsvtAdaptive:
         x = signal + rng.standard_normal((200, 1000))
         denoised, _ = usvt_adaptive(x, 0.02)
         assert mse(denoised, signal) < mse(x, signal)
+
+
+class TestGramValuesRoute:
+    """The Gram eigenvalues decide unless their spread or the decision's
+    margin refuses them; the kept rank is always gesdd's."""
+
+    @staticmethod
+    def gesdd_report(x, sigma, eta=DEFAULT_ETA):
+        return _decide(np.linalg.svd(x, compute_uv=False), x.shape, sigma, eta)
+
+    def test_exactly_low_rank_runs_gesdd(self, monkeypatch):
+        # the spread guard: a median at the rounding level is gesdd's, and
+        # sigma_hat meets test_sigma_hat_is_calibrated_median's floor
+        rng = np.random.default_rng(50)
+        x = rng.standard_normal((14, 2)) @ rng.standard_normal((2, 23))
+        values = np.linalg.svd(x, compute_uv=False)
+        lo, hi = min(x.shape), max(x.shape)
+        calibration = math.sqrt(hi * MPLaw(lo / hi).median)
+        calls = spy_linalg(monkeypatch)
+        _, report = usvt_adaptive(x)
+        assert calls[:2] == ["eigvalsh", "values"]
+        expected = float(np.median(values)) / calibration
+        assert abs(report.sigma_used - expected) <= max(1e-12 * expected,
+                                                        1e-12 * values[0] / calibration)
+
+    @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
+    def test_value_inside_the_band_runs_gesdd(self, monkeypatch, shape):
+        # a known sigma whose threshold is gesdd's s_2: the Gram lambda_2
+        # lies within the band of tau^2, so gesdd decides
+        x, _ = planted([3.0, 2.0, 0.8], *shape)
+        s = np.linalg.svd(x, compute_uv=False)
+        sigma = s[1] / (2.0 + DEFAULT_ETA) / math.sqrt(max(shape))
+        calls = spy_linalg(monkeypatch)
+        _, report = usvt_denoise(x, sigma)
+        assert calls[:2] == ["eigvalsh", "values"]
+        assert report == self.gesdd_report(x, sigma)
+        assert report.kept_rank == int(np.count_nonzero(s >= report.threshold))
+
+    def test_value_at_the_estimated_threshold_runs_gesdd(self, monkeypatch):
+        # s_1 set to the Gram route's own tau_hat, which the median fixes
+        x, _ = planted([3.0, 2.0, 0.8], 20, 30)
+        tau = _decide(_gram_route(x)[0], x.shape, None, DEFAULT_ETA).threshold
+        u, s, vt = np.linalg.svd(x, full_matrices=False)
+        s[0] = tau
+        x = (u * s) @ vt
+        calls = spy_linalg(monkeypatch)
+        _, report = usvt_adaptive(x)
+        assert calls[:2] == ["eigvalsh", "values"]
+        assert report == self.gesdd_report(x, None)
+
+    def test_band_is_widened_by_the_error_of_tau_hat(self, monkeypatch):
+        # s_1^2 = tau_hat^2 / (1 - 3 tol): outside the band tol s_1^2 of a
+        # known tau, inside the band widened by tau_hat^2's error, about
+        # (1 + tau_hat^2 / s_med^2) tol s_1^2 with tau_hat / s_med about 2.3
+        rng = np.random.default_rng(52)
+        u, v = (np.linalg.qr(rng.standard_normal((d, 20)))[0] for d in (20, 30))
+        s = np.concatenate([[1.0], np.linspace(0.3, 0.2, 19)])
+        _, _, tol = _gram_route((u * s) @ v.T)
+        s[0] = _decide(_gram_route((u * s) @ v.T)[0], (20, 30), None, DEFAULT_ETA).threshold
+        s[0] /= math.sqrt(1.0 - 3.0 * tol)
+        x = (u * s) @ v.T
+        calls = spy_linalg(monkeypatch)
+        _, report = usvt_adaptive(x)
+        assert calls[:2] == ["eigvalsh", "values"]
+        assert report == self.gesdd_report(x, None)
+        calls.clear()
+        usvt_denoise(x, report.sigma_used)
+        assert calls == ["eigvalsh", "eigh"]
+
+    def test_corpus_agrees_with_gesdd_where_admitted(self):
+        # noise plus spikes in mixed shapes and scales, spreads up to and
+        # beyond GRAM_MAX_SPREAD; wherever the route is admitted, sigma_hat is
+        # numpy's SVD median to 2.5e-13 and the kept rank gesdd's, for
+        # estimated and known sigma
+        rng = np.random.default_rng(51)
+        admitted = 0
+        for _ in range(240):
+            m, n = (int(d) for d in rng.choice([1, 2, 3, 8, 17, 40, 64], 2))
+            lo, hi = min(m, n), max(m, n)
+            x = rng.standard_normal((m, n))
+            spikes = int(rng.integers(0, lo // 2 + 1))
+            if spikes:
+                spread = 2.0 ** rng.uniform(0.0, 11.0)
+                u = np.linalg.qr(rng.standard_normal((m, spikes)))[0]
+                v = np.linalg.qr(rng.standard_normal((n, spikes)))[0]
+                s = np.median(np.linalg.svd(x, compute_uv=False)) * math.sqrt(spread)
+                x += (u * s * rng.uniform(0.5, 1.0, spikes)) @ v.T
+            x *= 10.0 ** rng.uniform(-5.0, 5.0)
+            values, gram, _ = _gram_route(x)
+            if gram is None:
+                continue
+            admitted += 1
+            assert values[0] ** 2 <= GRAM_MAX_SPREAD * values[lo // 2] ** 2 * (1 + 1e-12)
+            reference = np.linalg.svd(x, compute_uv=False)
+            expected = float(np.median(reference)) / math.sqrt(hi * MPLaw(lo / hi).median)
+            assert abs(estimate_sigma(x) - expected) <= 2.5e-13 * expected
+            eta = float(rng.uniform(0.01, 1.0))
+            known = float(rng.uniform(0.3, 3.0)) * expected
+            for sigma in (None, known):
+                _, report = usvt_denoise(x, sigma, eta)
+                assert report.kept_rank == self.gesdd_report(x, sigma, eta).kept_rank
+        assert admitted >= 200
+
+    @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
+    def test_one_gram_per_denoise(self, monkeypatch, shape):
+        # the rank-k part reuses the W W^T the values came from
+        from usvt import spectral
+
+        x, _ = planted([3.0, 2.0, 0.8], *shape)
+        formed, gram = [], spectral._gram
+
+        def spy(w):
+            formed.append(w.shape)
+            return gram(w)
+
+        monkeypatch.setattr(spectral, "_gram", spy)
+        _, report = usvt_adaptive(x)
+        assert report.kept_rank == 2 and formed == [(20, 30)]
+
+    @pytest.mark.parametrize("sigma, kept", [(1.0, 3), (2.7e307, 1), (5e307, 0)])
+    def test_margin_check_of_huge_values_does_not_overflow(self, sigma, kept):
+        # s_1 near the largest float64: the check works relative to s_1
+        x = np.diag([1e308, 0.9e308, 0.8e308])
+        with np.errstate(over="raise"):
+            denoised, report = usvt_denoise(x, sigma)
+        assert report.kept_rank == self.gesdd_report(x, sigma).kept_rank
+        assert report.kept_rank == kept
+
+    @pytest.mark.parametrize("j", [-300, 7, 300])
+    def test_power_of_two_scaling_is_exact(self, monkeypatch, j):
+        x, tau = planted([3.0, 2.0, 0.8], 20, 30)
+        sigma = tau / (2.0 + DEFAULT_ETA) / math.sqrt(30)
+        for known in (None, sigma):
+            a, ra = usvt_denoise(x, known)
+            calls = spy_linalg(monkeypatch)
+            b, rb = usvt_denoise(np.ldexp(x, j), None if known is None else math.ldexp(known, j))
+            assert calls == ["eigvalsh", "eigh"] and ra.kept_rank == 2
+            assert b.tobytes() == np.ldexp(a, j).tobytes()
+            assert (rb.sigma_used, rb.threshold) == \
+                (math.ldexp(ra.sigma_used, j), math.ldexp(ra.threshold, j))
+            monkeypatch.undo()
 
 
 class TestMse:

@@ -11,9 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usvt import DenoiseReport, MPLaw, estimate_sigma, singular_values, usvt_adaptive, usvt_denoise
-from usvt.estimators import _decide
-from usvt.spectral import GRAM_MIN_GAP
+from usvt import DenoiseReport, MPLaw, singular_values, usvt_adaptive, usvt_denoise
+from usvt.estimators import _decide, _decided_values
+from usvt.spectral import GRAM_MIN_GAP, _gram_route
 
 # Derandomized so every run checks the same examples; no database writes.
 PROPERTIES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -96,8 +96,12 @@ def test_kept_set_is_inclusive_prefix(x, sigma, eta):
 @PROPERTIES
 @given(matrices(), st.one_of(st.none(), sigmas), etas)
 def test_report_is_the_decision_on_values_and_shape(x, sigma, eta):
+    # the values decided on are the Gram route's or, near the threshold, gesdd's
     _, report = usvt_denoise(x, sigma, eta)
-    assert report == _decide(singular_values(x), x.shape, sigma, eta)
+    values = _decided_values(x, x.shape, sigma, eta)[0]
+    assert report == _decide(values, x.shape, sigma, eta)
+    if values is not None:
+        assert any(values.tobytes() == v.tobytes() for v in (_gram_route(x)[0], singular_values(x)))
 
 
 @PROPERTIES
@@ -158,8 +162,9 @@ def test_default_sigma_is_adaptive(x, eta):
 def test_rank_k_part_is_numpys_truncation(planted, known, eta):
     # known: a threshold midway across the planted gap, so k is kept;
     # estimated: whatever k sigma_hat gives.  Either way the report is what
-    # the values pass alone implies, and the matrix is numpy's rank-k
-    # truncation to rounding, by Gram eigensolve or by the guard's SVD.
+    # the values decided on alone imply, its kept rank is gesdd's count, and
+    # the matrix is numpy's rank-k truncation to rounding, by Gram
+    # eigensolve or by the guard's SVD.
     x, k = planted
     m, n = x.shape
     values = singular_values(x)
@@ -167,7 +172,8 @@ def test_rank_k_part_is_numpys_truncation(planted, known, eta):
     sigma = (values[k - 1] + below) / 2 / (2.0 + eta) / math.sqrt(max(m, n)) if known else None
     denoised, report = usvt_denoise(x, sigma, eta)
 
-    sigma = estimate_sigma(x) if sigma is None else sigma
+    decided = _decided_values(x, x.shape, sigma, eta)[0]
+    sigma = float(np.median(decided)) / calibration(x) if sigma is None else sigma
     threshold = (2.0 + eta) * sigma * math.sqrt(max(m, n))
     kept = int(np.count_nonzero(values >= threshold))
     assert report == DenoiseReport(

@@ -62,6 +62,20 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["m", "n", "ranks", "replications", "seed"])
+    def test_rejects_bools(self, field):
+        kwargs = {"m": 5, "n": 5, "ranks": (1,), "sigmas": (1.0,), "replications": 2,
+                  "seed": 1, field: (True,) if field == "ranks" else True}
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(**kwargs)
+        assert info.value.field == field
+
+    def test_integer_fields_are_ints(self):
+        cfg = ExperimentConfig(m=np.int64(5), n=np.uint8(7), ranks=(np.int32(2),),
+                               sigmas=(1.0,), replications=np.int16(3), seed=np.uint64(2**63))
+        assert [type(v) for v in (cfg.m, cfg.n, *cfg.ranks, cfg.replications, cfg.seed)] == [int] * 5
+        assert (cfg.m, cfg.n, cfg.ranks, cfg.replications, cfg.seed) == (5, 7, (2,), 3, 2**63)
+
     @pytest.mark.parametrize("field, grid", [("ranks", (2, 1, 2)), ("sigmas", (0.5, 0.50))])
     def test_rejects_repeated_grid_value(self, field, grid):
         # a repeat would write records whose (rank, sigma, rep) keys collide
@@ -473,12 +487,13 @@ class TestReducedGaussianCell:
         from usvt import estimators
 
         shapes = []
+        route = estimators._gram_route
 
         def spy(x):
             shapes.append(x.shape)
-            return singular_values(x)
+            return route(x)
 
-        monkeypatch.setattr(estimators, "singular_values", spy)
+        monkeypatch.setattr(estimators, "_gram_route", spy)
         cfg = ExperimentConfig(m=m, n=n, ranks=(r,), sigmas=(8.0,),
                                replications=1, seed=4)
         rec = run_cell(cfg, 0, 0, 0)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import usvt
 from usvt import MPLaw, SvdConvergenceError, ks_distance, nuclear_norm, singular_values
-from usvt.spectral import GRAM_MIN_GAP, as_matrix, rank_k_part
+from usvt.spectral import GRAM_MAX_SPREAD, GRAM_MIN_GAP, _gram_route, as_matrix, rank_k_part
 
 MU_02 = 0.9329154766004399
 
@@ -148,6 +148,97 @@ class TestValuesFallback:
         # s_1 = sqrt(12) * 1.5e308 is not a float64
         with pytest.raises(ValueError, match="overflows float64"):
             singular_values(np.full((3, 4), 1.5e308))
+
+
+class TestGramRoute:
+    """_gram_route: the eigenvalues of W W^T, or gesdd's values where refused."""
+
+    @staticmethod
+    def counted(monkeypatch, name, fail=False):
+        calls, routine = [], getattr(np.linalg, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            if fail:
+                raise np.linalg.LinAlgError("did not converge")
+            return routine(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("shape", [(1, 9), (12, 20), (20, 12), (15, 15)])
+    def test_admitted_values_are_the_gram_eigenvalues(self, shape):
+        x = np.random.default_rng(40).standard_normal(shape)
+        values, gram, tol = _gram_route(x)
+        # W / 2^e in C order, 2^e the binade of max|x|
+        e = np.frexp(np.abs(x).max())[1]
+        v = np.ldexp(np.ascontiguousarray(x if shape[0] <= shape[1] else x.T), -e)
+        assert np.array_equal(gram, v @ v.T)
+        assert values.tobytes() == np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[::-1]), e).tobytes()
+        expected = np.linalg.svd(x, compute_uv=False)
+        assert 0.0 < tol < 1e-12
+        assert np.abs(values**2 - expected**2).max() <= tol * expected[0] ** 2
+
+    def test_transpose_gives_the_same_bytes(self):
+        x = np.random.default_rng(41).standard_normal((9, 17))
+        assert _gram_route(x)[0].tobytes() == _gram_route(x.T)[0].tobytes()
+
+    @pytest.mark.parametrize("spread, admitted", [
+        (GRAM_MAX_SPREAD, True), (GRAM_MAX_SPREAD * (1 + 1e-9), False), (1e8, False)])
+    def test_spread_guard(self, spread, admitted):
+        # lambda_1 / lambda_med at and beyond the bound; gesdd's values when refused
+        s = np.concatenate([[np.sqrt(spread)], np.ones(8)])
+        x = planted(s, 9, 14, seed=42)
+        values, gram, tol = _gram_route(x)
+        assert (gram is not None) == (tol is not None) == admitted
+        if not admitted:
+            assert values.tobytes() == singular_values(x).tobytes()
+
+    def test_exactly_low_rank_runs_gesdd(self, monkeypatch):
+        # the median value is at the rounding level: lambda_med <= 0 or a
+        # spread far beyond the bound
+        x = np.outer(np.arange(1.0, 7.0), np.arange(1.0, 11.0))
+        expected = singular_values(x)
+        eig, svd = self.counted(monkeypatch, "eigvalsh"), self.counted(monkeypatch, "svd")
+        values, gram, tol = _gram_route(x)
+        assert gram is None and tol is None
+        assert values.tobytes() == expected.tobytes()
+        assert (eig, svd) == (["eigvalsh"], ["svd"])
+
+    def test_failed_eigvalsh_runs_gesdd(self, monkeypatch):
+        x = np.random.default_rng(43).standard_normal((12, 20))
+        expected = singular_values(x)
+        eig = self.counted(monkeypatch, "eigvalsh", fail=True)
+        values, gram, tol = _gram_route(x)
+        assert values.tobytes() == expected.tobytes() and gram is None and tol is None
+        assert eig == ["eigvalsh"]
+
+    def test_both_failing_is_explicit_and_runs_eigvalsh_once(self, monkeypatch):
+        x = np.random.default_rng(44).standard_normal((12, 20))
+        eig = self.counted(monkeypatch, "eigvalsh", fail=True)
+        svd = self.counted(monkeypatch, "svd", fail=True)
+        with pytest.raises(SvdConvergenceError, match="did not converge"):
+            _gram_route(x)
+        assert (eig, svd) == (["eigvalsh"], ["svd"])
+
+    def test_refused_values_stand_in_when_gesdd_fails(self, monkeypatch):
+        # beyond the spread bound gesdd runs; where it does not converge, the
+        # W W^T values already computed are the fallback, as in singular_values
+        x = planted(np.concatenate([[1e4], np.ones(8)]), 9, 14, seed=45)
+        eig = self.counted(monkeypatch, "eigvalsh")
+        self.counted(monkeypatch, "svd", fail=True)
+        values, gram, _ = _gram_route(x)
+        assert gram is None and eig == ["eigvalsh"]
+        assert values.tobytes() == singular_values(x).tobytes()
+        assert eig == ["eigvalsh"] * 2
+
+    def test_overflowing_values_are_explicit(self, monkeypatch):
+        x = 1.5e308 * np.random.default_rng(22).uniform(-1.0, 1.0, (20, 40))
+        with pytest.raises(ValueError, match="overflows float64"):
+            _gram_route(x)
+        self.counted(monkeypatch, "svd", fail=True)
+        with pytest.raises(ValueError, match="overflows float64"):
+            _gram_route(x)
 
 
 class TestSingularValues:
