@@ -12,7 +12,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import shutil
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -140,7 +143,45 @@ def _scan_matrix(path) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+# A matrix of at least this many entries is rendered on every usable CPU.
+# Starting a helper interpreter costs about 11 ms, which rendering about
+# 33k entries repays; below this, one process renders the whole matrix.
+HELPER_MIN_ENTRIES = 2**17
+
+# The helper: reads float64 rows of sys.argv[1] entries from stdin and
+# writes them to stdout as `_write_rows` renders them.  It imports neither
+# numpy nor usvt; run by the same interpreter, its repr is the same.
+_HELPER = """\
+import array, sys
+ncols = int(sys.argv[1])
+values = array.array("d", sys.stdin.buffer.read())
+with open(sys.stdout.fileno(), "w", encoding="utf-8", newline="", closefd=False) as out:
+    for i in range(0, len(values), ncols):
+        out.write(",".join(map(repr, values[i:i + ncols])))
+        out.write("\\n")
+"""
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def write_matrix(path, matrix: np.ndarray) -> None:
+    """Write a matrix file: each row on one line, each entry in
+    format_float's rendering.
+
+    The bytes are always those of rendering the rows one by one, in order.
+    An all-+0.0 matrix (a kept-0 denoise) is one rendered row repeated.  A
+    matrix of at least HELPER_MIN_ENTRIES entries is cut into contiguous
+    row blocks, one per usable CPU: this process renders the first block
+    while helper interpreters (`sys.executable -I -S`, no numpy) render the
+    others from their raw float64 bytes into temporary files, which are
+    then appended in order.  A block whose helper cannot start or does not
+    exit 0 is rendered here instead.
+    """
     a = np.asarray(matrix, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if a.size and not a.any() and not np.signbit(a).any():
@@ -149,11 +190,57 @@ def write_matrix(path, matrix: np.ndarray) -> None:
             for _ in range(len(a)):
                 fh.write(line)
             return
-        for row in a:
-            # repr of a Python float is format_float's rendering; one row at
-            # a time keeps the boxed floats small next to the matrix.
-            fh.write(",".join(map(repr, row.tolist())))
-            fh.write("\n")
+        parts = min(_usable_cpus(), len(a)) if a.size >= HELPER_MIN_ENTRIES else 1
+        first, *rest = np.array_split(a, parts)
+        helpers = []
+        try:
+            for block in rest:
+                helpers.append(_start_helper(block))
+            _write_rows(fh, first)
+            for block, helper in zip(rest, helpers):
+                if helper is not None and helper[0].wait() == 0:
+                    helper[1].seek(0)
+                    fh.flush()
+                    shutil.copyfileobj(helper[1], fh.buffer)
+                else:
+                    _write_rows(fh, block)
+        finally:
+            for proc, out in filter(None, helpers):
+                proc.kill()  # a no-op once it has exited
+                proc.wait()
+                out.close()
+
+
+def _write_rows(fh, rows: np.ndarray) -> None:
+    for row in rows:
+        # repr of a Python float is format_float's rendering; one row at a
+        # time keeps the boxed floats small next to the matrix.
+        fh.write(",".join(map(repr, row.tolist())))
+        fh.write("\n")
+
+
+def _start_helper(block: np.ndarray):
+    """(process, output file) of a helper rendering `block`, or None when
+    it cannot be started."""
+    import subprocess  # a few ms of start-up that only large writes need
+
+    if not sys.executable:
+        return None
+    try:
+        with tempfile.TemporaryFile() as src:
+            np.ascontiguousarray(block).tofile(src)
+            src.seek(0)
+            out = tempfile.TemporaryFile()
+            try:
+                proc = subprocess.Popen(
+                    [sys.executable, "-I", "-S", "-c", _HELPER, str(block.shape[1])],
+                    stdin=src, stdout=out, stderr=subprocess.DEVNULL)
+            except BaseException:
+                out.close()
+                raise
+    except OSError:
+        return None
+    return proc, out
 
 
 def _write_csv(path, cls, rows) -> None:
@@ -188,17 +275,36 @@ def _write_text(path, text: str) -> None:
 
 
 def _write_all(*writes) -> None:
-    """Run each (writer, path, data) in turn.  If one raises, the files the
-    earlier ones wrote are removed, so a failed command leaves no output."""
-    done = []
+    """Run each (writer, path, data) in turn.  If one raises, the regular
+    files the earlier ones wrote are removed, so a failed command leaves no
+    output.  Each path is resolved before it is written: what is removed is
+    the file a symlink named, never the link, a device or a pipe."""
+    written = []
     try:
         for write, path, data in writes:
+            target = Path(os.path.realpath(path))
             write(path, data)
-            done.append(path)
+            written.append(target)
     except BaseException:
-        for path in done:
-            Path(path).unlink(missing_ok=True)
+        for target in written:
+            if target.is_file():
+                target.unlink(missing_ok=True)
         raise
+
+
+def _check_distinct(*outputs) -> None:
+    """Usage error when two (flag, path) outputs name the same file, whose
+    later write would replace the earlier one's data.  A path of None is a
+    flag not given."""
+    outputs = [(flag, path) for flag, path in outputs if path is not None]
+    for i, (flag, path) in enumerate(outputs):
+        for other_flag, other in outputs[:i]:
+            try:
+                same = os.path.samefile(path, other)
+            except OSError:  # one of them does not exist yet
+                same = os.path.realpath(path) == os.path.realpath(other)
+            if same:
+                raise UsageError(f"{other_flag} and {flag} name the same file: {path}")
 
 
 def plot_script(summary_path: str, ranks, image_name: str) -> str:
@@ -269,6 +375,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
+    _check_distinct(("--output", args.output), ("--report", args.report))
     _checked("--eta", _check_eta, args.eta)
     if args.sigma is not None:
         _checked("--sigma", _check_sigma, args.sigma)
@@ -298,6 +405,7 @@ def _simulate_config(args) -> ExperimentConfig:
 
 
 def _cmd_simulate(args) -> int:
+    _check_distinct(("--out", args.out), ("--summary", args.summary), ("--plot", args.plot))
     config = _simulate_config(args)
     records = run_experiment(config)
     writes = [(write_results, args.out, records),

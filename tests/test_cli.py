@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import usvt
-from usvt import DenoiseReport, MPLaw, mse, signal_matrix, singular_values
+from usvt import DenoiseReport, MPLaw, cli, mse, signal_matrix, singular_values
 from usvt.cli import (
     MatrixFileError,
     main,
@@ -25,6 +26,11 @@ MU_1 = 0.6527759416335704
 
 def write_lines(path, text):
     path.write_text(text, encoding="utf-8")
+
+
+def row_loop(x):
+    """The matrix file of x rendered one row at a time: the reference."""
+    return "".join(",".join(map(repr, row.tolist())) + "\n" for row in x).encode()
 
 
 class TestMatrixFile:
@@ -88,6 +94,110 @@ class TestMatrixFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MatrixFileError, match="cannot read"):
             read_matrix(tmp_path / "nope.txt")
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.1125369292536007e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e-5, 1e16,
+               1.0, -3.0, 12345.0, 2.0**53]
+
+
+@pytest.fixture
+def helpers(monkeypatch, tmp_path):
+    """The helpers write_matrix starts, as `_start_helper` returned them,
+    with temporary files in an empty directory of their own.  Afterwards
+    every helper must have been waited for and no temporary file be left."""
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    started = []
+    start = cli._start_helper
+
+    def recording(block):
+        started.append(start(block))
+        return started[-1]
+
+    monkeypatch.setattr(cli, "_start_helper", recording)
+    yield started
+    assert list(tmp.iterdir()) == []
+    for proc, out in filter(None, started):
+        assert proc.returncode is not None and out.closed
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+
+
+class TestParallelWrite:
+    """A matrix of at least HELPER_MIN_ENTRIES entries is rendered in row
+    blocks, all but the first by helper processes; the bytes must be those
+    of the row loop."""
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (511, 256), (512, 256), (513, 257), (3, 2**16), (1, 2**17),
+    ], ids=["1x1", "below", "at", "odd-rows", "rows<cpus", "one-row"])
+    def test_bytes_are_the_row_loop(self, tmp_path, monkeypatch, helpers, shape):
+        cpus(monkeypatch, 4)
+        x = np.random.default_rng(shape[0]).standard_normal(shape)
+        p = tmp_path / "m.txt"
+        write_matrix(p, x)
+        assert p.read_bytes() == row_loop(x)
+        parts = min(4, shape[0]) if x.size >= cli.HELPER_MIN_ENTRIES else 1
+        assert len(helpers) == parts - 1 and all(helpers)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_edge_values_on_any_cpu_count(self, tmp_path, monkeypatch, helpers, count):
+        cpus(monkeypatch, count)
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((515, 256)) * 10.0**rng.integers(-30, 30, (515, 256))
+        flat = x.reshape(-1)
+        flat[rng.choice(x.size, 40 * len(EDGE_VALUES), replace=False)] = EDGE_VALUES * 40
+        flat[:len(EDGE_VALUES)] = flat[-len(EDGE_VALUES):] = EDGE_VALUES
+        p = tmp_path / "m.txt"
+        write_matrix(p, x)
+        expected = row_loop(x)
+        assert p.read_bytes() == expected
+        assert len(helpers) == count - 1
+        for text in (b"-0.0,", b"5e-324", b"-1.7976931348623157e+308", b"1e-05", b"1e+16",
+                     b"12345.0", b"9007199254740992.0"):
+            assert text in expected
+
+    def test_zeros_start_no_helper(self, tmp_path, monkeypatch, helpers):
+        cpus(monkeypatch, 4)
+        x = np.zeros((512, 256))
+        p = tmp_path / "m.txt"
+        write_matrix(p, x)
+        assert p.read_bytes() == row_loop(x) and helpers == []
+
+    @pytest.mark.parametrize("how", ["missing", "empty", "exit-1", "killed"])
+    def test_failed_helper_block_is_rendered_here(self, tmp_path, monkeypatch, helpers, how):
+        cpus(monkeypatch, 3)
+        if how == "missing":
+            monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
+        elif how == "empty":
+            monkeypatch.setattr(sys, "executable", "")
+        elif how == "exit-1":
+            monkeypatch.setattr(cli, "_HELPER", "import sys; print('1.0'); sys.exit(1)")
+        else:
+            monkeypatch.setattr(cli, "_HELPER", "import os, signal; os.kill(os.getpid(), signal.SIGKILL)")
+        x = np.random.default_rng(3).standard_normal((600, 300))
+        p = tmp_path / "m.txt"
+        write_matrix(p, x)
+        assert p.read_bytes() == row_loop(x)
+        assert len(helpers) == 2
+        if how in ("missing", "empty"):
+            assert helpers == [None, None]
+        else:
+            assert all(proc.returncode != 0 for proc, _ in helpers)
+
+    def test_failed_write_reaps_helpers(self, tmp_path, monkeypatch, helpers):
+        def failing(fh, rows):
+            raise OSError("no space left")
+
+        cpus(monkeypatch, 3)
+        monkeypatch.setattr(cli, "_write_rows", failing)
+        with pytest.raises(OSError, match="no space left"):
+            write_matrix(tmp_path / "m.txt", np.ones((600, 300)))
+        assert len(helpers) == 2 and all(helpers)
 
 
 class TestMpQuantile:
@@ -317,6 +427,46 @@ class TestDenoise:
         assert capsys.readouterr().err.startswith("usvt: error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("alias", ["same", "dot", "symlink", "hardlink"])
+    def test_output_and_report_naming_one_file_is_usage_error(self, tmp_path, capsys, alias):
+        src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        write_matrix(src, np.random.default_rng(4).standard_normal((5, 9)))
+        rep = {"same": out, "dot": tmp_path / "." / "out.txt",
+               "symlink": tmp_path / "link", "hardlink": tmp_path / "hard"}[alias]
+        if alias == "symlink":
+            rep.symlink_to(out)
+        elif alias == "hardlink":
+            out.write_text("kept")
+            os.link(out, rep)
+        assert main(["denoise", "--input", str(src), "--output", str(out),
+                     "--report", str(rep)]) == 2
+        assert capsys.readouterr().err == \
+            f"usvt: error: --output and --report name the same file: {rep}\n"
+        if alias == "hardlink":
+            assert out.read_text() == "kept"
+        else:
+            assert not out.exists()
+
+    def test_failed_write_removes_a_symlinks_target_not_the_link(self, tmp_path, capsys):
+        src, target, link = tmp_path / "in.txt", tmp_path / "target.txt", tmp_path / "link"
+        write_matrix(src, np.random.default_rng(4).standard_normal((5, 9)))
+        link.symlink_to(target)
+        assert main(["denoise", "--input", str(src), "--output", str(link),
+                     "--report", str(tmp_path / "missing" / "r.json")]) == 1
+        assert capsys.readouterr().err.startswith("usvt: error: ")
+        assert link.is_symlink() and not target.exists()
+
+    def test_failed_write_never_unlinks_a_device(self, tmp_path, capsys, monkeypatch):
+        # the spy stands in for Path.unlink, so no device can be removed
+        unlinked = []
+        monkeypatch.setattr(Path, "unlink", lambda self, missing_ok=False: unlinked.append(self))
+        src = tmp_path / "in.txt"
+        write_matrix(src, np.random.default_rng(4).standard_normal((5, 9)))
+        assert main(["denoise", "--input", str(src), "--output", os.devnull,
+                     "--report", str(tmp_path / "missing" / "r.json")]) == 1
+        assert capsys.readouterr().err.startswith("usvt: error: ")
+        assert unlinked == []
+
     def test_spectral_failure_falls_back_then_exits_one(self, tmp_path, capsys, monkeypatch):
         # a failed SVD leaves the values pass its W W^T eigenvalues (kept 0
         # needs nothing else); only when those fail too is it exit 1
@@ -432,6 +582,21 @@ class TestSimulate:
             argv += [f"--{name}", str(path)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("usvt: error: ")
+        assert not any(path.exists() for path in paths.values())
+
+    @pytest.mark.parametrize("first, second", [
+        ("out", "summary"), ("out", "plot"), ("summary", "plot"),
+    ])
+    def test_outputs_naming_one_file_are_usage_error(self, tmp_path, capsys, first, second):
+        paths = {name: tmp_path / f"{name}.txt" for name in ("out", "summary", "plot")}
+        paths[second] = tmp_path / "." / f"{first}.txt"
+        argv = ["simulate", "--m", "8", "--n", "12", "--ranks", "2", "--sigmas", "0.5",
+                "--reps", "1"]
+        for name, path in paths.items():
+            argv += [f"--{name}", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            f"usvt: error: --{first} and --{second} name the same file: {paths[second]}\n"
         assert not any(path.exists() for path in paths.values())
 
     @pytest.mark.parametrize("flag, value", [("--ranks", "2,2"), ("--sigmas", "0.5,0.50")])
