@@ -161,6 +161,14 @@ class TestParallelWrite:
                      b"12345.0", b"9007199254740992.0"):
             assert text in expected
 
+    def test_helper_alone_imports_no_numpy(self):
+        code = cli._HELPER + "assert not [m for m in sys.modules if m.split('.')[0] in ('numpy', 'usvt')]\n"
+        x = np.array([[-0.0, 5e-324, 1e16], [1e-5, 2.0, -1.7976931348623157e308]])
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, "3"],
+                              input=x.tobytes(), capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == row_loop(x)
+
     def test_zeros_start_no_helper(self, tmp_path, monkeypatch, helpers):
         cpus(monkeypatch, 4)
         x = np.zeros((512, 256))
