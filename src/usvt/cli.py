@@ -275,16 +275,18 @@ def _write_text(path, text: str) -> None:
 
 
 def _write_all(*writes) -> None:
-    """Run each (writer, path, data) in turn.  If one raises, the regular
-    files the earlier ones wrote are removed, so a failed command leaves no
-    output.  Each path is resolved before it is written: what is removed is
-    the file a symlink named, never the link, a device or a pipe."""
+    """Run each (writer, path, data) in turn, its output held open meanwhile.
+    If one raises, the regular files opened so far are removed, its own
+    partial file too, so a failed command leaves no output; a file that
+    could not be opened is kept.  Each path is resolved first: what is
+    removed is the file a symlink named, never the link, a device or a pipe."""
     written = []
     try:
         for write, path, data in writes:
             target = Path(os.path.realpath(path))
-            write(path, data)
-            written.append(target)
+            with open(path, "wb"):  # from here on the file is this command's
+                written.append(target)
+                write(path, data)
     except BaseException:
         for target in written:
             if target.is_file():

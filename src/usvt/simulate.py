@@ -97,7 +97,11 @@ class ExperimentConfig:
         if not all(_is_integer(r) for r in ranks):
             raise ConfigError("ranks", "ranks must be integers")
         object.__setattr__(self, "ranks", tuple(int(r) for r in ranks))
-        object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
+        sigmas = tuple(self.sigmas)
+        for name, values in (("sigmas", sigmas), ("eta", (self.eta,))):
+            if any(isinstance(v, bool) for v in values):  # True is no noise level or margin
+                raise ConfigError(name, f"{name} takes numbers, not bools")
+        object.__setattr__(self, "sigmas", tuple(float(s) for s in sigmas))
         for dim in ("m", "n"):
             if getattr(self, dim) < 1:
                 raise ConfigError(dim, "matrix dimensions must be positive")
@@ -116,7 +120,7 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ConfigError("replications", "replications must be >= 1")
         try:
-            _check_eta(self.eta)
+            object.__setattr__(self, "eta", _check_eta(self.eta))
         except ValueError as exc:
             raise ConfigError("eta", str(exc)) from None
         if self.noise_kind not in NOISE_KINDS:

@@ -9,28 +9,29 @@ transposed, so x and x.T agree only to rounding.  W W^T is formed at an
 exact power-of-two scale, so it neither over- nor underflows.
 
 `singular_values` is LAPACK's values-only SVD (gesdd), accurate for every
-value.  The denoiser takes its values from one eigvalsh of W W^T instead
-(`_gram_route`), two to four times cheaper, and the same W W^T then gives
-the rank-k part.  The eigenvalues' error |dlambda_i| is about
-eps * lambda_1, so the median's relative error grows with the spread
+value.  The denoiser takes its values from one eigvalsh of W W^T instead,
+two to four times cheaper, in one spectral pass (`_SpectralPass`) whose
+W W^T then gives the rank-k part.  The eigenvalues' error |dlambda_i| is
+about eps * lambda_1, so the median's relative error grows with the spread
 lambda_1 / lambda_med; beyond GRAM_MAX_SPREAD the route is refused and
-gesdd runs.
+gesdd runs.  W, W W^T and eigvalsh each run at most once per pass, also
+when gesdd's values decide.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
 from .mp_law import MPLaw
 
-# rank_k_part takes the Gram eigensolve while (s_k^2 - s_{k+1}^2) / s_1^2 >=
-# GRAM_MIN_GAP: there it was measured within 3e-13 of numpy's SVD truncation.
+# _SpectralPass.rank_k_part takes the Gram eigensolve while
+# (s_k^2 - s_{k+1}^2) / s_1^2 >= GRAM_MIN_GAP: there it was measured within
+# 3e-13 of numpy's SVD truncation.
 GRAM_MIN_GAP = 1e-2
 
-# _gram_route takes the eigenvalues of W W^T while 0 < lambda_med and
+# A spectral pass takes the eigenvalues of W W^T while 0 < lambda_med and
 # lambda_1 <= GRAM_MAX_SPREAD * lambda_med, lambda_med the lower middle one.
 # The relative error of their median against gesdd's was measured at most
 # 1.3 eps * lambda_1 / lambda_med (1 x 7 to 600 x 1200), so at most 3e-13.
@@ -62,13 +63,6 @@ def _gram(w: np.ndarray):
     e = np.frexp(np.abs(w).max())[1]
     v = np.ldexp(w, -e)
     return v @ v.T, e
-
-
-def _gram_values(w: np.ndarray):
-    """(lambda, e, gram): the eigenvalues lambda of gram = W W^T / 4^e,
-    descending, so that s_i = sqrt(lambda_i) 2^e."""
-    gram, e = _gram(w)
-    return np.linalg.eigvalsh(gram)[::-1], e, gram
 
 
 def _overflows(s1, e: int) -> bool:
@@ -111,71 +105,77 @@ def singular_values(x) -> np.ndarray:
     w = as_matrix(x)
     if w.shape[0] > w.shape[1]:
         w = w.T
-    return _svd_values(w, lambda: _gram_values(w)[:2])
+
+    def gram_values():
+        gram, e = _gram(w)
+        return np.linalg.eigvalsh(gram)[::-1], e
+
+    return _svd_values(w, gram_values)
 
 
-def _gram_route(a: np.ndarray):
-    """(values, gram, tol) of the validated matrix a.
+class _SpectralPass:
+    """One denoise's spectral pass over the validated matrix a: the C-order
+    wide W, the scaled W W^T of `_gram`, a's singular values, descending,
+    and their error bound tol.  The values are sqrt(lambda_i) 2^e from the
+    eigenvalues lambda_i of W W^T / 4^e, |lambda_i 4^e - s_i^2| <= tol s_1^2
+    against gesdd's s_i, tol = 16 (1 + sqrt(min(m, n))) eps: over six times
+    the largest error measured, 2.4 (1 + sqrt(min(m, n))) eps from 1 x 3 to
+    1000 x 1000.  Where lambda_med <= 0, lambda_1 > GRAM_MAX_SPREAD
+    lambda_med, eigvalsh does not converge or s_1 overflows, they are
+    gesdd's, with the errors of singular_values(a), and tol is None."""
 
-    values are a's singular values, descending, as sqrt(lambda_i) 2^e from
-    the eigenvalues lambda_i of gram = W W^T / 4^e, with
-    |lambda_i 4^e - s_i^2| <= tol s_1^2 against gesdd's s_i:
-    tol = 16 (1 + sqrt(min(m, n))) eps is over six times the largest error
-    measured, 2.4 (1 + sqrt(min(m, n))) eps from 1 x 3 to 1000 x 1000.  Where
-    lambda_med <= 0, lambda_1 > GRAM_MAX_SPREAD lambda_med, eigvalsh does not
-    converge or s_1 overflows, values are gesdd's instead, with the same
-    errors as singular_values(a), and gram and tol are None; eigvalsh is
-    never run twice.
-    """
-    w = _wide(a)
-    try:
-        lam, e, gram = _gram_values(w)
-    except np.linalg.LinAlgError:
-        return _svd_values(w, None), None, None
-    median = lam[lam.size // 2]
-    s = np.sqrt(np.maximum(lam, 0.0))
-    if 0.0 < median and lam[0] <= GRAM_MAX_SPREAD * median and not _overflows(s[0], e):
-        tol = 16.0 * (1.0 + math.sqrt(lam.size)) * np.finfo(np.float64).eps
-        return np.ldexp(s, e), gram, tol
-    return _svd_values(w, lambda: (lam, e)), None, None
-
-
-def _gram_part(w: np.ndarray, k: int, gram=None) -> np.ndarray:
-    q = np.linalg.eigh(_gram(w)[0] if gram is None else gram)[1][:, -k:]
-    return q @ (q.T @ w)
-
-
-def _svd_part(w: np.ndarray, k: int) -> np.ndarray:
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
-    return (u[:, :k] * s[:k]) @ vt[:k]
-
-
-def rank_k_part(a: np.ndarray, values: np.ndarray, k: int, gram=None) -> np.ndarray:
-    """The rank-k SVD truncation of a validated matrix a, 1 <= k.
-
-    `values` are a's singular values, descending, and `gram` the scaled
-    W W^T of `_gram_route`, formed here when None.  At a relative squared
-    gap (s_k^2 - s_{k+1}^2) / s_1^2 >= GRAM_MIN_GAP it is Q_k Q_k^T W, Q_k
-    the top-k eigenvectors of W W^T, and no singular vectors are computed;
-    below it, numpy's thin SVD is truncated.  When the chosen LAPACK route
-    does not converge the other one runs; only when both fail is
-    SvdConvergenceError raised.
-    """
-    wide = a.shape[0] <= a.shape[1]
-    w = _wide(a)
-    sk, below = np.append(values, 0.0)[k - 1:k + 1] / values[0]
-    first, second = partial(_gram_part, gram=gram), _svd_part
-    if sk * sk - below * below < GRAM_MIN_GAP:
-        first, second = second, first
-    try:
-        top = first(w, k)
-    except np.linalg.LinAlgError:
+    def __init__(self, a: np.ndarray) -> None:
+        self.tall = a.shape[0] > a.shape[1]
+        self.w = _wide(a)
+        self.gram, e = _gram(self.w)
+        self.tol = None
         try:
-            top = second(w, k)
-        except np.linalg.LinAlgError as exc:
-            raise SvdConvergenceError(
-                f"neither eigh nor the SVD converged for the rank-{k} part: {exc}") from exc
-    return top if wide else top.T
+            lam = np.linalg.eigvalsh(self.gram)[::-1]
+        except np.linalg.LinAlgError:
+            self.values = _svd_values(self.w, None)
+            return
+        self._eigen = lam, e
+        median = lam[lam.size // 2]
+        s = np.sqrt(np.maximum(lam, 0.0))
+        if 0.0 < median and lam[0] <= GRAM_MAX_SPREAD * median and not _overflows(s[0], e):
+            self.values = np.ldexp(s, e)
+            self.tol = 16.0 * (1.0 + math.sqrt(lam.size)) * np.finfo(np.float64).eps
+        else:
+            self.exact()
+
+    def exact(self) -> np.ndarray:
+        """Replace the values by gesdd's and return them; where gesdd does
+        not converge, the eigenvalues of W W^T already computed stand in."""
+        self.values, self.tol = _svd_values(self.w, lambda: self._eigen), None
+        return self.values
+
+    def rank_k_part(self, k: int) -> np.ndarray:
+        """The rank-k SVD truncation of a, 1 <= k: Q_k Q_k^T W, Q_k the top-k
+        eigenvectors of W W^T, while (s_k^2 - s_{k+1}^2) / s_1^2 >=
+        GRAM_MIN_GAP, else numpy's truncated thin SVD.  Where the chosen
+        LAPACK route does not converge the other one runs; where both fail,
+        SvdConvergenceError is raised."""
+        sk, below = np.append(self.values, 0.0)[k - 1:k + 1] / self.values[0]
+        first, second = self._gram_part, self._svd_part
+        if sk * sk - below * below < GRAM_MIN_GAP:
+            first, second = second, first
+        try:
+            top = first(k)
+        except np.linalg.LinAlgError:
+            try:
+                top = second(k)
+            except np.linalg.LinAlgError as exc:
+                raise SvdConvergenceError(
+                    f"neither eigh nor the SVD converged for the rank-{k} part: {exc}") from exc
+        return top.T if self.tall else top
+
+    def _gram_part(self, k: int) -> np.ndarray:
+        q = np.linalg.eigh(self.gram)[1][:, -k:]
+        return q @ (q.T @ self.w)
+
+    def _svd_part(self, k: int) -> np.ndarray:
+        u, s, vt = np.linalg.svd(self.w, full_matrices=False)
+        return (u[:, :k] * s[:k]) @ vt[:k]
 
 
 def nuclear_norm(x) -> float:

@@ -464,6 +464,42 @@ class TestDenoise:
         assert capsys.readouterr().err.startswith("usvt: error: ")
         assert link.is_symlink() and not target.exists()
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_removes_its_own_partial_file(self, tmp_path, capsys, monkeypatch,
+                                                       existing):
+        # the output is opened, one row is written, then the disk is full
+        def one_row_then_full(fh, rows):
+            fh.write(",".join(map(repr, rows[0].tolist())) + "\n")
+            raise OSError(28, "No space left on device")
+
+        src, out, rep = (tmp_path / n for n in ("in.txt", "out.txt", "r.json"))
+        write_matrix(src, np.random.default_rng(4).standard_normal((5, 9)))
+        if existing:
+            out.write_text("old")
+        monkeypatch.setattr(cli, "_write_rows", one_row_then_full)
+        assert main(["denoise", "--sigma", "0", "--input", str(src),
+                     "--output", str(out), "--report", str(rep)]) == 1
+        assert capsys.readouterr().err == "usvt: error: [Errno 28] No space left on device\n"
+        assert not out.exists() and not rep.exists()
+
+    def test_failed_open_keeps_an_existing_file(self, tmp_path, capsys, monkeypatch):
+        # a report the command cannot open is not its own: only the output
+        # written before it is removed
+        src, out, rep = (tmp_path / n for n in ("in.txt", "out.txt", "r.json"))
+        write_matrix(src, np.random.default_rng(4).standard_normal((5, 9)))
+        rep.write_text("old")
+
+        def refusing_open(path, *args, **kwargs):
+            if os.fspath(path) == str(rep) and args[0].startswith("w"):
+                raise PermissionError(13, "Permission denied", str(rep))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refusing_open, raising=False)
+        assert main(["denoise", "--input", str(src), "--output", str(out),
+                     "--report", str(rep)]) == 1
+        assert capsys.readouterr().err == f"usvt: error: [Errno 13] Permission denied: '{rep}'\n"
+        assert not out.exists() and rep.read_text() == "old"
+
     def test_failed_write_never_unlinks_a_device(self, tmp_path, capsys, monkeypatch):
         # the spy stands in for Path.unlink, so no device can be removed
         unlinked = []

@@ -17,7 +17,7 @@ from usvt import (
     usvt_denoise,
 )
 from usvt.estimators import _decide
-from usvt.spectral import GRAM_MAX_SPREAD, _gram_route
+from usvt.spectral import GRAM_MAX_SPREAD, _SpectralPass
 
 
 def embedded_diag(values, m, n):
@@ -90,10 +90,10 @@ class TestEstimateSigma:
 
     @pytest.mark.parametrize("shape", [(4, 6), (5, 5), (7, 3), (1, 4), (2, 2)])
     def test_median_is_numpys(self, shape):
-        # of the values the Gram route gives
+        # of the values the spectral pass gives
         x = np.random.default_rng(sum(shape)).standard_normal(shape)
         lo, hi = min(shape), max(shape)
-        expected = float(np.median(_gram_route(x)[0])) / math.sqrt(hi * MPLaw(lo / hi).median)
+        expected = float(np.median(_SpectralPass(x).values)) / math.sqrt(hi * MPLaw(lo / hi).median)
         assert estimate_sigma(x) == expected
 
     def test_even_median_of_huge_values_is_finite(self):
@@ -384,7 +384,7 @@ class TestGramValuesRoute:
     def test_value_at_the_estimated_threshold_runs_gesdd(self, monkeypatch):
         # s_1 set to the Gram route's own tau_hat, which the median fixes
         x, _ = planted([3.0, 2.0, 0.8], 20, 30)
-        tau = _decide(_gram_route(x)[0], x.shape, None, DEFAULT_ETA).threshold
+        tau = _decide(_SpectralPass(x).values, x.shape, None, DEFAULT_ETA).threshold
         u, s, vt = np.linalg.svd(x, full_matrices=False)
         s[0] = tau
         x = (u * s) @ vt
@@ -400,8 +400,9 @@ class TestGramValuesRoute:
         rng = np.random.default_rng(52)
         u, v = (np.linalg.qr(rng.standard_normal((d, 20)))[0] for d in (20, 30))
         s = np.concatenate([[1.0], np.linspace(0.3, 0.2, 19)])
-        _, _, tol = _gram_route((u * s) @ v.T)
-        s[0] = _decide(_gram_route((u * s) @ v.T)[0], (20, 30), None, DEFAULT_ETA).threshold
+        spectrum = _SpectralPass((u * s) @ v.T)
+        tol = spectrum.tol
+        s[0] = _decide(spectrum.values, (20, 30), None, DEFAULT_ETA).threshold
         s[0] /= math.sqrt(1.0 - 3.0 * tol)
         x = (u * s) @ v.T
         calls = spy_linalg(monkeypatch)
@@ -431,9 +432,10 @@ class TestGramValuesRoute:
                 s = np.median(np.linalg.svd(x, compute_uv=False)) * math.sqrt(spread)
                 x += (u * s * rng.uniform(0.5, 1.0, spikes)) @ v.T
             x *= 10.0 ** rng.uniform(-5.0, 5.0)
-            values, gram, _ = _gram_route(x)
-            if gram is None:
+            spectrum = _SpectralPass(x)
+            if spectrum.tol is None:
                 continue
+            values = spectrum.values
             admitted += 1
             assert values[0] ** 2 <= GRAM_MAX_SPREAD * values[lo // 2] ** 2 * (1 + 1e-12)
             reference = np.linalg.svd(x, compute_uv=False)
@@ -446,21 +448,58 @@ class TestGramValuesRoute:
                 assert report.kept_rank == self.gesdd_report(x, sigma, eta).kept_rank
         assert admitted >= 200
 
+    @staticmethod
+    def route_case(route, shape):
+        """(x, sigma, the numpy routine that fails, the numpy calls expected)
+        of a denoise of shape `shape` taking `route`; "values" is gesdd's
+        values-only SVD, "eigh" the rank-k part's Gram eigensolve."""
+        spikes = [40.0, 30.0, 0.8] if route == "spread_refused" else [3.0, 2.0, 0.8]
+        x, _ = planted(spikes, *shape)
+        s = np.linalg.svd(x, compute_uv=False)
+        sigma = s[1] / (2.0 + DEFAULT_ETA) / math.sqrt(max(shape))  # tau = s_2
+        if route == "margin_estimated":
+            u, s, vt = np.linalg.svd(x, full_matrices=False)
+            s[0] = _decide(_SpectralPass(x).values, shape, None, DEFAULT_ETA).threshold
+            return (u * s) @ vt, None, None, ["eigvalsh", "values", "eigh"]
+        return {
+            "admitted": (x, None, None, ["eigvalsh", "eigh"]),
+            "spread_refused": (x, None, None, ["eigvalsh", "values", "eigh"]),
+            "margin_known": (x, sigma, None, ["eigvalsh", "values", "eigh"]),
+            "margin_gesdd_fails": (x, sigma, "svd", ["eigvalsh", "values", "eigh"]),
+            "eigvalsh_fails": (x, None, "eigvalsh", ["eigvalsh", "values", "eigh"]),
+        }[route]
+
     @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
     def test_one_gram_per_denoise(self, monkeypatch, shape):
-        # the rank-k part reuses the W W^T the values came from
-        from usvt import spectral
+        # on every route W and W W^T are formed once, eigvalsh runs at most
+        # once, and the input is validated only at the entry point
+        from usvt import estimators, spectral
 
-        x, _ = planted([3.0, 2.0, 0.8], *shape)
-        formed, gram = [], spectral._gram
+        def spy(original, name, calls, fail):
+            def counted(*args, **kwargs):
+                calls.append("values" if kwargs.get("compute_uv") is False else name)
+                if fail:
+                    raise np.linalg.LinAlgError("did not converge")
+                return original(*args, **kwargs)
 
-        def spy(w):
-            formed.append(w.shape)
-            return gram(w)
+            return counted
 
-        monkeypatch.setattr(spectral, "_gram", spy)
-        _, report = usvt_adaptive(x)
-        assert report.kept_rank == 2 and formed == [(20, 30)]
+        spied = [(spectral, "_wide"), (spectral, "_gram"), (spectral, "as_matrix"),
+                 (estimators, "as_matrix"), (np.linalg, "svd"), (np.linalg, "eigh"),
+                 (np.linalg, "eigvalsh")]
+        for route in ("admitted", "spread_refused", "margin_known", "margin_estimated",
+                      "margin_gesdd_fails", "eigvalsh_fails"):
+            x, sigma, failing, expected = self.route_case(route, shape)
+            calls = []
+            with monkeypatch.context() as mp:
+                for module, name in spied:
+                    mp.setattr(module, name, spy(getattr(module, name), name, calls,
+                                                 fail=name == failing))
+                _, report = usvt_denoise(x, sigma)
+            linalg = [c for c in calls if c in ("values", "svd", "eigh", "eigvalsh")]
+            assert linalg == expected, route
+            assert [calls.count(n) for n in ("_wide", "_gram", "as_matrix")] == [1, 1, 1], route
+            assert report.kept_rank > 0, route
 
     @pytest.mark.parametrize("sigma, kept", [(1.0, 3), (2.7e307, 1), (5e307, 0)])
     def test_margin_check_of_huge_values_does_not_overflow(self, sigma, kept):

@@ -6,19 +6,34 @@ an exactly low-rank matrix), drawn from a hypothesis-chosen seed.
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usvt import DenoiseReport, MPLaw, singular_values, usvt_adaptive, usvt_denoise
-from usvt.estimators import _decide, _decided_values
-from usvt.spectral import GRAM_MIN_GAP, _gram_route
+from usvt import DenoiseReport, MPLaw, estimators, singular_values, usvt_adaptive, usvt_denoise
+from usvt.estimators import _decide
+from usvt.spectral import GRAM_MIN_GAP, _SpectralPass
 
 # Derandomized so every run checks the same examples; no database writes.
 PROPERTIES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 REL = 1e-12
+
+
+def decided(x, sigma, eta):
+    """(values, report) of usvt_denoise(x, sigma, eta): the singular values
+    its last keep/drop decision took (None at sigma 0) and its report."""
+    seen = []
+
+    def spy(values, *args):
+        seen.append(values)
+        return _decide(values, *args)
+
+    with mock.patch.object(estimators, "_decide", spy):
+        report = usvt_denoise(x, sigma, eta)[1]
+    return seen[-1], report
 
 
 @st.composite
@@ -97,11 +112,11 @@ def test_kept_set_is_inclusive_prefix(x, sigma, eta):
 @given(matrices(), st.one_of(st.none(), sigmas), etas)
 def test_report_is_the_decision_on_values_and_shape(x, sigma, eta):
     # the values decided on are the Gram route's or, near the threshold, gesdd's
-    _, report = usvt_denoise(x, sigma, eta)
-    values = _decided_values(x, x.shape, sigma, eta)[0]
+    values, report = decided(x, sigma, eta)
     assert report == _decide(values, x.shape, sigma, eta)
     if values is not None:
-        assert any(values.tobytes() == v.tobytes() for v in (_gram_route(x)[0], singular_values(x)))
+        assert any(values.tobytes() == v.tobytes()
+                   for v in (_SpectralPass(x).values, singular_values(x)))
 
 
 @PROPERTIES
@@ -172,8 +187,8 @@ def test_rank_k_part_is_numpys_truncation(planted, known, eta):
     sigma = (values[k - 1] + below) / 2 / (2.0 + eta) / math.sqrt(max(m, n)) if known else None
     denoised, report = usvt_denoise(x, sigma, eta)
 
-    decided = _decided_values(x, x.shape, sigma, eta)[0]
-    sigma = float(np.median(decided)) / calibration(x) if sigma is None else sigma
+    values_decided = decided(x, sigma, eta)[0]
+    sigma = float(np.median(values_decided)) / calibration(x) if sigma is None else sigma
     threshold = (2.0 + eta) * sigma * math.sqrt(max(m, n))
     kept = int(np.count_nonzero(values >= threshold))
     assert report == DenoiseReport(

@@ -62,10 +62,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 
-    @pytest.mark.parametrize("field", ["m", "n", "ranks", "replications", "seed"])
+    @pytest.mark.parametrize("field", ["m", "n", "ranks", "sigmas", "replications", "eta", "seed"])
     def test_rejects_bools(self, field):
         kwargs = {"m": 5, "n": 5, "ranks": (1,), "sigmas": (1.0,), "replications": 2,
-                  "seed": 1, field: (True,) if field == "ranks" else True}
+                  "seed": 1, field: (True,) if field in ("ranks", "sigmas") else True}
         with pytest.raises(ConfigError) as info:
             ExperimentConfig(**kwargs)
         assert info.value.field == field
@@ -75,6 +75,12 @@ class TestExperimentConfig:
                                sigmas=(1.0,), replications=np.int16(3), seed=np.uint64(2**63))
         assert [type(v) for v in (cfg.m, cfg.n, *cfg.ranks, cfg.replications, cfg.seed)] == [int] * 5
         assert (cfg.m, cfg.n, cfg.ranks, cfg.replications, cfg.seed) == (5, 7, (2,), 3, 2**63)
+
+    def test_float_fields_are_floats(self):
+        cfg = ExperimentConfig(m=5, n=5, ranks=(1,), sigmas=(np.float32(0.5), 2),
+                               eta=np.float16(0.5))
+        assert [type(v) for v in (*cfg.sigmas, cfg.eta)] == [float] * 3
+        assert (cfg.sigmas, cfg.eta) == ((0.5, 2.0), 0.5)
 
     @pytest.mark.parametrize("field, grid", [("ranks", (2, 1, 2)), ("sigmas", (0.5, 0.50))])
     def test_rejects_repeated_grid_value(self, field, grid):
@@ -487,13 +493,13 @@ class TestReducedGaussianCell:
         from usvt import estimators
 
         shapes = []
-        route = estimators._gram_route
+        spectral_pass = estimators._SpectralPass
 
         def spy(x):
             shapes.append(x.shape)
-            return route(x)
+            return spectral_pass(x)
 
-        monkeypatch.setattr(estimators, "_gram_route", spy)
+        monkeypatch.setattr(estimators, "_SpectralPass", spy)
         cfg = ExperimentConfig(m=m, n=n, ranks=(r,), sigmas=(8.0,),
                                replications=1, seed=4)
         rec = run_cell(cfg, 0, 0, 0)

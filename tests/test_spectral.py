@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import usvt
 from usvt import MPLaw, SvdConvergenceError, ks_distance, nuclear_norm, singular_values
-from usvt.spectral import GRAM_MAX_SPREAD, GRAM_MIN_GAP, _gram_route, as_matrix, rank_k_part
+from usvt.spectral import GRAM_MAX_SPREAD, GRAM_MIN_GAP, _SpectralPass, as_matrix
 
 MU_02 = 0.9329154766004399
 
@@ -52,7 +52,7 @@ class TestAsMatrix:
 
 
 class TestSvd:
-    """rank_k_part, the rank-k SVD truncation."""
+    """_SpectralPass.rank_k_part, the rank-k SVD truncation."""
 
     def test_contract_on_random_shapes(self):
         # at k = min(m, n) the truncation is x itself, by either route
@@ -61,7 +61,7 @@ class TestSvd:
             m = int(rng.integers(1, 65))
             n = int(rng.integers(1, 65))
             x = rng.standard_normal((m, n))
-            top = rank_k_part(x, singular_values(x), min(m, n))
+            top = _SpectralPass(x).rank_k_part(min(m, n))
             assert top.shape == x.shape
             assert np.linalg.norm(top - x) <= 1e-10 * max(1.0, np.linalg.norm(x))
 
@@ -74,7 +74,8 @@ class TestSvd:
 
 
 class TestVectorFallback:
-    """rank_k_part when the LAPACK route it chose does not converge."""
+    """_SpectralPass.rank_k_part when the LAPACK route it chose does not
+    converge."""
 
     SPECTRA = {"resolved_gap": [3.0, 2.0, 0.8], "near_tie": [3.0, 1.001, 0.999]}
 
@@ -88,28 +89,28 @@ class TestVectorFallback:
     @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
     def test_failed_eigh_takes_the_svd(self, monkeypatch, shape):
         x = planted(self.spectrum("resolved_gap"), *shape)
-        values = singular_values(x)
+        spectrum = _SpectralPass(x)
         monkeypatch.setattr(np.linalg, "eigh", exploding)
-        top = rank_k_part(x, values, 2)
+        top = spectrum.rank_k_part(2)
         assert np.linalg.norm(top - truncation(x, 2)) <= 1e-12 * np.linalg.norm(top)
 
     @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
     def test_failed_svd_at_a_near_tie_takes_the_gram(self, monkeypatch, shape):
         x = planted(self.spectrum("near_tie"), *shape)
-        values, expected = singular_values(x), truncation(x, 2)
+        spectrum, expected = _SpectralPass(x), truncation(x, 2)
         monkeypatch.setattr(np.linalg, "svd", exploding)
-        top = rank_k_part(x, values, 2)
+        top = spectrum.rank_k_part(2)
         # a relative squared gap of 4e-4 leaves the Gram route about 1e-11 off
         assert np.linalg.norm(top - expected) <= 1e-9 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("gap", ["resolved_gap", "near_tie"])
     def test_both_failing_is_explicit(self, monkeypatch, gap):
         x = planted(self.spectrum(gap), 20, 30)
-        values = singular_values(x)
+        spectrum = _SpectralPass(x)
         monkeypatch.setattr(np.linalg, "svd", exploding)
         monkeypatch.setattr(np.linalg, "eigh", exploding)
         with pytest.raises(SvdConvergenceError, match="rank-2"):
-            rank_k_part(x, values, 2)
+            spectrum.rank_k_part(2)
 
 
 class TestValuesFallback:
@@ -151,7 +152,7 @@ class TestValuesFallback:
 
 
 class TestGramRoute:
-    """_gram_route: the eigenvalues of W W^T, or gesdd's values where refused."""
+    """_SpectralPass: the eigenvalues of W W^T, or gesdd's values where refused."""
 
     @staticmethod
     def counted(monkeypatch, name, fail=False):
@@ -169,7 +170,8 @@ class TestGramRoute:
     @pytest.mark.parametrize("shape", [(1, 9), (12, 20), (20, 12), (15, 15)])
     def test_admitted_values_are_the_gram_eigenvalues(self, shape):
         x = np.random.default_rng(40).standard_normal(shape)
-        values, gram, tol = _gram_route(x)
+        spectrum = _SpectralPass(x)
+        values, gram, tol = spectrum.values, spectrum.gram, spectrum.tol
         # W / 2^e in C order, 2^e the binade of max|x|
         e = np.frexp(np.abs(x).max())[1]
         v = np.ldexp(np.ascontiguousarray(x if shape[0] <= shape[1] else x.T), -e)
@@ -181,7 +183,7 @@ class TestGramRoute:
 
     def test_transpose_gives_the_same_bytes(self):
         x = np.random.default_rng(41).standard_normal((9, 17))
-        assert _gram_route(x)[0].tobytes() == _gram_route(x.T)[0].tobytes()
+        assert _SpectralPass(x).values.tobytes() == _SpectralPass(x.T).values.tobytes()
 
     @pytest.mark.parametrize("spread, admitted", [
         (GRAM_MAX_SPREAD, True), (GRAM_MAX_SPREAD * (1 + 1e-9), False), (1e8, False)])
@@ -189,10 +191,10 @@ class TestGramRoute:
         # lambda_1 / lambda_med at and beyond the bound; gesdd's values when refused
         s = np.concatenate([[np.sqrt(spread)], np.ones(8)])
         x = planted(s, 9, 14, seed=42)
-        values, gram, tol = _gram_route(x)
-        assert (gram is not None) == (tol is not None) == admitted
+        spectrum = _SpectralPass(x)
+        assert (spectrum.tol is not None) == admitted
         if not admitted:
-            assert values.tobytes() == singular_values(x).tobytes()
+            assert spectrum.values.tobytes() == singular_values(x).tobytes()
 
     def test_exactly_low_rank_runs_gesdd(self, monkeypatch):
         # the median value is at the rounding level: lambda_med <= 0 or a
@@ -200,17 +202,17 @@ class TestGramRoute:
         x = np.outer(np.arange(1.0, 7.0), np.arange(1.0, 11.0))
         expected = singular_values(x)
         eig, svd = self.counted(monkeypatch, "eigvalsh"), self.counted(monkeypatch, "svd")
-        values, gram, tol = _gram_route(x)
-        assert gram is None and tol is None
-        assert values.tobytes() == expected.tobytes()
+        spectrum = _SpectralPass(x)
+        assert spectrum.tol is None
+        assert spectrum.values.tobytes() == expected.tobytes()
         assert (eig, svd) == (["eigvalsh"], ["svd"])
 
     def test_failed_eigvalsh_runs_gesdd(self, monkeypatch):
         x = np.random.default_rng(43).standard_normal((12, 20))
         expected = singular_values(x)
         eig = self.counted(monkeypatch, "eigvalsh", fail=True)
-        values, gram, tol = _gram_route(x)
-        assert values.tobytes() == expected.tobytes() and gram is None and tol is None
+        spectrum = _SpectralPass(x)
+        assert spectrum.values.tobytes() == expected.tobytes() and spectrum.tol is None
         assert eig == ["eigvalsh"]
 
     def test_both_failing_is_explicit_and_runs_eigvalsh_once(self, monkeypatch):
@@ -218,7 +220,7 @@ class TestGramRoute:
         eig = self.counted(monkeypatch, "eigvalsh", fail=True)
         svd = self.counted(monkeypatch, "svd", fail=True)
         with pytest.raises(SvdConvergenceError, match="did not converge"):
-            _gram_route(x)
+            _SpectralPass(x)
         assert (eig, svd) == (["eigvalsh"], ["svd"])
 
     def test_refused_values_stand_in_when_gesdd_fails(self, monkeypatch):
@@ -227,18 +229,18 @@ class TestGramRoute:
         x = planted(np.concatenate([[1e4], np.ones(8)]), 9, 14, seed=45)
         eig = self.counted(monkeypatch, "eigvalsh")
         self.counted(monkeypatch, "svd", fail=True)
-        values, gram, _ = _gram_route(x)
-        assert gram is None and eig == ["eigvalsh"]
-        assert values.tobytes() == singular_values(x).tobytes()
+        spectrum = _SpectralPass(x)
+        assert spectrum.tol is None and eig == ["eigvalsh"]
+        assert spectrum.values.tobytes() == singular_values(x).tobytes()
         assert eig == ["eigvalsh"] * 2
 
     def test_overflowing_values_are_explicit(self, monkeypatch):
         x = 1.5e308 * np.random.default_rng(22).uniform(-1.0, 1.0, (20, 40))
         with pytest.raises(ValueError, match="overflows float64"):
-            _gram_route(x)
+            _SpectralPass(x)
         self.counted(monkeypatch, "svd", fail=True)
         with pytest.raises(ValueError, match="overflows float64"):
-            _gram_route(x)
+            _SpectralPass(x)
 
 
 class TestSingularValues:
