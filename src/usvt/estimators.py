@@ -152,7 +152,7 @@ def _denoise(a: np.ndarray, shape: tuple[int, int], sigma: float | None, eta: fl
     k = report.kept_rank
     if k and report.threshold:
         return spectrum.rank_k_part(k), report
-    del spectrum  # W and W W^T go before the output is allocated
+    spectrum.w = None  # a tall input's W copy goes first; W W^T stays (freed, its pages re-fault)
     return (a.copy() if k else np.zeros_like(a)), report
 
 

@@ -128,13 +128,13 @@ class _SpectralPass:
         self.tall = a.shape[0] > a.shape[1]
         self.w = _wide(a)
         self.gram, e = _gram(self.w)
-        self.tol = None
+        self._eigen = None  # exact()'s fallback, None where eigvalsh failed
         try:
             lam = np.linalg.eigvalsh(self.gram)[::-1]
         except np.linalg.LinAlgError:
-            self.values = _svd_values(self.w, None)
+            self.exact()
             return
-        self._eigen = lam, e
+        self._eigen = lambda: (lam, e)
         median = lam[lam.size // 2]
         s = np.sqrt(np.maximum(lam, 0.0))
         if 0.0 < median and lam[0] <= GRAM_MAX_SPREAD * median and not _overflows(s[0], e):
@@ -144,9 +144,9 @@ class _SpectralPass:
             self.exact()
 
     def exact(self) -> np.ndarray:
-        """Replace the values by gesdd's and return them; where gesdd does
-        not converge, the eigenvalues of W W^T already computed stand in."""
-        self.values, self.tol = _svd_values(self.w, lambda: self._eigen), None
+        """Replace the values by gesdd's and return them; where gesdd fails,
+        the eigenvalues already computed stand in, if eigvalsh converged."""
+        self.values, self.tol = _svd_values(self.w, self._eigen), None
         return self.values
 
     def rank_k_part(self, k: int) -> np.ndarray:

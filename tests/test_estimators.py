@@ -471,13 +471,16 @@ class TestGramValuesRoute:
 
     @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
     def test_one_gram_per_denoise(self, monkeypatch, shape):
-        # on every route W and W W^T are formed once, eigvalsh runs at most
-        # once, and the input is validated only at the entry point
+        # on every route W and W W^T are formed once, from the wide W, eigvalsh
+        # runs at most once, the input is validated only at the entry point,
+        # and the rank is gesdd's 2
         from usvt import estimators, spectral
 
         def spy(original, name, calls, fail):
             def counted(*args, **kwargs):
                 calls.append("values" if kwargs.get("compute_uv") is False else name)
+                if name == "_gram":
+                    formed.append(args[0].shape)
                 if fail:
                     raise np.linalg.LinAlgError("did not converge")
                 return original(*args, **kwargs)
@@ -490,7 +493,7 @@ class TestGramValuesRoute:
         for route in ("admitted", "spread_refused", "margin_known", "margin_estimated",
                       "margin_gesdd_fails", "eigvalsh_fails"):
             x, sigma, failing, expected = self.route_case(route, shape)
-            calls = []
+            calls, formed = [], []
             with monkeypatch.context() as mp:
                 for module, name in spied:
                     mp.setattr(module, name, spy(getattr(module, name), name, calls,
@@ -499,7 +502,8 @@ class TestGramValuesRoute:
             linalg = [c for c in calls if c in ("values", "svd", "eigh", "eigvalsh")]
             assert linalg == expected, route
             assert [calls.count(n) for n in ("_wide", "_gram", "as_matrix")] == [1, 1, 1], route
-            assert report.kept_rank > 0, route
+            assert formed == [(20, 30)], route
+            assert report.kept_rank == 2, route
 
     @pytest.mark.parametrize("sigma, kept", [(1.0, 3), (2.7e307, 1), (5e307, 0)])
     def test_margin_check_of_huge_values_does_not_overflow(self, sigma, kept):

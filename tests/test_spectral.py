@@ -223,6 +223,17 @@ class TestGramRoute:
             _SpectralPass(x)
         assert (eig, svd) == (["eigvalsh"], ["svd"])
 
+    def test_exact_after_failed_eigvalsh_has_no_fallback(self, monkeypatch):
+        # a pass whose eigvalsh failed has no eigenvalues for exact() to fall
+        # back on, so a later gesdd failure is explicit
+        x = np.random.default_rng(44).standard_normal((12, 20))
+        eig = self.counted(monkeypatch, "eigvalsh", fail=True)
+        spectrum = _SpectralPass(x)
+        self.counted(monkeypatch, "svd", fail=True)
+        with pytest.raises(SvdConvergenceError, match="neither eigvalsh"):
+            spectrum.exact()
+        assert eig == ["eigvalsh"]
+
     def test_refused_values_stand_in_when_gesdd_fails(self, monkeypatch):
         # beyond the spread bound gesdd runs; where it does not converge, the
         # W W^T values already computed are the fallback, as in singular_values
