@@ -84,14 +84,16 @@ def read_matrix(path) -> np.ndarray:
 
     The whole file is parsed in C by `np.loadtxt`.  Any file it rejects or
     could read differently (a skipped blank line, a non-finite entry, no
-    data) is re-read by `_scan_matrix`, the line-by-line reference parser,
-    which decides acceptance and names the offending line and field.
+    data, a U+001C-U+001F separator) goes to `_scan_matrix`, the line-by-line
+    reference parser, which decides acceptance and names the bad field.
     """
     lines = 0
 
     def counted(fh):
         nonlocal lines
         for line in fh:
+            if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+                raise ValueError("a separator character: the scan decides")
             lines += 1
             yield line
 

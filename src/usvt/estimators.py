@@ -22,6 +22,7 @@ and sigma_hat and tau differ from gesdd's only in the last digits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -78,15 +79,21 @@ def estimate_sigma(x) -> float:
     return _sigma_hat(_SpectralPass(a).values, a.shape)
 
 
+def _real(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # True is no level
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _check_eta(eta: float) -> float:
-    eta = float(eta)
+    eta = _real("eta", eta)
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
     return eta
 
 
 def _check_sigma(sigma: float) -> float:
-    sigma = float(sigma)
+    sigma = _real("sigma", sigma)
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     return abs(sigma)  # -0.0 is reported as 0.0

@@ -9,28 +9,26 @@ E D_r E^T, E = [I_r; 0], draws only its noise, and gives records with the
 same joint law: sigma_hat and the kept rank depend only on singular values,
 and thresholding is orthogonally equivariant.
 
-A Gaussian cell with lo + r < hi, lo = min(m, n), hi = max(m, n), goes
-further and is drawn in reduced Bartlett form.  In the wide orientation
-its matrix is [D_r (+) 0 + sigma A_1 | sigma G]: the signal and the lo x r
-noise A_1 fill the first r columns, and G is lo x (hi - r) pure noise.
-By Bartlett's decomposition G = T H, with T lo x lo lower triangular,
-T_ii = sqrt(chi2(hi - r - i + 1)), N(0, 1) below the diagonal, H with
-orthonormal rows, and T independent of A_1.  Right-multiplying by an
-orthogonal matrix that fixes the first r columns changes neither the
-singular values nor ||T(X) - M||_F, so the lo x (lo + r) matrix
-[D_r (+) 0 + sigma A_1 | sigma T] gives records with the law of the m x n
-cell.  It is decided with the m x n shape (sigma_hat, the threshold) and
-its squared error is divided by m n.  Its draws, in order: A_1 row by row
-(lo r normals), T's strictly lower entries row by row (lo (lo - 1)/2
-normals), then T's diagonal top to bottom (lo chi-squares).  A Gaussian
-cell with lo + r >= hi draws the full m x n noise, as the other kinds do.
+A Gaussian cell goes further and is drawn in reduced Bartlett form.  With
+lo = min(m, n), hi = max(m, n) and p = min(lo, hi - r), the wide cell is
+[D_r (+) 0 + sigma A_1 | sigma G]: the signal and the lo x r noise A_1 fill
+the first r columns, and G is lo x (hi - r) pure noise.  By Bartlett's
+decomposition G = T H, with H's rows orthonormal, T independent of A_1 and
+lo x p lower trapezoidal: T_ii = sqrt(chi2(hi - r - i + 1)), N(0, 1) below
+the diagonal.  Right-multiplying by an orthogonal matrix that fixes the
+first r columns changes neither the singular values nor ||T(X) - M||_F, so
+the lo x (r + p) matrix [D_r (+) 0 + sigma A_1 | sigma T], never larger
+than the m x n cell, gives records with its law.  It is decided with the
+m x n shape (sigma_hat, the threshold) and its squared error is divided by
+m n.  Its draws, in order: A_1 row by row (lo r normals), T's strictly
+lower entries row by row, then T's diagonal top to bottom (p chi-squares).
 
 Each (rank, sigma, replication) cell draws from its own named substream,
 so results are independent of execution order and may be computed in
-parallel.  Same-seed Gaussian outputs with lo + r < hi differ from versions
-that drew the full noise for them, all Gaussian outputs differ from
-versions that drew Haar frames for them, and all outputs differ from
-versions that drew square Haar matrices; the law of every record does not.
+parallel.  Same-seed Gaussian outputs differ from versions that drew full
+noise for them (with lo + r >= hi, before the trapezoidal factor) or Haar
+frames, and all outputs differ from versions that drew square Haar
+matrices; the law of every record does not.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import DEFAULT_ETA, _check_eta, _denoise
+from .estimators import DEFAULT_ETA, _check_eta, _check_sigma, _denoise
 from .spectral import SvdConvergenceError
 
 SPECTRUM_LOG_PEAK = 3.0
@@ -55,10 +53,9 @@ _NOISE = {
     "uniform": lambda rng, shape: rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape),
 }
 NOISE_KINDS = tuple(_NOISE)
-# Kinds whose noise matrix A has the law of O1 A O2 for fixed orthogonal O1,
-# O2: their cells take E D_r E^T as the signal, draw no Haar frame and, when
-# lo + r < hi, are drawn in reduced Bartlett form, which leaves the law of
-# every record unchanged (see the module docstring).
+# Kinds whose noise A has the law of O1 A O2 for fixed orthogonal O1, O2:
+# their cells take E D_r E^T as the signal and are drawn in reduced Bartlett
+# form, lo x (r + min(lo, hi - r)), with the law of the m x n cell (above).
 _ORTHOGONALLY_INVARIANT = frozenset({"gaussian"})
 
 
@@ -97,11 +94,12 @@ class ExperimentConfig:
         if not all(_is_integer(r) for r in ranks):
             raise ConfigError("ranks", "ranks must be integers")
         object.__setattr__(self, "ranks", tuple(int(r) for r in ranks))
-        sigmas = tuple(self.sigmas)
-        for name, values in (("sigmas", sigmas), ("eta", (self.eta,))):
-            if any(isinstance(v, bool) for v in values):  # True is no noise level or margin
-                raise ConfigError(name, f"{name} takes numbers, not bools")
-        object.__setattr__(self, "sigmas", tuple(float(s) for s in sigmas))
+        for name, check in (("sigmas", lambda values: tuple(map(_check_sigma, values))),
+                            ("eta", _check_eta)):
+            try:  # usvt_denoise's number rule, for eta and each sigma
+                object.__setattr__(self, name, check(getattr(self, name)))
+            except ValueError as exc:
+                raise ConfigError(name, str(exc)) from None
         for dim in ("m", "n"):
             if getattr(self, dim) < 1:
                 raise ConfigError(dim, "matrix dimensions must be positive")
@@ -111,18 +109,13 @@ class ExperimentConfig:
         for r in self.ranks:
             if not 1 <= r <= k:
                 raise ConfigError("ranks", f"rank {r} outside [1, {k}]")
-        if not self.sigmas or not all(0.0 < s < math.inf for s in self.sigmas):
-            raise ConfigError(
-                "sigmas", "sigmas must be nonempty, finite and strictly positive")
+        if not self.sigmas or 0.0 in self.sigmas:  # each is finite and >= 0
+            raise ConfigError("sigmas", "sigmas must be nonempty and strictly positive")
         for name in ("ranks", "sigmas"):
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ConfigError(name, f"{name} must not repeat a value")
         if self.replications < 1:
             raise ConfigError("replications", "replications must be >= 1")
-        try:
-            object.__setattr__(self, "eta", _check_eta(self.eta))
-        except ValueError as exc:
-            raise ConfigError("eta", str(exc)) from None
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(
                 "noise_kind",
@@ -200,13 +193,14 @@ def cell_rng(seed: int, rank_index: int, sigma_index: int, rep: int) -> np.rando
 
 
 def _bartlett_noise(lo: int, hi: int, r: int, rng: np.random.Generator) -> np.ndarray:
-    """The reduced noise [A_1 | T], lo x (lo + r), of a wide lo x hi
-    Gaussian cell of rank r, drawn in the order the module docstring gives."""
-    noise = np.zeros((lo, lo + r))
+    """The reduced noise [A_1 | T], lo x (r + min(lo, hi - r)), of a wide
+    lo x hi Gaussian cell of rank r, drawn as the module docstring says."""
+    p = min(lo, hi - r)
+    noise = np.zeros((lo, r + p))
     noise[:, :r] = rng.standard_normal((lo, r))
     t = noise[:, r:]
-    t[np.tril_indices(lo, -1)] = rng.standard_normal(lo * (lo - 1) // 2)
-    t[np.diag_indices(lo)] = np.sqrt(rng.chisquare(hi - r - np.arange(lo)))
+    t[np.tril_indices(lo, -1, p)] = rng.standard_normal(p * (2 * lo - p - 1) // 2)
+    t[np.diag_indices(p)] = np.sqrt(rng.chisquare(hi - r - np.arange(p)))
     return noise
 
 
@@ -218,11 +212,7 @@ def run_cell(config: ExperimentConfig, rank_index: int, sigma_index: int,
     sigma = config.sigmas[sigma_index]
     rng = cell_rng(config.seed, rank_index, sigma_index, rep)
     if config.noise_kind in _ORTHOGONALLY_INVARIANT:
-        lo, hi = min(m, n), max(m, n)
-        if lo + r < hi:
-            noise = _bartlett_noise(lo, hi, r, rng)
-        else:
-            noise = noise_matrix(m, n, config.noise_kind, rng)
+        noise = _bartlett_noise(min(m, n), max(m, n), r, rng)
         signal = np.zeros(noise.shape)
         signal[np.arange(r), np.arange(r)] = signal_spectrum(r)
     else:

@@ -224,14 +224,17 @@ class TestUsvtDenoise:
         assert r1.threshold == r2.threshold
         assert r1.kept_rank == r2.kept_rank
 
-    @pytest.mark.parametrize("eta", [0.0, -0.5, 1.0001, float("nan")])
+    @pytest.mark.parametrize("eta", [0.0, -0.5, 1.0001, float("nan"),
+                                     True, "0.5", None, 0.5j])
     def test_rejects_bad_eta(self, eta):
         with pytest.raises(ValueError):
             usvt_denoise(np.ones((2, 2)), 1.0, eta)
 
     def test_rejects_negative_sigma(self):
-        with pytest.raises(ValueError):
-            usvt_denoise(np.ones((2, 2)), -1.0)
+        # and every non-number, by the rule eta follows
+        for sigma in (-1.0, True, "1", 1 + 0j):
+            with pytest.raises(ValueError):
+                usvt_denoise(np.ones((2, 2)), sigma)
 
     @pytest.mark.parametrize("known", [True, False], ids=["known", "estimated"])
     @pytest.mark.parametrize("spikes, solver",

@@ -17,6 +17,8 @@ from usvt.cli import MatrixFileError, _scan_matrix, read_matrix, write_matrix
 BAD_FIELDS = ["nan", "inf", "-inf", "1e400", "-1e400", "1_0", " 1.5", "1.5 ",
               "\t2", "+1", "-0", "", "x", "0x10", "1;2", '"1"', "١٢", "1\x00",
               "\x0c", " ", "1 2", "infinity"]
+# str.isspace() and np.loadtxt take these as space; float() does not
+SEPARATORS = [b"\x1c", b"\x1d", b"\x1e", b"\x1f"]
 
 
 def outcome(reader, path):
@@ -32,7 +34,7 @@ def mutate(data: bytes, draw) -> bytes:
     lines = data.split(b"\n")[:-1]
     kind = draw(st.sampled_from([
         "none", "crlf", "cr", "no-final-newline", "blank-line", "space-line",
-        "ragged", "field", "trailing-comma", "non-utf8", "empty-file"]))
+        "ragged", "field", "separator", "trailing-comma", "non-utf8", "empty-file"]))
     at = draw(st.integers(0, len(lines) - 1))
     if kind == "crlf":
         return data.replace(b"\n", b"\r\n")
@@ -51,6 +53,10 @@ def mutate(data: bytes, draw) -> bytes:
         fields = lines[at].split(b",")
         fields[draw(st.integers(0, len(fields) - 1))] = \
             draw(st.sampled_from(BAD_FIELDS)).encode("utf-8")
+        lines[at] = b",".join(fields)
+    elif kind == "separator":
+        fields = lines[at].split(b",")
+        fields[draw(st.integers(0, len(fields) - 1))] += draw(st.sampled_from(SEPARATORS))
         lines[at] = b",".join(fields)
     elif kind == "trailing-comma":
         lines[at] += b","
@@ -93,6 +99,15 @@ def test_empty_file_warns_nothing(tmp_path, text):
         with pytest.raises(MatrixFileError) as exc:
             read_matrix(p)
     assert str(exc.value) == outcome(_scan_matrix, p)[1]
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+def test_separator_after_a_number_is_rejected(tmp_path, sep):
+    p = tmp_path / "m.txt"
+    p.write_bytes(b"1" + sep + b",2\n3,4\n")
+    assert outcome(read_matrix, p) == outcome(_scan_matrix, p)
+    with pytest.raises(MatrixFileError, match="line 1: field 1: not a number"):
+        read_matrix(p)
 
 
 @pytest.mark.parametrize("text, expected", [

@@ -64,11 +64,13 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("field", ["m", "n", "ranks", "sigmas", "replications", "eta", "seed"])
     def test_rejects_bools(self, field):
-        kwargs = {"m": 5, "n": 5, "ranks": (1,), "sigmas": (1.0,), "replications": 2,
-                  "seed": 1, field: (True,) if field in ("ranks", "sigmas") else True}
-        with pytest.raises(ConfigError) as info:
-            ExperimentConfig(**kwargs)
-        assert info.value.field == field
+        # and every other non-number: a string, a complex, None
+        for bad in (True, "0.5", "abc", 1 + 0j, None):
+            kwargs = {"m": 5, "n": 5, "ranks": (1,), "sigmas": (1.0,), "replications": 2,
+                      "seed": 1, field: (bad,) if field in ("ranks", "sigmas") else bad}
+            with pytest.raises(ConfigError) as info:
+                ExperimentConfig(**kwargs)
+            assert info.value.field == field, bad
 
     def test_integer_fields_are_ints(self):
         cfg = ExperimentConfig(m=np.int64(5), n=np.uint8(7), ranks=(np.int32(2),),
@@ -223,11 +225,10 @@ class TestRunExperiment:
         rec = records[0]
         assert rec.kept_rank == 1
         # rebuild the cell's draws from its named substream: a Gaussian cell
-        # draws only its noise and takes the diagonal signal E D_r E^T
-        rng = cell_rng(5, 0, 0, 0)
+        # draws only its reduced noise and takes the diagonal signal E D_r E^T
+        noise = _bartlett_noise(20, 20, 1, cell_rng(5, 0, 0, 0))
         signal = np.zeros((20, 20))
         signal[0, 0] = signal_spectrum(1)[0]
-        noise = noise_matrix(20, 20, "gaussian", rng)
         x = signal + 0.001 * noise
         assert rec.mse_matrix < mse(x, signal)
         assert rec.sq_err_sigma == (rec.sigma_hat - 0.001) ** 2
@@ -398,8 +399,9 @@ class TestRunExperiment:
 
 
 class TestReducedGaussianCell:
-    """A Gaussian cell with lo + r < hi is drawn in reduced Bartlett form,
-    lo x (lo + r), and decided and scored as the lo x hi cell it stands for."""
+    """A Gaussian cell is drawn in reduced Bartlett form, lo x (r + p) with
+    p = min(lo, hi - r), and decided and scored as the lo x hi cell it
+    stands for."""
 
     @pytest.mark.parametrize("sigma, kept", [(4.0, 0), (0.05, 4)])
     def test_lq_factor_gives_the_same_cell(self, sigma, kept):
@@ -424,11 +426,14 @@ class TestReducedGaussianCell:
         assert_allclose(lq_values, full_values, rtol=1e-12, atol=0)
         assert lq_err == pytest.approx(full_err, rel=1e-12)
 
-    @pytest.mark.parametrize("sigma", [0.72, 0.3])
-    def test_reduced_cell_has_the_law_of_the_full_cell(self, sigma):
-        # 600 reduced run_experiment cells against 600 full-draw 40 x 200
-        # diagonal cells built here: sigma_hat, mse_matrix and kept rank
-        m, n, r, cells = 40, 200, 5, 600
+    @pytest.mark.parametrize("m, n, r, sigma", [
+        (40, 200, 5, 0.72), (40, 200, 5, 0.3), (25, 30, 10, 0.4), (20, 20, 20, 0.5),
+    ], ids=["0.72", "0.3", "trapezoidal", "no-trapezoid"])
+    def test_reduced_cell_has_the_law_of_the_full_cell(self, m, n, r, sigma):
+        # 600 reduced run_experiment cells against 600 full-draw m x n
+        # diagonal cells built here: sigma_hat, mse_matrix and kept rank.
+        # lo + r >= hi at 25 x 30 (T is 25 x 20) and 20 x 20 (p = 0)
+        cells = 600
         cfg = ExperimentConfig(m=m, n=n, ranks=(r,), sigmas=(sigma,),
                                replications=cells, eta=0.02, seed=19)
         reduced = run_experiment(cfg)
@@ -454,32 +459,47 @@ class TestReducedGaussianCell:
 
     def test_bartlett_factor_has_the_wishart_mean(self):
         # [A_1 | T] with T T^T ~ G G^T, G lo x (hi - r) Gaussian: E[T T^T] is
-        # (hi - r) I; a chi-square degree off by one moves a diagonal mean by 1
-        lo, hi, r, draws = 3, 10, 2, 4000
+        # (hi - r) I; a chi-square degree off by one moves a diagonal mean by 1.
+        # T is triangular at 3 x 10, trapezoidal (4 x 3) at 4 x 5, empty at 3 x 3
         rng = np.random.default_rng(23)
-        noise = np.array([_bartlett_noise(lo, hi, r, rng) for _ in range(draws)])
-        t = noise[:, :, r:]
-        assert np.all(np.triu(t, 1) == 0.0) and np.all(np.diagonal(t, axis1=1, axis2=2) > 0)
-        assert_allclose(np.mean(t @ t.transpose(0, 2, 1), axis=0),
-                        (hi - r) * np.eye(lo), rtol=0, atol=0.3)
-        assert abs(noise[:, :, :r].mean()) <= 0.05
-        assert abs(noise[:, :, :r].var() - 1.0) <= 0.05
+        for lo, hi, r in ((3, 10, 2), (4, 5, 2), (3, 3, 3)):
+            noise = np.array([_bartlett_noise(lo, hi, r, rng) for _ in range(4000)])
+            t = noise[:, :, r:]
+            assert t.shape[2] == min(lo, hi - r)
+            assert np.all(np.triu(t, 1) == 0.0) and np.all(np.diagonal(t, axis1=1, axis2=2) > 0)
+            assert_allclose(np.mean(t @ t.transpose(0, 2, 1), axis=0),
+                            (hi - r) * np.eye(lo), rtol=0, atol=0.3, err_msg=f"{lo} x {hi}")
+            assert abs(noise[:, :, :r].mean()) <= 0.05
+            assert abs(noise[:, :, :r].var() - 1.0) <= 0.05
 
     @pytest.mark.parametrize("m, n, r", [(20, 40, 20), (40, 20, 20), (25, 25, 3)])
-    def test_full_draw_when_nothing_is_saved(self, m, n, r):
-        # lo + r >= hi: the cell is the full m x n draw, bit for bit
+    def test_cell_is_the_bartlett_draw(self, m, n, r):
+        # lo + r >= hi as well: the cell is the diagonal signal plus the
+        # reduced draw of its substream, bit for bit, decided as m x n
         cfg = ExperimentConfig(m=m, n=n, ranks=(r,), sigmas=(0.3,),
                                replications=1, seed=6)
-        signal = np.zeros((m, n))
+        lo, hi = min(m, n), max(m, n)
+        noise = _bartlett_noise(lo, hi, r, cell_rng(6, 0, 0, 0))
+        # the documented order, one draw at a time: A_1 row by row, T's
+        # strictly lower entries row by row, then T's diagonal
+        rng, p = cell_rng(6, 0, 0, 0), min(lo, hi - r)
+        a1, t = rng.standard_normal((lo, r)), np.zeros((lo, p))
+        for i in range(lo):
+            for j in range(min(i, p)):
+                t[i, j] = rng.standard_normal()
+        for i in range(p):
+            t[i, i] = math.sqrt(rng.chisquare(hi - r - i))
+        assert np.array_equal(noise, np.hstack([a1, t]))
+        signal = np.zeros(noise.shape)
         signal[np.arange(r), np.arange(r)] = signal_spectrum(r)
-        noise = cell_rng(6, 0, 0, 0).standard_normal((m, n))
-        denoised, report = usvt_adaptive(signal + 0.3 * noise, cfg.eta)
+        denoised, report = _denoise(signal + 0.3 * noise, (m, n), None, cfg.eta)
         rec = run_cell(cfg, 0, 0, 0)
         assert (rec.sigma_hat, rec.mse_matrix, rec.kept_rank) == \
-            (report.sigma_used, mse(denoised, signal), report.kept_rank)
+            (report.sigma_used, float(np.sum((denoised - signal) ** 2)) / (m * n),
+             report.kept_rank)
 
     def test_tall_cell_is_the_wide_cell(self):
-        # both orientations reduce to the same lo x (lo + r) draw
+        # both orientations reduce to the same lo x (r + p) draw
         wide, tall = (ExperimentConfig(m=m, n=n, ranks=(3,), sigmas=(0.4,),
                                        replications=2, seed=8)
                       for m, n in ((20, 50), (50, 20)))
@@ -487,7 +507,7 @@ class TestReducedGaussianCell:
 
     @pytest.mark.parametrize("m, n, r, seen", [
         (20, 40, 3, (20, 23)), (40, 20, 3, (20, 23)),
-        (20, 40, 20, (20, 40)), (40, 20, 20, (40, 20)), (30, 30, 1, (30, 30)),
+        (20, 40, 20, (20, 40)), (40, 20, 20, (20, 40)), (30, 30, 1, (30, 30)),
     ])
     def test_values_pass_shape(self, monkeypatch, m, n, r, seen):
         from usvt import estimators
