@@ -114,7 +114,7 @@ def _scan_matrix(path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise MatrixFileError(f"{path}: cannot read: {exc.strerror}") from exc
     with fh:
@@ -268,7 +268,7 @@ def write_summary(path, rows) -> None:
 def write_report(path, report) -> None:
     # Rendered before the file is opened: a non-finite field raises here
     # instead of leaving a truncated or non-JSON report behind.
-    _write_text(path, json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
+    _write_text(path, json.dumps(dataclasses.asdict(report), indent=2, allow_nan=False) + "\n")
 
 
 def _write_text(path, text: str) -> None:
@@ -404,8 +404,6 @@ def _simulate_config(args) -> ExperimentConfig:
         return ExperimentConfig(**fields)
     except ConfigError as exc:
         raise UsageError(f"{_CONFIG_FLAGS[exc.field][0]}: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _cmd_simulate(args) -> int:

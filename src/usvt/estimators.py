@@ -10,20 +10,21 @@ Denoising keeps exactly the singular components whose values reach
 plugs in sigma_hat.  `_decide` makes that choice from the singular values
 and the shape alone.
 
-A denoise makes one spectral pass (`spectral._SpectralPass`) that forms
-W, W W^T and its eigenvalues once on every route.  Its values are the
-eigenvalues' or, where their spread would make sigma_hat inaccurate,
-gesdd's; its W W^T gives the rank-k part.  Where some s_i^2 lies within
-the eigenvalues' error band of tau^2, widened by tau^2's own error through
-sigma_hat, gesdd's values decide instead: the kept rank is always gesdd's,
-and sigma_hat and tau differ from gesdd's only in the last digits.
+A denoise makes one spectral pass (`spectral._SpectralPass`) that views
+x as its wide W and forms W W^T and its eigenvalues once on every route.
+Its values are the eigenvalues' or, where their spread would make
+sigma_hat inaccurate, gesdd's; its W W^T gives the rank-k part.  Where
+some s_i^2 lies within the eigenvalues' error band of tau^2, widened by
+tau^2's own error through sigma_hat, gesdd's values decide instead: the
+kept rank is always gesdd's, and sigma_hat and tau differ from gesdd's
+only in the last digits.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -58,10 +59,6 @@ class DenoiseReport:
     kept_rank: int
     kept_indices: tuple[int, ...]
     degenerate_sigma: bool
-
-    def to_dict(self) -> dict:
-        """Flat key/value form used by the JSON report file."""
-        return {**asdict(self), "kept_indices": list(self.kept_indices)}
 
 
 def _sigma_hat(values: np.ndarray, shape: tuple[int, int]) -> float:
@@ -159,7 +156,6 @@ def _denoise(a: np.ndarray, shape: tuple[int, int], sigma: float | None, eta: fl
     k = report.kept_rank
     if k and report.threshold:
         return spectrum.rank_k_part(k), report
-    spectrum.w = None  # a tall input's W copy goes first; W W^T stays (freed, its pages re-fault)
     return (a.copy() if k else np.zeros_like(a)), report
 
 

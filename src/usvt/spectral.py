@@ -3,10 +3,13 @@
 Input validation, the singular values and the rank-k SVD truncation the
 denoiser needs, the nuclear norm, and the Kolmogorov-Smirnov distance
 between the eigenvalues of X X^T / n and their Marchenko-Pastur limit.
-Values and truncation are computed in the wide (m <= n) orientation W, so
-a non-square x and x.T give bit-identical results; a square x is never
-transposed, so x and x.T agree only to rounding.  W W^T is formed at an
-exact power-of-two scale, so it neither over- nor underflows.
+Values and truncation are computed in the wide (m <= n) orientation W, a
+view of x or x.T, so a non-square x and x.T give bit-identical results; a
+square x is never transposed, so x and x.T agree only to rounding.  LAPACK
+copies W into column-major order itself, so C order is formed only for the
+two products whose bits could depend on layout: W / 2^e, whose W W^T is
+formed at an exact power-of-two scale and neither over- nor underflows,
+and W in Q_k^T W.
 
 `singular_values` is LAPACK's values-only SVD (gesdd), accurate for every
 value.  The denoiser takes its values from one eigvalsh of W W^T instead,
@@ -53,15 +56,16 @@ def as_matrix(x) -> np.ndarray:
 
 
 def _wide(a: np.ndarray) -> np.ndarray:
-    # C order, so x and x.T reach LAPACK as the same bytes
-    return np.ascontiguousarray(a if a.shape[0] <= a.shape[1] else a.T)
+    # a view, no copy: LAPACK reads x and x.T as the same column-major bytes
+    return a if a.shape[0] <= a.shape[1] else a.T
 
 
 def _gram(w: np.ndarray):
     """(W W^T / 4^e, e), formed exactly from W / 2^e with 2^e the binade of
-    max|W|, so that its entries stay below n."""
+    max|W|, so that its entries stay below n.  W / 2^e is in C order, so
+    x and x.T give the product the same bytes."""
     e = np.frexp(np.abs(w).max())[1]
-    v = np.ldexp(w, -e)
+    v = np.ldexp(w, -e, order="C")
     return v @ v.T, e
 
 
@@ -102,9 +106,7 @@ def singular_values(x) -> np.ndarray:
     which needs no SVD iteration but loses the relative accuracy of values
     far below the largest.  Raises ValueError when s_1 overflows float64.
     """
-    w = as_matrix(x)
-    if w.shape[0] > w.shape[1]:
-        w = w.T
+    w = _wide(as_matrix(x))
 
     def gram_values():
         gram, e = _gram(w)
@@ -114,8 +116,8 @@ def singular_values(x) -> np.ndarray:
 
 
 class _SpectralPass:
-    """One denoise's spectral pass over the validated matrix a: the C-order
-    wide W, the scaled W W^T of `_gram`, a's singular values, descending,
+    """One denoise's spectral pass over the validated matrix a: the wide
+    view W, the scaled W W^T of `_gram`, a's singular values, descending,
     and their error bound tol.  The values are sqrt(lambda_i) 2^e from the
     eigenvalues lambda_i of W W^T / 4^e, |lambda_i 4^e - s_i^2| <= tol s_1^2
     against gesdd's s_i, tol = 16 (1 + sqrt(min(m, n))) eps: over six times
@@ -171,7 +173,8 @@ class _SpectralPass:
 
     def _gram_part(self, k: int) -> np.ndarray:
         q = np.linalg.eigh(self.gram)[1][:, -k:]
-        return q @ (q.T @ self.w)
+        # W in C order, so x and x.T give the product the same bytes
+        return q @ (q.T @ np.ascontiguousarray(self.w))
 
     def _svd_part(self, k: int) -> np.ndarray:
         u, s, vt = np.linalg.svd(self.w, full_matrices=False)

@@ -653,6 +653,16 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"usvt: error: {flag}: ")
         assert not out.exists() and not summary.exists()
 
+    @pytest.mark.parametrize("flag, value, noun", [
+        ("--ranks", "2,x", "integer"), ("--sigmas", "0.5,,1", "number")])
+    def test_malformed_grid_list_is_usage_error(self, tmp_path, capsys, flag, value, noun):
+        out, summary = tmp_path / "r.csv", tmp_path / "s.csv"
+        argv = ["simulate", "--m", "8", "--n", "12", "--ranks", "2", "--sigmas", "0.5",
+                "--reps", "1", "--out", str(out), "--summary", str(summary)]
+        assert main(argv + [flag, value]) == 2
+        assert f"{flag}: not a comma-separated {noun} list: {value!r}" in capsys.readouterr().err
+        assert not out.exists() and not summary.exists()
+
     def test_unknown_preset_lists_available(self, capsys):
         code = main(["simulate", "--preset", "paper-fig2",
                      "--out", "x", "--summary", "y"])

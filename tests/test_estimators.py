@@ -416,6 +416,18 @@ class TestGramValuesRoute:
         usvt_denoise(x, report.sigma_used)
         assert calls == ["eigvalsh", "eigh"]
 
+    def test_estimate_sigma_is_denoises_but_at_the_margin(self):
+        # estimate_sigma makes no keep/drop decision: it keeps the Gram
+        # route's sigma_hat where the margin sends denoise to gesdd's values
+        x, _ = planted([3.0, 2.0, 0.8], 30, 20)
+        assert estimate_sigma(x) == usvt_adaptive(x)[1].sigma_used
+        tau = _decide(_SpectralPass(x).values, x.shape, None, DEFAULT_ETA).threshold
+        u, s, vt = np.linalg.svd(x, full_matrices=False)
+        s[0] = tau
+        x = (u * s) @ vt
+        sigma = usvt_adaptive(x)[1].sigma_used
+        assert abs(estimate_sigma(x) - sigma) <= 3e-13 * sigma
+
     def test_corpus_agrees_with_gesdd_where_admitted(self):
         # noise plus spikes in mixed shapes and scales, spreads up to and
         # beyond GRAM_MAX_SPREAD; wherever the route is admitted, sigma_hat is

@@ -24,7 +24,7 @@ SEPARATORS = [b"\x1c", b"\x1d", b"\x1e", b"\x1f"]
 def outcome(reader, path):
     try:
         a = reader(path)
-    except (MatrixFileError, UnicodeDecodeError) as exc:
+    except MatrixFileError as exc:
         return type(exc).__name__, str(exc)
     assert a.dtype == np.float64 and a.ndim == 2
     return a.shape, a.view(np.int64).tobytes()
@@ -132,3 +132,13 @@ def test_fallback_keeps_diagnostics(tmp_path, text, message):
     p.write_text(text, encoding="utf-8")
     with pytest.raises(MatrixFileError, match=message):
         read_matrix(p)
+
+
+def test_non_utf8_byte_names_path_line_and_field(tmp_path):
+    # decoded with surrogateescape, a bad byte is a field float() rejects
+    p = tmp_path / "m.txt"
+    p.write_bytes(b"1,2\n3,\xff\n")
+    assert outcome(read_matrix, p) == outcome(_scan_matrix, p)
+    with pytest.raises(MatrixFileError) as exc:
+        read_matrix(p)
+    assert str(exc.value) == f"{p}: line 2: field 2: not a number: '\\udcff'"

@@ -1,5 +1,7 @@
 """Spectral primitives: rank-k truncation, singular values, nuclear norm, KS; the public API."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -181,9 +183,37 @@ class TestGramRoute:
         assert 0.0 < tol < 1e-12
         assert np.abs(values**2 - expected**2).max() <= tol * expected[0] ** 2
 
-    def test_transpose_gives_the_same_bytes(self):
-        x = np.random.default_rng(41).standard_normal((9, 17))
-        assert _SpectralPass(x).values.tobytes() == _SpectralPass(x.T).values.tobytes()
+    def test_transpose_gives_the_same_bytes(self, monkeypatch):
+        # against x.T and the C-order copy a file of x.T reads as: admitted,
+        # spread-refused, a rank-2 part by thin SVD, and with eigvalsh failed
+        near_tie = np.concatenate([[3.0, 1.001, 0.999], np.linspace(0.3, 0.1, 6)])
+        cases = [np.random.default_rng(41).standard_normal((9, 17)),
+                 planted(np.concatenate([[1e4], np.ones(8)]), 9, 14, seed=42),
+                 planted(near_tie, 9, 14, seed=47)]
+        for fail in (False, True):
+            if fail:
+                self.counted(monkeypatch, "eigvalsh", fail=True)
+            for x, refused in zip(cases, (fail, True, fail)):
+                spectrum = _SpectralPass(x)
+                assert (spectrum.tol is None) == refused
+                top = spectrum.rank_k_part(2).T.tobytes()
+                for tall in (x.T, np.ascontiguousarray(x.T)):
+                    other = _SpectralPass(tall)
+                    assert other.values.tobytes() == spectrum.values.tobytes()
+                    assert other.rank_k_part(2).tobytes() == top
+
+    def test_tall_input_is_viewed_not_copied(self):
+        # W is x.T itself; the pass's peak is W / 2^e in C order plus W W^T,
+        # a quarter of x's bytes at 400 x 100
+        x = np.random.default_rng(48).standard_normal((400, 100))
+        tracemalloc.start()
+        try:
+            spectrum = _SpectralPass(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(spectrum.w, x)
+        assert peak < 1.5 * x.nbytes
 
     @pytest.mark.parametrize("spread, admitted", [
         (GRAM_MAX_SPREAD, True), (GRAM_MAX_SPREAD * (1 + 1e-9), False), (1e8, False)])
