@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import shutil
+import stat
 import sys
 import tempfile
 import warnings
@@ -82,10 +83,19 @@ def format_float(value: float) -> str:
 def read_matrix(path) -> np.ndarray:
     """Parse a matrix file into a finite 2-d float64 array.
 
-    The whole file is parsed in C by `np.loadtxt`.  Any file it rejects or
-    could read differently (a skipped blank line, a non-finite entry, no
-    data, a U+001C-U+001F separator) goes to `_scan_matrix`, the line-by-line
-    reference parser, which decides acceptance and names the bad field.
+    The file is parsed in C by `np.loadtxt`.  A regular file of at least
+    SPLIT_MIN_BYTES, with more than one usable CPU, is read in two halves,
+    cut just after the first newline past SPLIT_AT of its bytes: this
+    process runs `np.loadtxt` on the head while a helper interpreter
+    (`sys.executable -I -S`, no numpy) opens the file itself, seeks to the
+    cut and parses the tail by `_scan_matrix`'s rules, returning raw
+    float64 values.  A newline byte always ends a line, so the halves hold
+    exactly the file's lines.  Any file either half rejects or could read
+    differently (a skipped blank line, a non-finite entry, no data, a
+    U+001C-U+001F separator, a tail whose width differs from the head's, a
+    helper that cannot start or does not exit 0) goes to `_scan_matrix`,
+    the line-by-line reference parser, which decides acceptance and names
+    the bad field.
     """
     lines = 0
 
@@ -97,15 +107,28 @@ def read_matrix(path) -> np.ndarray:
             lines += 1
             yield line
 
+    tail = a = None
     try:
         with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            cut = _split_point(fh.buffer)
+            if cut is not None:
+                import io  # only a split read needs it
+
+                tail = _start_helper(_READ_TAIL, os.fspath(path), str(cut))
+                fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read(cut)), encoding="utf-8")
             # "input contained no data": the scan reports an empty file.
             warnings.simplefilter("ignore", UserWarning)
             a = np.loadtxt(counted(fh), delimiter=",", comments=None, ndmin=2,
                            dtype=np.float64)
+        if not a.size or a.shape[0] != lines:
+            a = None
+        elif cut is not None:
+            a = _with_tail(a, tail)
     except (OSError, ValueError):
-        return _scan_matrix(path)
-    if a.size and a.shape[0] == lines and np.isfinite(a).all():
+        a = None
+    finally:
+        _stop_helpers([tail])
+    if a is not None and np.isfinite(a).all():
         return a
     return _scan_matrix(path)
 
@@ -149,11 +172,21 @@ def _scan_matrix(path) -> np.ndarray:
 # Starting a helper interpreter costs about 11 ms, which rendering about
 # 33k entries repays; below this, one process renders the whole matrix.
 HELPER_MIN_ENTRIES = 2**17
+# A regular file of at least this many bytes is read on two CPUs, cut just
+# after the first newline past SPLIT_AT of its bytes.  On a 2-CPU host a
+# split read of a square matrix broke even with the serial one at about
+# 2.4 MB, where the helper's start-up and the join cost what the split
+# saves.  At SPLIT_AT the helper, which also pays its start-up, finished
+# its 40 % of a 600 x 1200 file within about 0.04 s of this process's 60 %.
+SPLIT_MIN_BYTES = 3 * 2**20
+SPLIT_AT = 0.6
 
-# The helper: reads float64 rows of sys.argv[1] entries from stdin and
-# writes them to stdout as `_write_rows` renders them.  It imports neither
-# numpy nor usvt; run by the same interpreter, its repr is the same.
-_HELPER = """\
+# The helpers run by the same interpreter as this process, under -I -S,
+# and import neither numpy nor usvt: their repr and float() are ours.
+#
+# Renders float64 rows of sys.argv[1] entries, read from stdin, to stdout
+# as `_write_rows` renders them.
+_RENDER_ROWS = """\
 import array, sys
 ncols = int(sys.argv[1])
 values = array.array("d", sys.stdin.buffer.read())
@@ -162,6 +195,28 @@ with open(sys.stdout.fileno(), "w", encoding="utf-8", newline="", closefd=False)
         out.write(",".join(map(repr, values[i:i + ncols])))
         out.write("\\n")
 """
+# Parses file sys.argv[1] from byte offset sys.argv[2] on by the scan's
+# rules (strict UTF-8, universal newlines, strip, split on ",", float()) and
+# writes the row count (8 bytes, little-endian) and the float64 values to
+# stdout.  A ragged row or a field float() rejects, a blank line's too,
+# makes it exit non-zero; read_matrix checks that every value is finite.
+# The scan's rules need no separator rule: float() rejects U+001C-U+001F,
+# and strip() removes them at a line's ends in both.
+_READ_TAIL = """\
+import array, io, sys
+rows, width, values = 0, None, array.array("d")
+with open(sys.argv[1], "rb") as raw:
+    raw.seek(int(sys.argv[2]))
+    for line in io.TextIOWrapper(raw, encoding="utf-8"):
+        fields = line.strip().split(",")
+        if width not in (None, len(fields)):
+            sys.exit(1)
+        width = len(fields)
+        values.extend(map(float, fields))  # float("") rejects a blank line
+        rows += 1
+sys.stdout.buffer.write(rows.to_bytes(8, "little"))
+values.tofile(sys.stdout.buffer)
+"""
 
 
 def _usable_cpus() -> int:
@@ -169,6 +224,32 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _split_point(fh):
+    """The byte offset at which `read_matrix` cuts the binary file `fh`, or
+    None to read it whole.  Leaves `fh` at its start."""
+    info = os.fstat(fh.fileno())
+    if not (stat.S_ISREG(info.st_mode) and info.st_size >= SPLIT_MIN_BYTES
+            and _usable_cpus() > 1 and sys.executable):
+        return None
+    fh.seek(int(info.st_size * SPLIT_AT))
+    fh.readline()
+    cut = fh.tell()
+    fh.seek(0)
+    return cut if cut < info.st_size else None
+
+
+def _with_tail(head: np.ndarray, tail):
+    """`head` with the tail reader's rows appended, or None when the helper
+    did not exit 0.  Rows not as wide as `head`'s raise a ValueError."""
+    out = _helper_output(tail)
+    if out is None:
+        return None
+    data = out.read()
+    rows = int.from_bytes(data[:8], "little")
+    values = np.frombuffer(data, dtype=np.float64, offset=8)
+    return np.concatenate((head, values.reshape(rows, head.shape[1])))
 
 
 def write_matrix(path, matrix: np.ndarray) -> None:
@@ -197,20 +278,17 @@ def write_matrix(path, matrix: np.ndarray) -> None:
         helpers = []
         try:
             for block in rest:
-                helpers.append(_start_helper(block))
+                helpers.append(_start_helper(_RENDER_ROWS, str(block.shape[1]), stdin=block))
             _write_rows(fh, first)
             for block, helper in zip(rest, helpers):
-                if helper is not None and helper[0].wait() == 0:
-                    helper[1].seek(0)
+                out = _helper_output(helper)
+                if out is not None:
                     fh.flush()
-                    shutil.copyfileobj(helper[1], fh.buffer)
+                    shutil.copyfileobj(out, fh.buffer)
                 else:
                     _write_rows(fh, block)
         finally:
-            for proc, out in filter(None, helpers):
-                proc.kill()  # a no-op once it has exited
-                proc.wait()
-                out.close()
+            _stop_helpers(helpers)
 
 
 def _write_rows(fh, rows: np.ndarray) -> None:
@@ -221,28 +299,46 @@ def _write_rows(fh, rows: np.ndarray) -> None:
         fh.write("\n")
 
 
-def _start_helper(block: np.ndarray):
-    """(process, output file) of a helper rendering `block`, or None when
-    it cannot be started."""
-    import subprocess  # a few ms of start-up that only large writes need
+def _start_helper(code: str, *args: str, stdin: np.ndarray | None = None):
+    """(process, output file) of a helper interpreter running `code` with
+    `args`, or None when it cannot be started.  Its stdin holds the raw
+    float64 bytes of `stdin` (nothing if None), its stdout goes to the
+    temporary output file and its stderr to devnull."""
+    import subprocess  # a few ms of start-up that only large reads and writes need
 
     if not sys.executable:
         return None
     try:
         with tempfile.TemporaryFile() as src:
-            np.ascontiguousarray(block).tofile(src)
-            src.seek(0)
+            if stdin is not None:
+                np.ascontiguousarray(stdin).tofile(src)
+                src.seek(0)
             out = tempfile.TemporaryFile()
             try:
-                proc = subprocess.Popen(
-                    [sys.executable, "-I", "-S", "-c", _HELPER, str(block.shape[1])],
-                    stdin=src, stdout=out, stderr=subprocess.DEVNULL)
+                proc = subprocess.Popen([sys.executable, "-I", "-S", "-c", code, *args],
+                                        stdin=src, stdout=out, stderr=subprocess.DEVNULL)
             except BaseException:
                 out.close()
                 raise
     except OSError:
         return None
     return proc, out
+
+
+def _helper_output(helper):
+    """The rewound output file of a started helper that exited 0, else None."""
+    if helper is None or helper[0].wait() != 0:
+        return None
+    helper[1].seek(0)
+    return helper[1]
+
+
+def _stop_helpers(helpers) -> None:
+    """Kill, reap and close every started helper in `helpers`."""
+    for proc, out in filter(None, helpers):
+        proc.kill()  # a no-op once it has exited
+        proc.wait()
+        out.close()
 
 
 def _write_csv(path, cls, rows) -> None:

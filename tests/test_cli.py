@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -101,28 +100,6 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.1125369292536007e-308,
                1.0, -3.0, 12345.0, 2.0**53]
 
 
-@pytest.fixture
-def helpers(monkeypatch, tmp_path):
-    """The helpers write_matrix starts, as `_start_helper` returned them,
-    with temporary files in an empty directory of their own.  Afterwards
-    every helper must have been waited for and no temporary file be left."""
-    tmp = tmp_path / "tmp"
-    tmp.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
-    started = []
-    start = cli._start_helper
-
-    def recording(block):
-        started.append(start(block))
-        return started[-1]
-
-    monkeypatch.setattr(cli, "_start_helper", recording)
-    yield started
-    assert list(tmp.iterdir()) == []
-    for proc, out in filter(None, started):
-        assert proc.returncode is not None and out.closed
-
-
 def cpus(monkeypatch, count):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
 
@@ -162,7 +139,7 @@ class TestParallelWrite:
             assert text in expected
 
     def test_helper_alone_imports_no_numpy(self):
-        code = cli._HELPER + "assert not [m for m in sys.modules if m.split('.')[0] in ('numpy', 'usvt')]\n"
+        code = cli._RENDER_ROWS + "assert not [m for m in sys.modules if m.split('.')[0] in ('numpy', 'usvt')]\n"
         x = np.array([[-0.0, 5e-324, 1e16], [1e-5, 2.0, -1.7976931348623157e308]])
         proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, "3"],
                               input=x.tobytes(), capture_output=True, timeout=120)
@@ -184,9 +161,9 @@ class TestParallelWrite:
         elif how == "empty":
             monkeypatch.setattr(sys, "executable", "")
         elif how == "exit-1":
-            monkeypatch.setattr(cli, "_HELPER", "import sys; print('1.0'); sys.exit(1)")
+            monkeypatch.setattr(cli, "_RENDER_ROWS", "import sys; print('1.0'); sys.exit(1)")
         else:
-            monkeypatch.setattr(cli, "_HELPER", "import os, signal; os.kill(os.getpid(), signal.SIGKILL)")
+            monkeypatch.setattr(cli, "_RENDER_ROWS", "import os, signal; os.kill(os.getpid(), signal.SIGKILL)")
         x = np.random.default_rng(3).standard_normal((600, 300))
         p = tmp_path / "m.txt"
         write_matrix(p, x)

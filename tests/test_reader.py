@@ -1,9 +1,14 @@
 """read_matrix (bulk parse) against _scan_matrix (line-by-line reference).
 
 Both readers must accept the same files with bit-identical arrays and
-reject the same files with the same error and message.
+reject the same files with the same error and message, whether
+read_matrix reads a file whole or split between itself and a helper.
 """
 
+import contextlib
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -12,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from usvt import cli
 from usvt.cli import MatrixFileError, _scan_matrix, read_matrix, write_matrix
 
 BAD_FIELDS = ["nan", "inf", "-inf", "1e400", "-1e400", "1_0", " 1.5", "1.5 ",
@@ -34,7 +40,8 @@ def mutate(data: bytes, draw) -> bytes:
     lines = data.split(b"\n")[:-1]
     kind = draw(st.sampled_from([
         "none", "crlf", "cr", "no-final-newline", "blank-line", "space-line",
-        "ragged", "field", "separator", "trailing-comma", "non-utf8", "empty-file"]))
+        "ragged", "field", "separator", "trailing-comma", "non-utf8", "empty-file",
+        "cr-line"]))
     at = draw(st.integers(0, len(lines) - 1))
     if kind == "crlf":
         return data.replace(b"\n", b"\r\n")
@@ -64,6 +71,8 @@ def mutate(data: bytes, draw) -> bytes:
         lines[at] += b"\xff"
     elif kind == "empty-file":
         return b""
+    elif kind == "cr-line":  # one line ended by a lone \r, the rest by \n
+        lines[at] += b"\r" + (lines.pop(at + 1) if at + 1 < len(lines) else b"")
     return b"".join(line + b"\n" for line in lines)
 
 
@@ -74,20 +83,150 @@ matrices = arrays(
 )
 
 
+# Files of 2 to 8 rows: the cut past 60 % of the bytes leaves lines on
+# both sides of it.
+multirow_matrices = arrays(
+    np.float64,
+    st.tuples(st.integers(2, 8), st.integers(1, 5)),
+    elements=st.floats(allow_nan=False, allow_infinity=False, width=64),
+)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("reader")
 
 
-@settings(max_examples=300, deadline=None)
-@given(x=matrices, data=st.data())
-def test_bulk_reader_matches_scan(workdir, x, data):
+@contextlib.contextmanager
+def split_reads():
+    """read_matrix splits every regular file it can cut, as on two CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "SPLIT_MIN_BYTES", 0)
+        mp.setattr(cli, "_usable_cpus", lambda: 2)
+        yield mp
+
+
+def matches_scan(workdir, x, draw):
     p = workdir / "m.txt"
     write_matrix(p, x)
-    p.write_bytes(mutate(p.read_bytes(), data.draw))
+    p.write_bytes(mutate(p.read_bytes(), draw))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert outcome(read_matrix, p) == outcome(_scan_matrix, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=matrices, data=st.data())
+def test_bulk_reader_matches_scan(workdir, x, data):
+    matches_scan(workdir, x, data.draw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=multirow_matrices, data=st.data())
+def test_split_reader_matches_scan(workdir, x, data):
+    with split_reads():
+        matches_scan(workdir, x, data.draw)
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("not expected here")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_a_cut_at_any_line_boundary_reads_the_serial_array(tmp_path, helpers, newline):
+    x = np.random.default_rng(5).standard_normal((7, 3)) * 1e3
+    x[2, 1] = -0.0
+    p = tmp_path / "m.txt"
+    p.write_bytes("".join(",".join(map(repr, row)) + newline
+                          for row in x.tolist()).encode("utf-8"))
+    serial = outcome(read_matrix, p)
+    assert serial == outcome(_scan_matrix, p) and helpers == []
+    data = p.read_bytes()
+    cuts = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    with split_reads() as mp:
+        mp.setattr(cli, "_scan_matrix", forbidden)  # the split read must accept
+        for cut in cuts:
+            mp.setattr(cli, "_split_point", lambda fh, cut=cut: cut)
+            assert outcome(read_matrix, p) == serial, cut
+    assert len(helpers) == len(cuts) and all(proc.returncode == 0 for proc, _ in helpers)
+
+
+GOOD = "".join(f"{i}.5,{-i},1e-{i}\n" for i in range(10))
+
+
+def with_lines(changed: dict) -> str:
+    """GOOD with the lines numbered in `changed` replaced.  Split, GOOD's
+    head is lines 1-7 and its tail lines 8-10."""
+    lines = GOOD.splitlines(keepends=True)
+    for lineno, text in changed.items():
+        lines[lineno - 1] = text
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("how", ["split", "no-executable", "missing-executable", "exit-1"])
+@pytest.mark.parametrize("text", [
+    GOOD,
+    with_lines({2: "abc,1,2\n"}),
+    with_lines({10: "1,2,abc\n"}),
+    with_lines({9: "1,2\n"}),
+    with_lines({9: "1,2,3,4\n", 10: "5,6\n"}),  # as many values as two rows
+    with_lines({7: "\n"}),  # shorter, so the cut moves up: the tail's first line
+    with_lines({8: "1,nan,2\n"}),
+], ids=["good", "head-field", "last-field", "tail-ragged", "tail-ragged-pair",
+        "blank-at-cut", "tail-nan"])
+def test_split_or_failed_helper_reads_as_serial(tmp_path, helpers, how, text):
+    p = tmp_path / "m.txt"
+    p.write_text(text, encoding="utf-8")
+    serial = outcome(read_matrix, p)
+    assert serial == outcome(_scan_matrix, p) and helpers == []
+    with split_reads() as mp:
+        if how == "no-executable":
+            mp.setattr(sys, "executable", "")
+        elif how == "missing-executable":
+            mp.setattr(sys, "executable", str(tmp_path / "no-python"))
+        elif how == "exit-1":
+            mp.setattr(cli, "_READ_TAIL", "raise SystemExit(1)")
+        assert outcome(read_matrix, p) == serial
+    if how == "no-executable":
+        assert helpers == []
+    elif how == "missing-executable":
+        assert helpers == [None]
+    else:
+        assert len(helpers) == 1 and helpers[0] is not None
+
+
+def test_one_cpu_starts_no_helper(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text(GOOD, encoding="utf-8")
+    with split_reads() as mp:
+        mp.setattr(cli, "_usable_cpus", lambda: 1)
+        mp.setattr(cli, "_start_helper", forbidden)
+        assert outcome(read_matrix, p) == outcome(_scan_matrix, p)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_fifo_is_read_whole_without_a_seek(tmp_path):
+    x = np.random.default_rng(6).standard_normal((200, 100))
+    p = tmp_path / "m.txt"
+    write_matrix(p, x)
+    data = p.read_bytes()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    with split_reads() as mp:
+        mp.setattr(cli, "_start_helper", forbidden)
+        # a seek on the pipe fails, and a fallback scan would reopen it
+        mp.setattr(cli, "_scan_matrix", forbidden)
+        a = read_matrix(fifo)
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert len(data) > 2**16 and a.view(np.int64).tobytes() == x.view(np.int64).tobytes()
 
 
 @pytest.mark.parametrize("text", ["", "\n", " \n\n"])
