@@ -10,7 +10,9 @@ byte-stable.  Data goes to stdout, diagnostics to stderr; exit codes are
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import shutil
@@ -87,19 +89,50 @@ def read_matrix(path) -> np.ndarray:
     SPLIT_MIN_BYTES, with more than one usable CPU, is read in two halves,
     cut just after the first newline past SPLIT_AT of its bytes: this
     process runs `np.loadtxt` on the head while a helper interpreter
-    (`sys.executable -I -S`, no numpy) opens the file itself, seeks to the
-    cut and parses the tail by `_scan_matrix`'s rules, returning raw
-    float64 values.  A newline byte always ends a line, so the halves hold
-    exactly the file's lines.  Any file either half rejects or could read
-    differently (a skipped blank line, a non-finite entry, no data, a
-    U+001C-U+001F separator, a tail whose width differs from the head's, a
-    helper that cannot start or does not exit 0) goes to `_scan_matrix`,
-    the line-by-line reference parser, which decides acceptance and names
-    the bad field.
+    (`sys.executable -I -S`, no numpy) reads the tail from the descriptor
+    this process opened, by `os.pread` at the cut, and parses it by
+    `_scan_matrix`'s rules, returning raw float64 values.  A newline byte
+    always ends a line, so the halves hold exactly the file's lines.  A
+    helper that cannot start is no split; a helper that fails otherwise
+    has its tail parsed here by `np.loadtxt`.  Any file either half
+    rejects or could read differently (a skipped blank line, a non-finite
+    entry, no data, a U+001C-U+001F separator, a tail whose width differs
+    from the head's) goes to `_scan_matrix`, the line-by-line reference
+    parser, which decides acceptance and names the bad field.
     """
+    helper = a = None
+    try:
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            # "input contained no data": the scan reports an empty file.
+            warnings.simplefilter("ignore", UserWarning)
+            cut = _split_point(fh.buffer)
+            if cut is not None:
+                fd = fh.fileno()
+                helper = _start_helper(_READ_TAIL, str(fd), str(cut), pass_fds=(fd,))
+            if helper is None:
+                a = _load_rows(fh)
+            else:
+                a = _load_rows(io.TextIOWrapper(io.BytesIO(fh.buffer.read(cut)),
+                                                encoding="utf-8"))
+                if a is not None:
+                    a = _with_tail(a, helper, fh)
+    except (OSError, ValueError):
+        a = None
+    finally:
+        _stop_helpers([helper])
+    if a is not None and np.isfinite(a).all():
+        return a
+    return _scan_matrix(path)
+
+
+def _load_rows(fh):
+    """`np.loadtxt` of the rest of text file `fh`, or None when it read no
+    data or fewer rows than there are lines (it skips blank ones).  A line
+    holding U+001C-U+001F, which `np.loadtxt` reads as space and float()
+    rejects, raises a ValueError."""
     lines = 0
 
-    def counted(fh):
+    def counted():
         nonlocal lines
         for line in fh:
             if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
@@ -107,30 +140,8 @@ def read_matrix(path) -> np.ndarray:
             lines += 1
             yield line
 
-    tail = a = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
-            cut = _split_point(fh.buffer)
-            if cut is not None:
-                import io  # only a split read needs it
-
-                tail = _start_helper(_READ_TAIL, os.fspath(path), str(cut))
-                fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read(cut)), encoding="utf-8")
-            # "input contained no data": the scan reports an empty file.
-            warnings.simplefilter("ignore", UserWarning)
-            a = np.loadtxt(counted(fh), delimiter=",", comments=None, ndmin=2,
-                           dtype=np.float64)
-        if not a.size or a.shape[0] != lines:
-            a = None
-        elif cut is not None:
-            a = _with_tail(a, tail)
-    except (OSError, ValueError):
-        a = None
-    finally:
-        _stop_helpers([tail])
-    if a is not None and np.isfinite(a).all():
-        return a
-    return _scan_matrix(path)
+    a = np.loadtxt(counted(), delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    return a if a.size and a.shape[0] == lines else None
 
 
 def _scan_matrix(path) -> np.ndarray:
@@ -195,25 +206,34 @@ with open(sys.stdout.fileno(), "w", encoding="utf-8", newline="", closefd=False)
         out.write(",".join(map(repr, values[i:i + ncols])))
         out.write("\\n")
 """
-# Parses file sys.argv[1] from byte offset sys.argv[2] on by the scan's
-# rules (strict UTF-8, universal newlines, strip, split on ",", float()) and
-# writes the row count (8 bytes, little-endian) and the float64 values to
-# stdout.  A ragged row or a field float() rejects, a blank line's too,
-# makes it exit non-zero; read_matrix checks that every value is finite.
-# The scan's rules need no separator rule: float() rejects U+001C-U+001F,
-# and strip() removes them at a line's ends in both.
-_READ_TAIL = """\
-import array, io, sys
+# Parses the file open at descriptor sys.argv[1] from byte offset sys.argv[2]
+# on by the scan's rules (strict UTF-8, universal newlines, strip, split on
+# ",", float()) and writes the row count (8 bytes, little-endian) and the
+# float64 values to stdout.  os.pread leaves the descriptor's offset, which
+# it shares with read_matrix, alone.  A ragged row or a field float()
+# rejects, a blank line's too, makes it exit _TAIL_REJECTED; read_matrix
+# checks that every value is finite.  The scan's rules need no separator
+# rule: float() rejects U+001C-U+001F, and strip() removes them at a
+# line's ends in both.
+_TAIL_REJECTED = 3
+_READ_TAIL = f"""\
+import array, io, os, sys
+fd, at = int(sys.argv[1]), int(sys.argv[2])
+chunks = []
+while chunk := os.pread(fd, 1 << 26, at):
+    chunks.append(chunk)
+    at += len(chunk)
 rows, width, values = 0, None, array.array("d")
-with open(sys.argv[1], "rb") as raw:
-    raw.seek(int(sys.argv[2]))
-    for line in io.TextIOWrapper(raw, encoding="utf-8"):
+try:
+    for line in io.TextIOWrapper(io.BytesIO(b"".join(chunks)), encoding="utf-8"):
         fields = line.strip().split(",")
         if width not in (None, len(fields)):
-            sys.exit(1)
+            sys.exit({_TAIL_REJECTED})
         width = len(fields)
         values.extend(map(float, fields))  # float("") rejects a blank line
         rows += 1
+except ValueError:  # a UnicodeDecodeError too
+    sys.exit({_TAIL_REJECTED})
 sys.stdout.buffer.write(rows.to_bytes(8, "little"))
 values.tofile(sys.stdout.buffer)
 """
@@ -231,7 +251,7 @@ def _split_point(fh):
     None to read it whole.  Leaves `fh` at its start."""
     info = os.fstat(fh.fileno())
     if not (stat.S_ISREG(info.st_mode) and info.st_size >= SPLIT_MIN_BYTES
-            and _usable_cpus() > 1 and sys.executable):
+            and _usable_cpus() > 1 and hasattr(os, "pread")):
         return None
     fh.seek(int(info.st_size * SPLIT_AT))
     fh.readline()
@@ -240,16 +260,23 @@ def _split_point(fh):
     return cut if cut < info.st_size else None
 
 
-def _with_tail(head: np.ndarray, tail):
-    """`head` with the tail reader's rows appended, or None when the helper
-    did not exit 0.  Rows not as wide as `head`'s raise a ValueError."""
-    out = _helper_output(tail)
-    if out is None:
+def _with_tail(head: np.ndarray, helper, fh):
+    """`head` with the rows of the rest of `fh` appended: the tail reader's,
+    or, when it did not exit 0 with at least one row, `_load_rows`'s.  None
+    when the tail reader rejected the tail or `_load_rows` returns None.
+    Rows not as wide as `head`'s raise a ValueError."""
+    if helper[0].wait() == _TAIL_REJECTED:
         return None
-    data = out.read()
+    out = _helper_output(helper)
+    data = out.read() if out is not None else b""
     rows = int.from_bytes(data[:8], "little")
-    values = np.frombuffer(data, dtype=np.float64, offset=8)
-    return np.concatenate((head, values.reshape(rows, head.shape[1])))
+    if rows:
+        tail = np.frombuffer(data, dtype=np.float64, offset=8).reshape(rows, head.shape[1])
+    else:
+        tail = _load_rows(fh)
+        if tail is None:
+            return None
+    return np.concatenate((head, tail))
 
 
 def write_matrix(path, matrix: np.ndarray) -> None:
@@ -299,24 +326,28 @@ def _write_rows(fh, rows: np.ndarray) -> None:
         fh.write("\n")
 
 
-def _start_helper(code: str, *args: str, stdin: np.ndarray | None = None):
+def _start_helper(code: str, *args: str, stdin: np.ndarray | None = None,
+                  pass_fds: tuple[int, ...] = ()):
     """(process, output file) of a helper interpreter running `code` with
     `args`, or None when it cannot be started.  Its stdin holds the raw
-    float64 bytes of `stdin` (nothing if None), its stdout goes to the
-    temporary output file and its stderr to devnull."""
+    float64 bytes of `stdin` (devnull if None), its stdout goes to the
+    temporary output file, its stderr to devnull, and it inherits the
+    descriptors in `pass_fds`."""
     import subprocess  # a few ms of start-up that only large reads and writes need
 
     if not sys.executable:
         return None
     try:
-        with tempfile.TemporaryFile() as src:
+        with (contextlib.nullcontext(subprocess.DEVNULL) if stdin is None
+              else tempfile.TemporaryFile()) as src:
             if stdin is not None:
                 np.ascontiguousarray(stdin).tofile(src)
                 src.seek(0)
             out = tempfile.TemporaryFile()
             try:
                 proc = subprocess.Popen([sys.executable, "-I", "-S", "-c", code, *args],
-                                        stdin=src, stdout=out, stderr=subprocess.DEVNULL)
+                                        stdin=src, stdout=out, stderr=subprocess.DEVNULL,
+                                        pass_fds=pass_fds)
             except BaseException:
                 out.close()
                 raise

@@ -299,6 +299,29 @@ class TestSpectrum:
         main(["spectrum", "--input", str(pt)])
         assert capsys.readouterr().out == out1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_dev_stdin_above_the_split_threshold(self, tmp_path):
+        # on two or more CPUs the file is split: the tail must come from
+        # the file on stdin, not from whatever /dev/stdin is in a helper
+        x = np.random.default_rng(8).standard_normal((300, 600))
+        p = tmp_path / "x.txt"
+        write_matrix(p, x)
+        assert p.stat().st_size >= cli.SPLIT_MIN_BYTES
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(usvt.__file__).resolve().parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+
+        def spectrum(name, stdin=subprocess.DEVNULL):
+            proc = subprocess.run([sys.executable, "-m", "usvt", "spectrum", "--input", name],
+                                  stdin=stdin, capture_output=True, env=env, timeout=120)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        by_name = spectrum(str(p))
+        with open(p, "rb") as fh:
+            assert spectrum("/dev/stdin", stdin=fh) == by_name
+        assert by_name[0] == 0 and len(by_name[1].splitlines()) == 300
+
 
 class TestDenoise:
     def test_sigma_zero_byte_identity(self, tmp_path):

@@ -7,6 +7,7 @@ read_matrix reads a file whole or split between itself and a helper.
 
 import contextlib
 import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -142,7 +143,9 @@ def test_a_cut_at_any_line_boundary_reads_the_serial_array(tmp_path, helpers, ne
     serial = outcome(read_matrix, p)
     assert serial == outcome(_scan_matrix, p) and helpers == []
     data = p.read_bytes()
-    cuts = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    # not the end of the file: _split_point reads such a file whole, and a
+    # tail reader that returns no rows counts as failed
+    cuts = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")][:-1]
     with split_reads() as mp:
         mp.setattr(cli, "_scan_matrix", forbidden)  # the split read must accept
         for cut in cuts:
@@ -163,7 +166,8 @@ def with_lines(changed: dict) -> str:
     return "".join(lines)
 
 
-@pytest.mark.parametrize("how", ["split", "no-executable", "missing-executable", "exit-1"])
+@pytest.mark.parametrize("how", ["split", "no-executable", "missing-executable", "exit-1",
+                                 "killed", "no-rows"])
 @pytest.mark.parametrize("text", [
     GOOD,
     with_lines({2: "abc,1,2\n"}),
@@ -180,19 +184,108 @@ def test_split_or_failed_helper_reads_as_serial(tmp_path, helpers, how, text):
     serial = outcome(read_matrix, p)
     assert serial == outcome(_scan_matrix, p) and helpers == []
     with split_reads() as mp:
+        if text == GOOD:
+            # a helper that cannot start, dies or returns no rows says
+            # nothing of the file: it is read here, not by the slower scan
+            mp.setattr(cli, "_scan_matrix", forbidden)
         if how == "no-executable":
             mp.setattr(sys, "executable", "")
         elif how == "missing-executable":
             mp.setattr(sys, "executable", str(tmp_path / "no-python"))
         elif how == "exit-1":
             mp.setattr(cli, "_READ_TAIL", "raise SystemExit(1)")
+        elif how == "killed":
+            mp.setattr(cli, "_READ_TAIL", "import os, signal; os.kill(os.getpid(), signal.SIGKILL)")
+        elif how == "no-rows":
+            mp.setattr(cli, "_READ_TAIL", "import sys; sys.stdout.buffer.write(bytes(8))")
         assert outcome(read_matrix, p) == serial
-    if how == "no-executable":
-        assert helpers == []
-    elif how == "missing-executable":
+    if how in ("no-executable", "missing-executable"):
         assert helpers == [None]
     else:
         assert len(helpers) == 1 and helpers[0] is not None
+
+
+def test_a_rejected_tail_goes_to_the_scan(tmp_path, helpers):
+    p = tmp_path / "m.txt"
+    p.write_text(GOOD, encoding="utf-8")
+    scans = []
+
+    def scan(path):
+        scans.append(path)
+        return _scan_matrix(path)
+
+    with split_reads() as mp:
+        mp.setattr(cli, "_scan_matrix", scan)
+        mp.setattr(cli, "_READ_TAIL", f"raise SystemExit({cli._TAIL_REJECTED})")
+        assert outcome(read_matrix, p) == outcome(_scan_matrix, p)
+    assert scans == [p] and len(helpers) == 1
+
+
+def test_the_helper_reads_the_file_this_process_opened(tmp_path, helpers):
+    # the file is replaced under its name after read_matrix opened it:
+    # both halves are still the opened file's
+    p = tmp_path / "m.txt"
+    p.write_text(GOOD, encoding="utf-8")
+    serial = outcome(read_matrix, p)
+    split = cli._split_point
+
+    def replace_then_cut(fh):
+        q = tmp_path / "new.txt"
+        q.write_text(GOOD.replace(".5,", ".25,"), encoding="utf-8")
+        os.replace(q, p)
+        return split(fh)
+
+    with split_reads() as mp:
+        mp.setattr(cli, "_split_point", replace_then_cut)
+        mp.setattr(cli, "_scan_matrix", forbidden)
+        assert outcome(read_matrix, p) == serial
+    assert len(helpers) == 1 and helpers[0][0].returncode == 0
+
+
+@pytest.mark.parametrize("name", ["/dev/stdin", "/proc/self/fd/0"])
+def test_a_name_for_stdin_is_read_whole(tmp_path, helpers, name):
+    # the name means another file in the helper, whose stdin is devnull
+    if not os.path.exists(name):
+        pytest.skip(f"no {name}")
+    x = np.random.default_rng(7).standard_normal((40, 6))
+    p = tmp_path / "m.txt"
+    write_matrix(p, x)
+    saved = os.dup(0)
+    try:
+        with open(p, "rb") as fh:
+            os.dup2(fh.fileno(), 0)
+        with split_reads() as mp:
+            mp.setattr(cli, "_scan_matrix", forbidden)
+            a = read_matrix(name)
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
+    assert a.view(np.int64).tobytes() == x.view(np.int64).tobytes()
+    assert len(helpers) == 1 and helpers[0][0].returncode == 0
+
+
+@pytest.mark.parametrize("tail, rejected", [
+    (b"7.5,-7,1e-7\r\n8.5,-8,1e-8", False),
+    (b"7.5,-7,abc\n", True),
+    (b"7.5,-7,1e-7\n8.5,-8\n", True),  # within the tail; against the head, the join checks
+    (b"7.5,-7,1e-7\n\n", True),
+    (b"7.5,-7,1e-7\xff\n", True),
+], ids=["good", "field", "ragged", "blank", "non-utf8"])
+def test_tail_reader_alone(tmp_path, tail, rejected):
+    # run as read_matrix runs it, from the descriptor at the cut; it
+    # imports neither numpy nor usvt
+    p = tmp_path / "m.txt"
+    p.write_bytes(b"1,2,3\n" + tail)
+    code = cli._READ_TAIL + "assert not [m for m in sys.modules if m.split('.')[0] in ('numpy', 'usvt')]\n"
+    with open(p, "rb") as fh:
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(fh.fileno()), "6"],
+                              pass_fds=(fh.fileno(),), capture_output=True, timeout=120)
+    if rejected:
+        assert proc.returncode == cli._TAIL_REJECTED
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert int.from_bytes(proc.stdout[:8], "little") == 2
+        assert np.frombuffer(proc.stdout[8:]).tolist() == [7.5, -7, 1e-7, 8.5, -8, 1e-8]
 
 
 def test_one_cpu_starts_no_helper(tmp_path):
