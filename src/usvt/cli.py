@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _helper
 from .estimators import DEFAULT_ETA, _check_eta, _check_sigma, estimate_sigma, usvt_denoise
 from .mp_law import MPLaw
 from .simulate import (
@@ -85,56 +86,58 @@ def format_float(value: float) -> str:
 def read_matrix(path) -> np.ndarray:
     """Parse a matrix file into a finite 2-d float64 array.
 
-    The file is parsed in C by `np.loadtxt`.  A regular file of at least
-    SPLIT_MIN_BYTES, with more than one usable CPU, is read in two halves,
-    cut just after the first newline past SPLIT_AT of its bytes: this
-    process runs `np.loadtxt` on the head while a helper interpreter
-    (`sys.executable -I -S`, no numpy) reads the tail from the descriptor
-    this process opened, by `os.pread` at the cut, and parses it by
-    `_scan_matrix`'s rules, returning raw float64 values.  A newline byte
-    always ends a line, so the halves hold exactly the file's lines.  A
-    helper that cannot start is no split; a helper that fails otherwise
-    has its tail parsed here by `np.loadtxt`.  Any file either half
-    rejects or could read differently (a skipped blank line, a non-finite
-    entry, no data, a U+001C-U+001F separator, a tail whose width differs
-    from the head's) goes to `_scan_matrix`, the line-by-line reference
-    parser, which decides acceptance and names the bad field.
+    The file is opened once and parsed in C by `np.loadtxt`.  A regular
+    file of at least SPLIT_MIN_BYTES, with more than one usable CPU, is cut
+    just after the first newline past SPLIT_AT of its bytes (a newline
+    byte always ends a line): this process parses the head while a helper
+    interpreter (`_helper.read`) parses the tail, by `_scan_matrix`'s
+    rules, from the descriptor this process opened.  A helper that does
+    not deliver (it cannot start, exits non-zero or is killed, or returns
+    no rows or rows of another width) has its tail parsed here too.  Other
+    files are read whole.  Bytes either half rejects or could read
+    differently (a skipped blank line, a non-finite entry, no data, a
+    U+001C-U+001F separator, halves of different widths) go to
+    `_scan_matrix`, the line-by-line reference parser, which decides
+    acceptance and names the bad field.
     """
-    helper = a = None
     try:
-        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
-            # "input contained no data": the scan reports an empty file.
-            warnings.simplefilter("ignore", UserWarning)
-            cut = _split_point(fh.buffer)
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise MatrixFileError(f"{path}: cannot read: {exc.strerror}") from exc
+    with fh, warnings.catch_warnings():
+        # "input contained no data": the scan reports an empty file.
+        warnings.simplefilter("ignore", UserWarning)
+        cut, helper, rest = _split_point(fh), None, b""
+        try:
             if cut is not None:
-                fd = fh.fileno()
-                helper = _start_helper(_READ_TAIL, str(fd), str(cut), pass_fds=(fd,))
-            if helper is None:
-                a = _load_rows(fh)
-            else:
-                a = _load_rows(io.TextIOWrapper(io.BytesIO(fh.buffer.read(cut)),
-                                                encoding="utf-8"))
-                if a is not None:
-                    a = _with_tail(a, helper, fh)
-    except (OSError, ValueError):
-        a = None
-    finally:
-        _stop_helpers([helper])
-    if a is not None and np.isfinite(a).all():
-        return a
-    return _scan_matrix(path)
+                helper = _start_helper("read", fh.fileno(), cut, pass_fds=(fh.fileno(),))
+            data = fh.read(cut)
+            a = _load_rows(data)
+            if a is not None and cut is not None:
+                tail = _tail_rows(helper, a.shape[1])
+                if tail is None:
+                    rest = fh.read()
+                    tail = _load_rows(rest)
+                a = None if tail is None else np.concatenate((a, tail))
+        except ValueError:
+            a = None
+        finally:
+            _stop_helpers([helper])
+        if a is not None and np.isfinite(a).all():
+            return a
+        return _scan_matrix(path, data + rest + fh.read())
 
 
-def _load_rows(fh):
-    """`np.loadtxt` of the rest of text file `fh`, or None when it read no
-    data or fewer rows than there are lines (it skips blank ones).  A line
+def _load_rows(data: bytes):
+    """`np.loadtxt` of the text file `data`, or None when it read no data
+    or fewer rows than there are lines (it skips blank ones).  A line
     holding U+001C-U+001F, which `np.loadtxt` reads as space and float()
     rejects, raises a ValueError."""
     lines = 0
 
     def counted():
         nonlocal lines
-        for line in fh:
+        for line in io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"):
             if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
                 raise ValueError("a separator character: the scan decides")
             lines += 1
@@ -144,36 +147,34 @@ def _load_rows(fh):
     return a if a.size and a.shape[0] == lines else None
 
 
-def _scan_matrix(path) -> np.ndarray:
+def _scan_matrix(path, data: bytes) -> np.ndarray:
+    """The matrix in the bytes `data` read from `path`, parsed line by line;
+    a MatrixFileError names the first bad line and field."""
     rows: list[list[float]] = []
     width = None
-    try:
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
-    except OSError as exc:
-        raise MatrixFileError(f"{path}: cannot read: {exc.strerror}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.strip().split(",")
-            if fields == [""]:
-                raise MatrixFileError(f"{path}: line {lineno}: blank line")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    for lineno, line in enumerate(text, start=1):
+        fields = line.strip().split(",")
+        if fields == [""]:
+            raise MatrixFileError(f"{path}: line {lineno}: blank line")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise MatrixFileError(
+                f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
+        row = []
+        for col, field in enumerate(fields, start=1):
+            try:
+                value = float(field)
+            except ValueError:
                 raise MatrixFileError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
-            row = []
-            for col, field in enumerate(fields, start=1):
-                try:
-                    value = float(field)
-                except ValueError:
-                    raise MatrixFileError(
-                        f"{path}: line {lineno}: field {col}: "
-                        f"not a number: {field!r}") from None
-                if not np.isfinite(value):
-                    raise MatrixFileError(
-                        f"{path}: line {lineno}: field {col}: non-finite value")
-                row.append(value)
-            rows.append(row)
+                    f"{path}: line {lineno}: field {col}: "
+                    f"not a number: {field!r}") from None
+            if not np.isfinite(value):
+                raise MatrixFileError(
+                    f"{path}: line {lineno}: field {col}: non-finite value")
+            row.append(value)
+        rows.append(row)
     if not rows:
         raise MatrixFileError(f"{path}: empty matrix file")
     return np.array(rows, dtype=np.float64)
@@ -191,52 +192,6 @@ HELPER_MIN_ENTRIES = 2**17
 # its 40 % of a 600 x 1200 file within about 0.04 s of this process's 60 %.
 SPLIT_MIN_BYTES = 3 * 2**20
 SPLIT_AT = 0.6
-
-# The helpers run by the same interpreter as this process, under -I -S,
-# and import neither numpy nor usvt: their repr and float() are ours.
-#
-# Renders float64 rows of sys.argv[1] entries, read from stdin, to stdout
-# as `_write_rows` renders them.
-_RENDER_ROWS = """\
-import array, sys
-ncols = int(sys.argv[1])
-values = array.array("d", sys.stdin.buffer.read())
-with open(sys.stdout.fileno(), "w", encoding="utf-8", newline="", closefd=False) as out:
-    for i in range(0, len(values), ncols):
-        out.write(",".join(map(repr, values[i:i + ncols])))
-        out.write("\\n")
-"""
-# Parses the file open at descriptor sys.argv[1] from byte offset sys.argv[2]
-# on by the scan's rules (strict UTF-8, universal newlines, strip, split on
-# ",", float()) and writes the row count (8 bytes, little-endian) and the
-# float64 values to stdout.  os.pread leaves the descriptor's offset, which
-# it shares with read_matrix, alone.  A ragged row or a field float()
-# rejects, a blank line's too, makes it exit _TAIL_REJECTED; read_matrix
-# checks that every value is finite.  The scan's rules need no separator
-# rule: float() rejects U+001C-U+001F, and strip() removes them at a
-# line's ends in both.
-_TAIL_REJECTED = 3
-_READ_TAIL = f"""\
-import array, io, os, sys
-fd, at = int(sys.argv[1]), int(sys.argv[2])
-chunks = []
-while chunk := os.pread(fd, 1 << 26, at):
-    chunks.append(chunk)
-    at += len(chunk)
-rows, width, values = 0, None, array.array("d")
-try:
-    for line in io.TextIOWrapper(io.BytesIO(b"".join(chunks)), encoding="utf-8"):
-        fields = line.strip().split(",")
-        if width not in (None, len(fields)):
-            sys.exit({_TAIL_REJECTED})
-        width = len(fields)
-        values.extend(map(float, fields))  # float("") rejects a blank line
-        rows += 1
-except ValueError:  # a UnicodeDecodeError too
-    sys.exit({_TAIL_REJECTED})
-sys.stdout.buffer.write(rows.to_bytes(8, "little"))
-values.tofile(sys.stdout.buffer)
-"""
 
 
 def _usable_cpus() -> int:
@@ -260,43 +215,37 @@ def _split_point(fh):
     return cut if cut < info.st_size else None
 
 
-def _with_tail(head: np.ndarray, helper, fh):
-    """`head` with the rows of the rest of `fh` appended: the tail reader's,
-    or, when it did not exit 0 with at least one row, `_load_rows`'s.  None
-    when the tail reader rejected the tail or `_load_rows` returns None.
-    Rows not as wide as `head`'s raise a ValueError."""
-    if helper[0].wait() == _TAIL_REJECTED:
-        return None
+def _tail_rows(helper, width: int):
+    """The rows the tail reader `helper` delivered, or None when it did not:
+    it was not started, did not exit 0, or returned no rows or rows not
+    `width` wide."""
     out = _helper_output(helper)
-    data = out.read() if out is not None else b""
+    if out is None:
+        return None
+    data = out.read()
     rows = int.from_bytes(data[:8], "little")
-    if rows:
-        tail = np.frombuffer(data, dtype=np.float64, offset=8).reshape(rows, head.shape[1])
-    else:
-        tail = _load_rows(fh)
-        if tail is None:
-            return None
-    return np.concatenate((head, tail))
+    tail = np.frombuffer(data, dtype=np.float64, offset=8)
+    return tail.reshape(rows, width) if rows and tail.size == rows * width else None
 
 
 def write_matrix(path, matrix: np.ndarray) -> None:
-    """Write a matrix file: each row on one line, each entry in
-    format_float's rendering.
+    """Write a matrix file: each row on one line, as `_helper.line`
+    renders it.
 
     The bytes are always those of rendering the rows one by one, in order.
     An all-+0.0 matrix (a kept-0 denoise) is one rendered row repeated.  A
     matrix of at least HELPER_MIN_ENTRIES entries is cut into contiguous
     row blocks, one per usable CPU: this process renders the first block
-    while helper interpreters (`sys.executable -I -S`, no numpy) render the
-    others from their raw float64 bytes into temporary files, which are
-    then appended in order.  A block whose helper cannot start or does not
-    exit 0 is rendered here instead.
+    while helper interpreters (`_helper.render`) render the others from
+    their raw float64 bytes into temporary files, which are then appended
+    in order.  A block whose helper cannot start or does not exit 0 is
+    rendered here instead.
     """
     a = np.asarray(matrix, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if a.size and not a.any() and not np.signbit(a).any():
             # every entry is +0.0 (a kept-0 denoise): all rows render alike
-            line = ",".join(map(repr, a[0].tolist())) + "\n"
+            line = _helper.line(a[0].tolist())
             for _ in range(len(a)):
                 fh.write(line)
             return
@@ -305,33 +254,25 @@ def write_matrix(path, matrix: np.ndarray) -> None:
         helpers = []
         try:
             for block in rest:
-                helpers.append(_start_helper(_RENDER_ROWS, str(block.shape[1]), stdin=block))
-            _write_rows(fh, first)
-            for block, helper in zip(rest, helpers):
+                helpers.append(_start_helper("render", block.shape[1], stdin=block))
+            for block, helper in zip((first, *rest), (None, *helpers)):
                 out = _helper_output(helper)
-                if out is not None:
+                if out is None:
+                    # one row at a time keeps the boxed floats small next to the matrix
+                    fh.writelines(_helper.line(row.tolist()) for row in block)
+                else:
                     fh.flush()
                     shutil.copyfileobj(out, fh.buffer)
-                else:
-                    _write_rows(fh, block)
         finally:
             _stop_helpers(helpers)
 
 
-def _write_rows(fh, rows: np.ndarray) -> None:
-    for row in rows:
-        # repr of a Python float is format_float's rendering; one row at a
-        # time keeps the boxed floats small next to the matrix.
-        fh.write(",".join(map(repr, row.tolist())))
-        fh.write("\n")
-
-
-def _start_helper(code: str, *args: str, stdin: np.ndarray | None = None,
+def _start_helper(job: str, *args: int, stdin: np.ndarray | None = None,
                   pass_fds: tuple[int, ...] = ()):
-    """(process, output file) of a helper interpreter running `code` with
-    `args`, or None when it cannot be started.  Its stdin holds the raw
-    float64 bytes of `stdin` (devnull if None), its stdout goes to the
-    temporary output file, its stderr to devnull, and it inherits the
+    """(process, output file) of a helper interpreter running `_helper`'s
+    `job` with `args`, or None when it cannot be started.  Its stdin holds
+    the raw float64 bytes of `stdin` (devnull if None), its stdout goes to
+    the temporary output file, its stderr to devnull, and it inherits the
     descriptors in `pass_fds`."""
     import subprocess  # a few ms of start-up that only large reads and writes need
 
@@ -345,9 +286,9 @@ def _start_helper(code: str, *args: str, stdin: np.ndarray | None = None,
                 src.seek(0)
             out = tempfile.TemporaryFile()
             try:
-                proc = subprocess.Popen([sys.executable, "-I", "-S", "-c", code, *args],
-                                        stdin=src, stdout=out, stderr=subprocess.DEVNULL,
-                                        pass_fds=pass_fds)
+                proc = subprocess.Popen(
+                    [sys.executable, "-I", "-S", _helper.__file__, job, *map(str, args)],
+                    stdin=src, stdout=out, stderr=subprocess.DEVNULL, pass_fds=pass_fds)
             except BaseException:
                 out.close()
                 raise

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import usvt
-from usvt import DenoiseReport, MPLaw, cli, mse, signal_matrix, singular_values
+from usvt import DenoiseReport, MPLaw, _helper, cli, mse, signal_matrix, singular_values
 from usvt.cli import (
     MatrixFileError,
     main,
@@ -119,7 +119,7 @@ class TestParallelWrite:
         write_matrix(p, x)
         assert p.read_bytes() == row_loop(x)
         parts = min(4, shape[0]) if x.size >= cli.HELPER_MIN_ENTRIES else 1
-        assert len(helpers) == parts - 1 and all(helpers)
+        assert len(helpers) == parts - 1 and all(proc.returncode == 0 for proc, _ in helpers)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
     def test_edge_values_on_any_cpu_count(self, tmp_path, monkeypatch, helpers, count):
@@ -133,16 +133,15 @@ class TestParallelWrite:
         write_matrix(p, x)
         expected = row_loop(x)
         assert p.read_bytes() == expected
-        assert len(helpers) == count - 1
+        assert len(helpers) == count - 1 and all(proc.returncode == 0 for proc, _ in helpers)
         for text in (b"-0.0,", b"5e-324", b"-1.7976931348623157e+308", b"1e-05", b"1e+16",
                      b"12345.0", b"9007199254740992.0"):
             assert text in expected
 
-    def test_helper_alone_imports_no_numpy(self):
-        code = cli._RENDER_ROWS + "assert not [m for m in sys.modules if m.split('.')[0] in ('numpy', 'usvt')]\n"
+    def test_helper_alone_imports_no_numpy(self, helper_alone):
         x = np.array([[-0.0, 5e-324, 1e16], [1e-5, 2.0, -1.7976931348623157e308]])
-        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, "3"],
-                              input=x.tobytes(), capture_output=True, timeout=120)
+        proc, imported = helper_alone("render", "3", input=x.tobytes())
+        assert not [m for m in imported if m.split(".")[0] in ("numpy", "usvt")]
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == row_loop(x)
 
@@ -154,16 +153,17 @@ class TestParallelWrite:
         assert p.read_bytes() == row_loop(x) and helpers == []
 
     @pytest.mark.parametrize("how", ["missing", "empty", "exit-1", "killed"])
-    def test_failed_helper_block_is_rendered_here(self, tmp_path, monkeypatch, helpers, how):
+    def test_failed_helper_block_is_rendered_here(self, tmp_path, monkeypatch, helpers,
+                                                  fake_helper, how):
         cpus(monkeypatch, 3)
         if how == "missing":
             monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
         elif how == "empty":
             monkeypatch.setattr(sys, "executable", "")
         elif how == "exit-1":
-            monkeypatch.setattr(cli, "_RENDER_ROWS", "import sys; print('1.0'); sys.exit(1)")
+            fake_helper("import sys; print('1.0'); sys.exit(1)")
         else:
-            monkeypatch.setattr(cli, "_RENDER_ROWS", "import os, signal; os.kill(os.getpid(), signal.SIGKILL)")
+            fake_helper("import os, signal; os.kill(os.getpid(), signal.SIGKILL)")
         x = np.random.default_rng(3).standard_normal((600, 300))
         p = tmp_path / "m.txt"
         write_matrix(p, x)
@@ -175,11 +175,11 @@ class TestParallelWrite:
             assert all(proc.returncode != 0 for proc, _ in helpers)
 
     def test_failed_write_reaps_helpers(self, tmp_path, monkeypatch, helpers):
-        def failing(fh, rows):
+        def failing(row):
             raise OSError("no space left")
 
         cpus(monkeypatch, 3)
-        monkeypatch.setattr(cli, "_write_rows", failing)
+        monkeypatch.setattr(_helper, "line", failing)
         with pytest.raises(OSError, match="no space left"):
             write_matrix(tmp_path / "m.txt", np.ones((600, 300)))
         assert len(helpers) == 2 and all(helpers)
@@ -468,15 +468,20 @@ class TestDenoise:
     def test_failed_write_removes_its_own_partial_file(self, tmp_path, capsys, monkeypatch,
                                                        existing):
         # the output is opened, one row is written, then the disk is full
-        def one_row_then_full(fh, rows):
-            fh.write(",".join(map(repr, rows[0].tolist())) + "\n")
-            raise OSError(28, "No space left on device")
+        rendered = []
+
+        def one_row_then_full(row):
+            if rendered:
+                raise OSError(28, "No space left on device")
+            rendered.append(line(row))
+            return rendered[0]
 
         src, out, rep = (tmp_path / n for n in ("in.txt", "out.txt", "r.json"))
         write_matrix(src, np.random.default_rng(4).standard_normal((5, 9)))
         if existing:
             out.write_text("old")
-        monkeypatch.setattr(cli, "_write_rows", one_row_then_full)
+        line = _helper.line
+        monkeypatch.setattr(_helper, "line", one_row_then_full)
         assert main(["denoise", "--sigma", "0", "--input", str(src),
                      "--output", str(out), "--report", str(rep)]) == 1
         assert capsys.readouterr().err == "usvt: error: [Errno 28] No space left on device\n"
@@ -732,6 +737,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("usvt: error: ") and "overflows float64" in captured.err
         assert not out.exists() and not rep.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_a_bad_matrix_on_a_pipe_is_named_by_line_and_field(self):
+        # the pipe is read once, so the message comes from the bytes read
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(usvt.__file__).resolve().parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "usvt", "estimate-sigma", "--input", "/dev/stdin"],
+            input=b"1,2\n3,abc\n", capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == b"usvt: error: /dev/stdin: line 2: field 2: not a number: 'abc'\n"
 
     def test_import_loads_no_scipy(self):
         # scipy costs most of the start-up time; the package must not pull

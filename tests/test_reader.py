@@ -1,16 +1,18 @@
 """read_matrix (bulk parse) against _scan_matrix (line-by-line reference).
 
-Both readers must accept the same files with bit-identical arrays and
-reject the same files with the same error and message, whether
-read_matrix reads a file whole or split between itself and a helper.
+Both readers must accept the same bytes with bit-identical arrays and
+reject the same bytes with the same error and message, whether
+read_matrix reads a file whole, split between itself and a helper, or
+from a pipe.
 """
 
 import contextlib
 import os
-import subprocess
+import signal
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,10 @@ BAD_FIELDS = ["nan", "inf", "-inf", "1e400", "-1e400", "1_0", " 1.5", "1.5 ",
               "\x0c", " ", "1 2", "infinity"]
 # str.isspace() and np.loadtxt take these as space; float() does not
 SEPARATORS = [b"\x1c", b"\x1d", b"\x1e", b"\x1f"]
+
+
+def scan(path):
+    return _scan_matrix(path, Path(path).read_bytes())
 
 
 def outcome(reader, path):
@@ -99,6 +105,26 @@ def workdir(tmp_path_factory):
 
 
 @contextlib.contextmanager
+def fifo_of(data: bytes, directory):
+    """A named pipe in `directory` that a thread feeds `data` to once."""
+    fifo = directory / "fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield fifo
+    finally:
+        writer.join(timeout=60)
+        fifo.unlink()
+    assert not writer.is_alive()
+
+
+@contextlib.contextmanager
 def split_reads():
     """read_matrix splits every regular file it can cut, as on two CPUs."""
     with pytest.MonkeyPatch.context() as mp:
@@ -113,7 +139,7 @@ def matches_scan(workdir, x, draw):
     p.write_bytes(mutate(p.read_bytes(), draw))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert outcome(read_matrix, p) == outcome(_scan_matrix, p)
+        assert outcome(read_matrix, p) == outcome(scan, p)
 
 
 @settings(max_examples=300, deadline=None)
@@ -129,6 +155,21 @@ def test_split_reader_matches_scan(workdir, x, data):
         matches_scan(workdir, x, data.draw)
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@settings(max_examples=40, deadline=None)
+@given(x=matrices, data=st.data())
+def test_a_fifo_reads_as_the_scan_of_its_bytes(workdir, x, data):
+    # a pipe is read once: a rejected file's message comes from the bytes
+    # read, not from reopening the name
+    p = workdir / "m.txt"
+    write_matrix(p, x)
+    mutated = mutate(p.read_bytes(), data.draw)
+    with fifo_of(mutated, workdir) as fifo, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = outcome(lambda path: _scan_matrix(path, mutated), fifo)
+        assert outcome(read_matrix, fifo) == expected
+
+
 def forbidden(*args, **kwargs):
     raise AssertionError("not expected here")
 
@@ -141,7 +182,7 @@ def test_a_cut_at_any_line_boundary_reads_the_serial_array(tmp_path, helpers, ne
     p.write_bytes("".join(",".join(map(repr, row)) + newline
                           for row in x.tolist()).encode("utf-8"))
     serial = outcome(read_matrix, p)
-    assert serial == outcome(_scan_matrix, p) and helpers == []
+    assert serial == outcome(scan, p) and helpers == []
     data = p.read_bytes()
     # not the end of the file: _split_point reads such a file whole, and a
     # tail reader that returns no rows counts as failed
@@ -166,59 +207,75 @@ def with_lines(changed: dict) -> str:
     return "".join(lines)
 
 
-@pytest.mark.parametrize("how", ["split", "no-executable", "missing-executable", "exit-1",
-                                 "killed", "no-rows"])
-@pytest.mark.parametrize("text", [
-    GOOD,
-    with_lines({2: "abc,1,2\n"}),
-    with_lines({10: "1,2,abc\n"}),
-    with_lines({9: "1,2\n"}),
-    with_lines({9: "1,2,3,4\n", 10: "5,6\n"}),  # as many values as two rows
-    with_lines({7: "\n"}),  # shorter, so the cut moves up: the tail's first line
-    with_lines({8: "1,nan,2\n"}),
+# Helpers that do not deliver, and what each runs in place of `_helper`.
+FAKE_HELPERS = {
+    "exit-1": "raise SystemExit(1)",
+    "exit-3": "raise SystemExit(3)",
+    "killed": "import os, signal; os.kill(os.getpid(), signal.SIGKILL)",
+    "no-rows": "import sys; sys.stdout.buffer.write(bytes(8))",
+    # one row of two values: GOOD is three wide
+    "wrong-width": "import sys; sys.stdout.buffer.write((1).to_bytes(8, 'little') + bytes(16))",
+}
+
+
+@pytest.mark.parametrize("how", ["split", "no-executable", "missing-executable",
+                                 *FAKE_HELPERS])
+@pytest.mark.parametrize("text, tail_exit", [
+    (GOOD, 0),
+    (with_lines({2: "abc,1,2\n"}), None),  # killed once the head is rejected, or done
+    (with_lines({10: "1,2,abc\n"}), 1),
+    (with_lines({9: "1,2\n"}), 1),
+    (with_lines({9: "1,2,3,4\n", 10: "5,6\n"}), 1),  # as many values as two rows
+    (with_lines({7: "\n"}), 1),  # shorter, so the cut moves up: the tail's first line
+    (with_lines({8: "1,nan,2\n"}), 0),  # the finite check rejects it
 ], ids=["good", "head-field", "last-field", "tail-ragged", "tail-ragged-pair",
         "blank-at-cut", "tail-nan"])
-def test_split_or_failed_helper_reads_as_serial(tmp_path, helpers, how, text):
+def test_split_or_failed_helper_reads_as_serial(tmp_path, helpers, fake_helper, how, text,
+                                                tail_exit):
     p = tmp_path / "m.txt"
     p.write_text(text, encoding="utf-8")
     serial = outcome(read_matrix, p)
-    assert serial == outcome(_scan_matrix, p) and helpers == []
+    assert serial == outcome(scan, p) and helpers == []
     with split_reads() as mp:
         if text == GOOD:
-            # a helper that cannot start, dies or returns no rows says
-            # nothing of the file: it is read here, not by the slower scan
+            # a helper that does not deliver says nothing of the file: its
+            # tail is parsed here, not by the slower scan
             mp.setattr(cli, "_scan_matrix", forbidden)
         if how == "no-executable":
             mp.setattr(sys, "executable", "")
         elif how == "missing-executable":
             mp.setattr(sys, "executable", str(tmp_path / "no-python"))
-        elif how == "exit-1":
-            mp.setattr(cli, "_READ_TAIL", "raise SystemExit(1)")
-        elif how == "killed":
-            mp.setattr(cli, "_READ_TAIL", "import os, signal; os.kill(os.getpid(), signal.SIGKILL)")
-        elif how == "no-rows":
-            mp.setattr(cli, "_READ_TAIL", "import sys; sys.stdout.buffer.write(bytes(8))")
+        elif how != "split":
+            fake_helper(FAKE_HELPERS[how])
         assert outcome(read_matrix, p) == serial
     if how in ("no-executable", "missing-executable"):
         assert helpers == [None]
     else:
         assert len(helpers) == 1 and helpers[0] is not None
+    if text == GOOD and how in FAKE_HELPERS:  # the fake ran in place of the helper
+        assert helpers[0][0].returncode == {"exit-1": 1, "exit-3": 3,
+                                            "killed": -signal.SIGKILL}.get(how, 0)
+    if how == "split" and tail_exit is not None:
+        # the real helper delivers a good tail and exits non-zero on a bad one
+        assert (helpers[0][0].returncode != 0) == bool(tail_exit)
 
 
 def test_a_rejected_tail_goes_to_the_scan(tmp_path, helpers):
     p = tmp_path / "m.txt"
-    p.write_text(GOOD, encoding="utf-8")
+    p.write_text(with_lines({10: "1,2,abc\n"}), encoding="utf-8")
+    serial = outcome(read_matrix, p)
+    assert serial == ("MatrixFileError", f"{p}: line 10: field 3: not a number: 'abc'")
     scans = []
 
-    def scan(path):
-        scans.append(path)
-        return _scan_matrix(path)
+    def spy(path, data):
+        scans.append((path, data))
+        return _scan_matrix(path, data)
 
     with split_reads() as mp:
-        mp.setattr(cli, "_scan_matrix", scan)
-        mp.setattr(cli, "_READ_TAIL", f"raise SystemExit({cli._TAIL_REJECTED})")
-        assert outcome(read_matrix, p) == outcome(_scan_matrix, p)
-    assert scans == [p] and len(helpers) == 1
+        mp.setattr(cli, "_scan_matrix", spy)
+        assert outcome(read_matrix, p) == serial
+    assert scans == [(p, p.read_bytes())]
+    assert len(helpers) == 1 and helpers[0][0].returncode != 0
 
 
 def test_the_helper_reads_the_file_this_process_opened(tmp_path, helpers):
@@ -271,17 +328,16 @@ def test_a_name_for_stdin_is_read_whole(tmp_path, helpers, name):
     (b"7.5,-7,1e-7\n\n", True),
     (b"7.5,-7,1e-7\xff\n", True),
 ], ids=["good", "field", "ragged", "blank", "non-utf8"])
-def test_tail_reader_alone(tmp_path, tail, rejected):
+def test_tail_reader_alone(tmp_path, helper_alone, tail, rejected):
     # run as read_matrix runs it, from the descriptor at the cut; it
     # imports neither numpy nor usvt
     p = tmp_path / "m.txt"
     p.write_bytes(b"1,2,3\n" + tail)
-    code = cli._READ_TAIL + "assert not [m for m in sys.modules if m.split('.')[0] in ('numpy', 'usvt')]\n"
     with open(p, "rb") as fh:
-        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(fh.fileno()), "6"],
-                              pass_fds=(fh.fileno(),), capture_output=True, timeout=120)
+        proc, imported = helper_alone("read", str(fh.fileno()), "6", pass_fds=(fh.fileno(),))
+    assert not [m for m in imported if m.split(".")[0] in ("numpy", "usvt")]
     if rejected:
-        assert proc.returncode == cli._TAIL_REJECTED
+        assert proc.returncode != 0
     else:
         assert proc.returncode == 0, proc.stderr
         assert int.from_bytes(proc.stdout[:8], "little") == 2
@@ -294,7 +350,7 @@ def test_one_cpu_starts_no_helper(tmp_path):
     with split_reads() as mp:
         mp.setattr(cli, "_usable_cpus", lambda: 1)
         mp.setattr(cli, "_start_helper", forbidden)
-        assert outcome(read_matrix, p) == outcome(_scan_matrix, p)
+        assert outcome(read_matrix, p) == outcome(scan, p)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -303,22 +359,10 @@ def test_a_fifo_is_read_whole_without_a_seek(tmp_path):
     p = tmp_path / "m.txt"
     write_matrix(p, x)
     data = p.read_bytes()
-    fifo = tmp_path / "fifo"
-    os.mkfifo(fifo)
-
-    def feed():
-        with open(fifo, "wb") as fh:
-            fh.write(data)
-
-    writer = threading.Thread(target=feed, daemon=True)
-    writer.start()
-    with split_reads() as mp:
+    with fifo_of(data, tmp_path) as fifo, split_reads() as mp:
         mp.setattr(cli, "_start_helper", forbidden)
-        # a seek on the pipe fails, and a fallback scan would reopen it
-        mp.setattr(cli, "_scan_matrix", forbidden)
+        mp.setattr(cli, "_scan_matrix", forbidden)  # a seek on the pipe fails
         a = read_matrix(fifo)
-    writer.join(timeout=60)
-    assert not writer.is_alive()
     assert len(data) > 2**16 and a.view(np.int64).tobytes() == x.view(np.int64).tobytes()
 
 
@@ -330,14 +374,14 @@ def test_empty_file_warns_nothing(tmp_path, text):
         warnings.simplefilter("error")
         with pytest.raises(MatrixFileError) as exc:
             read_matrix(p)
-    assert str(exc.value) == outcome(_scan_matrix, p)[1]
+    assert str(exc.value) == outcome(scan, p)[1]
 
 
 @pytest.mark.parametrize("sep", SEPARATORS)
 def test_separator_after_a_number_is_rejected(tmp_path, sep):
     p = tmp_path / "m.txt"
     p.write_bytes(b"1" + sep + b",2\n3,4\n")
-    assert outcome(read_matrix, p) == outcome(_scan_matrix, p)
+    assert outcome(read_matrix, p) == outcome(scan, p)
     with pytest.raises(MatrixFileError, match="line 1: field 1: not a number"):
         read_matrix(p)
 
@@ -370,7 +414,7 @@ def test_non_utf8_byte_names_path_line_and_field(tmp_path):
     # decoded with surrogateescape, a bad byte is a field float() rejects
     p = tmp_path / "m.txt"
     p.write_bytes(b"1,2\n3,\xff\n")
-    assert outcome(read_matrix, p) == outcome(_scan_matrix, p)
+    assert outcome(read_matrix, p) == outcome(scan, p)
     with pytest.raises(MatrixFileError) as exc:
         read_matrix(p)
     assert str(exc.value) == f"{p}: line 2: field 2: not a number: '\\udcff'"
