@@ -1,4 +1,4 @@
-"""The rules that matrix files are rendered and parsed by on other CPUs.
+"""The matrix-file format: how a row is rendered and how a file is parsed.
 
 `cli` imports this module, and a helper interpreter runs it by path as
 `python -I -S _helper.py render NCOLS` or `... read FD OFFSET`.  It
@@ -7,9 +7,10 @@ usvt, and its repr and float() are those of the command that started it.
 Any failure exits non-zero; the command then does the job itself.
 """
 
-import array
 import io
+import math
 import os
+import struct
 import sys
 
 
@@ -21,32 +22,55 @@ def line(row) -> str:
 
 def render(ncols: int) -> None:
     """Write the float64 values on stdin to stdout as rows of `ncols`."""
-    values = array.array("d", sys.stdin.buffer.read())
+    values = memoryview(sys.stdin.buffer.read()).cast("d")
     with open(sys.stdout.fileno(), "w", encoding="utf-8", newline="", closefd=False) as out:
         out.writelines(line(values[i:i + ncols]) for i in range(0, len(values), ncols))
 
 
+def parse(data: bytes):
+    """(width, float64 bytes) of the matrix file `data`, by its rules: UTF-8,
+    universal newlines, no blank line, each line stripped and split on ",",
+    every field finite by float(), one width.  A ValueError names the first
+    bad line and field; a byte that is not UTF-8 is a field float() rejects."""
+    width, values = 0, bytearray()
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    for lineno, text_line in enumerate(text, start=1):
+        fields = text_line.strip().split(",")
+        if fields == [""]:
+            raise ValueError(f"line {lineno}: blank line")
+        width = width or len(fields)
+        if len(fields) != width:
+            raise ValueError(f"line {lineno}: expected {width} fields, got {len(fields)}")
+        try:
+            row = list(map(float, fields))
+            if not math.isfinite(sum(row)):
+                raise ValueError
+        except ValueError:  # name the bad field; a finite row whose sum overflows keeps `row`
+            for col, field in enumerate(fields, start=1):
+                try:
+                    value = float(field)
+                except ValueError:
+                    raise ValueError(
+                        f"line {lineno}: field {col}: not a number: {field!r}") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"line {lineno}: field {col}: non-finite value")
+        values += struct.pack(f"{width}d", *row)
+    if not width:
+        raise ValueError("empty matrix file")
+    return width, values
+
+
 def read(fd: int, at: int) -> None:
-    """Parse the file open at descriptor `fd` from byte `at` on by the
-    reference parser's rules (strict UTF-8, universal newlines, strip,
-    split on ",", float()) and write the row count (8 bytes, little-endian)
-    and the float64 values to stdout.  A ragged row, a blank line or a
-    field float() rejects raises.  os.pread leaves the descriptor's offset,
-    which it shares with the command, alone."""
+    """`parse` the file open at descriptor `fd` from byte `at` on; write the
+    row count (8 bytes, little-endian) and the float64 values to stdout.
+    os.pread leaves the offset, which the command shares, alone."""
     chunks = []
     while chunk := os.pread(fd, 1 << 26, at):
         chunks.append(chunk)
         at += len(chunk)
-    rows, width, values = 0, None, array.array("d")
-    for text in io.TextIOWrapper(io.BytesIO(b"".join(chunks)), encoding="utf-8"):
-        fields = text.strip().split(",")
-        if width not in (None, len(fields)):
-            raise ValueError(f"row {rows + 1}: expected {width} fields, got {len(fields)}")
-        width = len(fields)
-        values.extend(map(float, fields))  # float("") rejects a blank line
-        rows += 1
-    sys.stdout.buffer.write(rows.to_bytes(8, "little"))
-    values.tofile(sys.stdout.buffer)
+    width, values = parse(b"".join(chunks))
+    sys.stdout.buffer.write((len(values) // (8 * width)).to_bytes(8, "little"))
+    sys.stdout.buffer.write(values)
 
 
 if __name__ == "__main__":

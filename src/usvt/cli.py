@@ -90,15 +90,13 @@ def read_matrix(path) -> np.ndarray:
     file of at least SPLIT_MIN_BYTES, with more than one usable CPU, is cut
     just after the first newline past SPLIT_AT of its bytes (a newline
     byte always ends a line): this process parses the head while a helper
-    interpreter (`_helper.read`) parses the tail, by `_scan_matrix`'s
-    rules, from the descriptor this process opened.  A helper that does
-    not deliver (it cannot start, exits non-zero or is killed, or returns
-    no rows or rows of another width) has its tail parsed here too.  Other
-    files are read whole.  Bytes either half rejects or could read
-    differently (a skipped blank line, a non-finite entry, no data, a
-    U+001C-U+001F separator, halves of different widths) go to
-    `_scan_matrix`, the line-by-line reference parser, which decides
-    acceptance and names the bad field.
+    interpreter runs `_helper.parse` on the tail, read from the descriptor
+    this process opened.  A helper that does not deliver (it cannot start,
+    fails, or returns no rows or rows of another width) has its tail parsed
+    here too.  Other files are read whole.  Bytes `np.loadtxt` rejects or
+    could read differently (a skipped blank line, a non-finite entry, no
+    data, a U+001C-U+001F separator, halves of different widths) go to
+    `_scan_matrix`, which decides acceptance and names the bad field.
     """
     try:
         fh = open(path, "rb")
@@ -148,36 +146,13 @@ def _load_rows(data: bytes):
 
 
 def _scan_matrix(path, data: bytes) -> np.ndarray:
-    """The matrix in the bytes `data` read from `path`, parsed line by line;
-    a MatrixFileError names the first bad line and field."""
-    rows: list[list[float]] = []
-    width = None
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
-    for lineno, line in enumerate(text, start=1):
-        fields = line.strip().split(",")
-        if fields == [""]:
-            raise MatrixFileError(f"{path}: line {lineno}: blank line")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise MatrixFileError(
-                f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
-        row = []
-        for col, field in enumerate(fields, start=1):
-            try:
-                value = float(field)
-            except ValueError:
-                raise MatrixFileError(
-                    f"{path}: line {lineno}: field {col}: "
-                    f"not a number: {field!r}") from None
-            if not np.isfinite(value):
-                raise MatrixFileError(
-                    f"{path}: line {lineno}: field {col}: non-finite value")
-            row.append(value)
-        rows.append(row)
-    if not rows:
-        raise MatrixFileError(f"{path}: empty matrix file")
-    return np.array(rows, dtype=np.float64)
+    """The matrix in the bytes `data` read from `path`, by `_helper.parse`;
+    a MatrixFileError names the path and the first bad line and field."""
+    try:
+        width, values = _helper.parse(data)
+    except ValueError as exc:
+        raise MatrixFileError(f"{path}: {exc}") from None
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, width)
 
 
 # A matrix of at least this many entries is rendered on every usable CPU.
@@ -365,14 +340,14 @@ def _write_all(*writes) -> None:
 
 
 def _check_distinct(*outputs) -> None:
-    """Usage error when two (flag, path) outputs name the same file, whose
-    later write would replace the earlier one's data.  A path of None is a
-    flag not given."""
+    """Usage error when two (flag, path) outputs name the same regular file,
+    or one not made yet, whose later write would replace the earlier one's
+    data; a device or a pipe may take both.  A path of None is a flag not given."""
     outputs = [(flag, path) for flag, path in outputs if path is not None]
     for i, (flag, path) in enumerate(outputs):
         for other_flag, other in outputs[:i]:
             try:
-                same = os.path.samefile(path, other)
+                same = os.path.samefile(path, other) and os.path.isfile(path)
             except OSError:  # one of them does not exist yet
                 same = os.path.realpath(path) == os.path.realpath(other)
             if same:

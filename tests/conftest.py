@@ -56,7 +56,7 @@ def helper_alone():
         imported = [line.rpartition("|")[2].strip()
                     for line in proc.stderr.decode(errors="replace").splitlines()
                     if line.startswith("import time:")]
-        assert "array" in imported  # importtime did list the imports
+        assert "struct" in imported  # importtime did list the imports
         return proc, imported
 
     return run

@@ -141,7 +141,8 @@ class TestParallelWrite:
     def test_helper_alone_imports_no_numpy(self, helper_alone):
         x = np.array([[-0.0, 5e-324, 1e16], [1e-5, 2.0, -1.7976931348623157e308]])
         proc, imported = helper_alone("render", "3", input=x.tobytes())
-        assert not [m for m in imported if m.split(".")[0] in ("numpy", "usvt")]
+        assert not [m for m in imported
+                    if m.split(".")[0] in ("numpy", "usvt", "array", "collections")]
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == row_loop(x)
 
@@ -454,6 +455,15 @@ class TestDenoise:
             assert out.read_text() == "kept"
         else:
             assert not out.exists()
+
+    def test_output_and_report_on_one_device_is_allowed(self, tmp_path, capsys):
+        # the later write replaces nothing on a device: only a regular file is refused
+        src = tmp_path / "in.txt"
+        write_matrix(src, np.random.default_rng(4).standard_normal((5, 9)))
+        assert main(["denoise", "--input", str(src), "--output", os.devnull,
+                     "--report", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert list(tmp_path.iterdir()) == [src]
 
     def test_failed_write_removes_a_symlinks_target_not_the_link(self, tmp_path, capsys):
         src, target, link = tmp_path / "in.txt", tmp_path / "target.txt", tmp_path / "link"

@@ -227,7 +227,7 @@ FAKE_HELPERS = {
     (with_lines({9: "1,2\n"}), 1),
     (with_lines({9: "1,2,3,4\n", 10: "5,6\n"}), 1),  # as many values as two rows
     (with_lines({7: "\n"}), 1),  # shorter, so the cut moves up: the tail's first line
-    (with_lines({8: "1,nan,2\n"}), 0),  # the finite check rejects it
+    (with_lines({8: "1,nan,2\n"}), 1),
 ], ids=["good", "head-field", "last-field", "tail-ragged", "tail-ragged-pair",
         "blank-at-cut", "tail-nan"])
 def test_split_or_failed_helper_reads_as_serial(tmp_path, helpers, fake_helper, how, text,
@@ -321,27 +321,32 @@ def test_a_name_for_stdin_is_read_whole(tmp_path, helpers, name):
     assert len(helpers) == 1 and helpers[0][0].returncode == 0
 
 
-@pytest.mark.parametrize("tail, rejected", [
-    (b"7.5,-7,1e-7\r\n8.5,-8,1e-8", False),
-    (b"7.5,-7,abc\n", True),
-    (b"7.5,-7,1e-7\n8.5,-8\n", True),  # within the tail; against the head, the join checks
-    (b"7.5,-7,1e-7\n\n", True),
-    (b"7.5,-7,1e-7\xff\n", True),
-], ids=["good", "field", "ragged", "blank", "non-utf8"])
-def test_tail_reader_alone(tmp_path, helper_alone, tail, rejected):
+BIG = 1.7976931348623157e308  # two of them are finite, their sum is not
+
+
+@pytest.mark.parametrize("tail, expected", [
+    (b"7.5,-7,1e-7\r\n8.5,-8,1e-8", [7.5, -7, 1e-7, 8.5, -8, 1e-8]),
+    (b"7.5,-7,abc\n", None),
+    (b"7.5,-7,1e-7\n8.5,-8\n", None),  # within the tail; against the head, the join checks
+    (b"7.5,-7,1e-7\n\n", None),
+    (b"7.5,-7,1e-7\xff\n", None),
+    (b"7.5,-7,1e-7\n%r,%r,1\n" % (BIG, BIG), [7.5, -7, 1e-7, BIG, BIG, 1]),
+], ids=["good", "field", "ragged", "blank", "non-utf8", "sum-overflows"])
+def test_tail_reader_alone(tmp_path, helper_alone, tail, expected):
     # run as read_matrix runs it, from the descriptor at the cut; it
-    # imports neither numpy nor usvt
+    # imports neither numpy nor usvt, nor array and the collections it imports
     p = tmp_path / "m.txt"
     p.write_bytes(b"1,2,3\n" + tail)
     with open(p, "rb") as fh:
         proc, imported = helper_alone("read", str(fh.fileno()), "6", pass_fds=(fh.fileno(),))
-    assert not [m for m in imported if m.split(".")[0] in ("numpy", "usvt")]
-    if rejected:
+    assert not [m for m in imported
+                if m.split(".")[0] in ("numpy", "usvt", "array", "collections")]
+    if expected is None:
         assert proc.returncode != 0
     else:
         assert proc.returncode == 0, proc.stderr
         assert int.from_bytes(proc.stdout[:8], "little") == 2
-        assert np.frombuffer(proc.stdout[8:]).tolist() == [7.5, -7, 1e-7, 8.5, -8, 1e-8]
+        assert np.frombuffer(proc.stdout[8:]).tolist() == expected
 
 
 def test_one_cpu_starts_no_helper(tmp_path):
@@ -390,6 +395,7 @@ def test_separator_after_a_number_is_rejected(tmp_path, sep):
     ("1_0,2\n", [[10.0, 2.0]]),
     ("١,2\n", [[1.0, 2.0]]),
     ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    (f"{BIG!r},{BIG!r}\n", [[BIG, BIG]]),
 ])
 def test_python_float_syntax_accepted(tmp_path, text, expected):
     p = tmp_path / "m.txt"
