@@ -1,7 +1,7 @@
 """The matrix-file format: how a row is rendered and how a file is parsed.
 
 `cli` imports this module, and a helper interpreter runs it by path as
-`python -I -S _helper.py render NCOLS` or `... read FD OFFSET`.  It
+`python -I -S _helper.py render NCOLS` or `... read FD START END`.  It
 imports only the standard library, so a helper starts without numpy or
 usvt, and its repr and float() are those of the command that started it.
 Any failure exits non-zero; the command then does the job itself.
@@ -60,14 +60,14 @@ def parse(data: bytes):
     return width, values
 
 
-def read(fd: int, at: int) -> None:
-    """`parse` the file open at descriptor `fd` from byte `at` on; write the
-    row count (8 bytes, little-endian) and the float64 values to stdout.
-    os.pread leaves the offset, which the command shares, alone."""
+def read(fd: int, start: int, end: int) -> None:
+    """`parse` bytes `start` to `end` of the file open at descriptor `fd`;
+    write the row count (8 bytes, little-endian) and the float64 values to
+    stdout.  os.pread leaves the offset, which the command shares, alone."""
     chunks = []
-    while chunk := os.pread(fd, 1 << 26, at):
+    while start < end and (chunk := os.pread(fd, min(end - start, 1 << 26), start)):
         chunks.append(chunk)
-        at += len(chunk)
+        start += len(chunk)
     width, values = parse(b"".join(chunks))
     sys.stdout.buffer.write((len(values) // (8 * width)).to_bytes(8, "little"))
     sys.stdout.buffer.write(values)

@@ -5,6 +5,10 @@ entries, no header.  Floats in all emitted files use the shortest
 round-trip rendering (at most 17 significant digits) so outputs are
 byte-stable.  Data goes to stdout, diagnostics to stderr; exit codes are
 0 on success, 2 for usage errors, 1 for runtime failures.
+
+`_helper.parse` is the one matrix-file parser and `_helper.line` the one
+row renderer.  A large file is read, and a large matrix written, in one
+part per usable CPU: this process does the first, helpers the others.
 """
 
 from __future__ import annotations
@@ -12,20 +16,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import io
 import json
 import os
 import shutil
 import stat
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import _helper
-from .estimators import DEFAULT_ETA, _check_eta, _check_sigma, estimate_sigma, usvt_denoise
+from .estimators import DEFAULT_ETA, _check_eta, _check_sigma, _denoise, _sigma_hat
 from .mp_law import MPLaw
 from .simulate import (
     NOISE_KINDS,
@@ -38,7 +40,7 @@ from .simulate import (
     preset_config,
     run_experiment,
 )
-from .spectral import SvdConvergenceError, singular_values
+from .spectral import SvdConvergenceError, _SpectralPass, singular_values
 
 
 def _list_of(kind, noun: str):
@@ -86,63 +88,26 @@ def format_float(value: float) -> str:
 def read_matrix(path) -> np.ndarray:
     """Parse a matrix file into a finite 2-d float64 array.
 
-    The file is opened once and parsed in C by `np.loadtxt`.  A regular
-    file of at least SPLIT_MIN_BYTES, with more than one usable CPU, is cut
-    just after the first newline past SPLIT_AT of its bytes (a newline
-    byte always ends a line): this process parses the head while a helper
-    interpreter runs `_helper.parse` on the tail, read from the descriptor
-    this process opened.  A helper that does not deliver (it cannot start,
-    fails, or returns no rows or rows of another width) has its tail parsed
-    here too.  Other files are read whole.  Bytes `np.loadtxt` rejects or
-    could read differently (a skipped blank line, a non-finite entry, no
-    data, a U+001C-U+001F separator, halves of different widths) go to
-    `_scan_matrix`, which decides acceptance and names the bad field.
+    The file is opened once.  A regular file of at least SPLIT_MIN_BYTES is
+    cut at newlines into one part per usable CPU (`_cuts`): this process
+    parses the first part and helper interpreters the others (`_helper.read`
+    on the descriptor this process opened); a part whose helper does not
+    deliver is parsed here.  Any other file, and a cut file with a rejected
+    part or parts of different widths, go to `_scan_matrix`: one parse of
+    the bytes read, which names the file's own bad line and field.
     """
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise MatrixFileError(f"{path}: cannot read: {exc.strerror}") from exc
-    with fh, warnings.catch_warnings():
-        # "input contained no data": the scan reports an empty file.
-        warnings.simplefilter("ignore", UserWarning)
-        cut, helper, rest = _split_point(fh), None, b""
-        try:
-            if cut is not None:
-                helper = _start_helper("read", fh.fileno(), cut, pass_fds=(fh.fileno(),))
-            data = fh.read(cut)
-            a = _load_rows(data)
-            if a is not None and cut is not None:
-                tail = _tail_rows(helper, a.shape[1])
-                if tail is None:
-                    rest = fh.read()
-                    tail = _load_rows(rest)
-                a = None if tail is None else np.concatenate((a, tail))
-        except ValueError:
-            a = None
-        finally:
-            _stop_helpers([helper])
-        if a is not None and np.isfinite(a).all():
-            return a
-        return _scan_matrix(path, data + rest + fh.read())
-
-
-def _load_rows(data: bytes):
-    """`np.loadtxt` of the text file `data`, or None when it read no data
-    or fewer rows than there are lines (it skips blank ones).  A line
-    holding U+001C-U+001F, which `np.loadtxt` reads as space and float()
-    rejects, raises a ValueError."""
-    lines = 0
-
-    def counted():
-        nonlocal lines
-        for line in io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"):
-            if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
-                raise ValueError("a separator character: the scan decides")
-            lines += 1
-            yield line
-
-    a = np.loadtxt(counted(), delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-    return a if a.size and a.shape[0] == lines else None
+    with fh:
+        cuts = _cuts(fh)
+        if cuts is not None:
+            try:
+                return _read_parts(fh, cuts)
+            except ValueError:
+                fh.seek(0)
+        return _scan_matrix(path, fh.read())
 
 
 def _scan_matrix(path, data: bytes) -> np.ndarray:
@@ -156,17 +121,17 @@ def _scan_matrix(path, data: bytes) -> np.ndarray:
 
 
 # A matrix of at least this many entries is rendered on every usable CPU.
-# Starting a helper interpreter costs about 11 ms, which rendering about
-# 33k entries repays; below this, one process renders the whole matrix.
+# Starting a helper interpreter costs about 18 ms, which rendering about
+# 22k entries (0.8 us each) repays; below this, one process renders the
+# whole matrix.
 HELPER_MIN_ENTRIES = 2**17
-# A regular file of at least this many bytes is read on two CPUs, cut just
-# after the first newline past SPLIT_AT of its bytes.  On a 2-CPU host a
-# split read of a square matrix broke even with the serial one at about
-# 2.4 MB, where the helper's start-up and the join cost what the split
-# saves.  At SPLIT_AT the helper, which also pays its start-up, finished
-# its 40 % of a 600 x 1200 file within about 0.04 s of this process's 60 %.
-SPLIT_MIN_BYTES = 3 * 2**20
-SPLIT_AT = 0.6
+# A regular file of at least this many bytes is read on every usable CPU.
+# On a 2-CPU host a two-part read of a square %.17g matrix broke even with
+# the serial parse between 4.0 and 6.0 MB in three of four runs (3.0 and
+# 3.5 MB in the fourth): the helper's start-up and the parsers' contention
+# for the host's cores cost what the split saves.  At 14.5 MB it took 0.53
+# of the serial time.
+SPLIT_MIN_BYTES = 4 * 2**20
 
 
 def _usable_cpus() -> int:
@@ -176,31 +141,63 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _split_point(fh):
-    """The byte offset at which `read_matrix` cuts the binary file `fh`, or
-    None to read it whole.  Leaves `fh` at its start."""
+def _cuts(fh):
+    """The byte offsets, from 0 to the size, that cut the binary file `fh`
+    into one part per usable CPU, or None to read it whole.  For k CPUs,
+    cut i falls just after the first newline at or past i/k of the bytes;
+    cuts that coincide, or fall at the end, merge, so no part is empty.
+    Leaves `fh` at its start."""
     info = os.fstat(fh.fileno())
+    parts = _usable_cpus()
     if not (stat.S_ISREG(info.st_mode) and info.st_size >= SPLIT_MIN_BYTES
-            and _usable_cpus() > 1 and hasattr(os, "pread")):
+            and parts > 1 and hasattr(os, "pread")):
         return None
-    fh.seek(int(info.st_size * SPLIT_AT))
-    fh.readline()
-    cut = fh.tell()
+    cuts = [0]
+    for i in range(1, parts):
+        fh.seek(info.st_size * i // parts)
+        fh.readline()
+        cuts.append(fh.tell())
     fh.seek(0)
-    return cut if cut < info.st_size else None
+    cuts = list(dict.fromkeys([*cuts, info.st_size]))
+    return cuts if len(cuts) > 2 else None
 
 
-def _tail_rows(helper, width: int):
-    """The rows the tail reader `helper` delivered, or None when it did not:
-    it was not started, did not exit 0, or returned no rows or rows not
-    `width` wide."""
+def _read_parts(fh, cuts) -> np.ndarray:
+    """The matrix in the binary file `fh` cut at the byte offsets `cuts`:
+    the first part parsed here, each other part by a helper, or here when
+    its helper does not deliver.  Raises ValueError when a part is rejected
+    or the parts differ in width."""
+    parts = list(zip(cuts, cuts[1:]))
+    helpers = []
+    try:
+        for start, end in parts[1:]:
+            helpers.append(_start_helper("read", fh.fileno(), start, end,
+                                         pass_fds=(fh.fileno(),)))
+        width, values = 0, bytearray()
+        for (start, end), helper in zip(parts, (None, *helpers)):
+            part = _delivered(helper, width)
+            if part is None:
+                fh.seek(start)
+                part_width, part = _helper.parse(fh.read(end - start))
+                width = width or part_width
+                if part_width != width:
+                    raise ValueError("parts of different widths")
+            values += part
+    finally:
+        _stop_helpers(helpers)
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, width)
+
+
+def _delivered(helper, width: int):
+    """The float64 bytes of the rows the part reader `helper` delivered, or
+    None when it did not: it was not started, did not exit 0, or returned
+    no rows or rows not `width` wide."""
     out = _helper_output(helper)
     if out is None:
         return None
-    data = out.read()
+    data = memoryview(out.read())
     rows = int.from_bytes(data[:8], "little")
-    tail = np.frombuffer(data, dtype=np.float64, offset=8)
-    return tail.reshape(rows, width) if rows and tail.size == rows * width else None
+    return data[8:] if rows and len(data) == 8 + 8 * rows * width else None
 
 
 def write_matrix(path, matrix: np.ndarray) -> None:
@@ -410,8 +407,8 @@ def _cmd_mp_quantile(args) -> int:
 
 
 def _cmd_estimate_sigma(args) -> int:
-    matrix = read_matrix(args.input)
-    print(format_float(estimate_sigma(matrix)))
+    a = read_matrix(args.input)
+    print(format_float(_sigma_hat(_SpectralPass(a).values, a.shape)))
     return 0
 
 
@@ -423,10 +420,10 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_denoise(args) -> int:
     _check_distinct(("--output", args.output), ("--report", args.report))
-    _checked("--eta", _check_eta, args.eta)
-    if args.sigma is not None:
-        _checked("--sigma", _check_sigma, args.sigma)
-    denoised, report = usvt_denoise(read_matrix(args.input), args.sigma, args.eta)
+    eta = _checked("--eta", _check_eta, args.eta)
+    sigma = None if args.sigma is None else _checked("--sigma", _check_sigma, args.sigma)
+    a = read_matrix(args.input)
+    denoised, report = _denoise(a, a.shape, sigma, eta)
     _write_all((write_matrix, args.output, denoised), (write_report, args.report, report))
     return 0
 

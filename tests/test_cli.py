@@ -302,9 +302,9 @@ class TestSpectrum:
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
     def test_dev_stdin_above_the_split_threshold(self, tmp_path):
-        # on two or more CPUs the file is split: the tail must come from
-        # the file on stdin, not from whatever /dev/stdin is in a helper
-        x = np.random.default_rng(8).standard_normal((300, 600))
+        # on two or more CPUs the file is split: the later parts must come
+        # from the file on stdin, not from whatever /dev/stdin is in a helper
+        x = np.random.default_rng(8).standard_normal((300, 800))
         p = tmp_path / "x.txt"
         write_matrix(p, x)
         assert p.stat().st_size >= cli.SPLIT_MIN_BYTES

@@ -2,11 +2,12 @@
 
 Both readers must accept the same bytes with bit-identical arrays and
 reject the same bytes with the same error and message, whether
-read_matrix reads a file whole, split between itself and a helper, or
-from a pipe.
+read_matrix reads a file whole, cut into parts between itself and
+helpers, or from a pipe.
 """
 
 import contextlib
+import itertools
 import os
 import signal
 import sys
@@ -20,14 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from usvt import cli
+from usvt import _helper, cli
 from usvt.cli import MatrixFileError, _scan_matrix, read_matrix, write_matrix
 
 BAD_FIELDS = ["nan", "inf", "-inf", "1e400", "-1e400", "1_0", " 1.5", "1.5 ",
               "\t2", "+1", "-0", "", "x", "0x10", "1;2", '"1"', "١٢", "1\x00",
               "\x0c", " ", "1 2", "infinity"]
-# str.isspace() and np.loadtxt take these as space; float() does not
+# str.isspace() takes these as space, so a line's strip() drops them at its
+# ends, but float() rejects them within a field
 SEPARATORS = [b"\x1c", b"\x1d", b"\x1e", b"\x1f"]
+BIG = 1.7976931348623157e308  # two of them are finite, their sum is not
 
 
 def scan(path):
@@ -90,8 +93,8 @@ matrices = arrays(
 )
 
 
-# Files of 2 to 8 rows: the cut past 60 % of the bytes leaves lines on
-# both sides of it.
+# Files of 2 to 8 rows: cut into 2 to 4 parts, they leave lines on both
+# sides of a cut, and the shortest merge cuts.
 multirow_matrices = arrays(
     np.float64,
     st.tuples(st.integers(2, 8), st.integers(1, 5)),
@@ -125,11 +128,11 @@ def fifo_of(data: bytes, directory):
 
 
 @contextlib.contextmanager
-def split_reads():
-    """read_matrix splits every regular file it can cut, as on two CPUs."""
+def split_reads(cpus=2):
+    """read_matrix splits every regular file it can cut, as on `cpus` CPUs."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "SPLIT_MIN_BYTES", 0)
-        mp.setattr(cli, "_usable_cpus", lambda: 2)
+        mp.setattr(cli, "_usable_cpus", lambda: cpus)
         yield mp
 
 
@@ -148,10 +151,11 @@ def test_bulk_reader_matches_scan(workdir, x, data):
     matches_scan(workdir, x, data.draw)
 
 
+@pytest.mark.parametrize("cpus", [2, 3, 4])
 @settings(max_examples=150, deadline=None)
 @given(x=multirow_matrices, data=st.data())
-def test_split_reader_matches_scan(workdir, x, data):
-    with split_reads():
+def test_split_reader_matches_scan(workdir, cpus, x, data):
+    with split_reads(cpus):
         matches_scan(workdir, x, data.draw)
 
 
@@ -174,8 +178,9 @@ def forbidden(*args, **kwargs):
     raise AssertionError("not expected here")
 
 
+@pytest.mark.parametrize("parts", [2, 3, 4])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-def test_a_cut_at_any_line_boundary_reads_the_serial_array(tmp_path, helpers, newline):
+def test_a_cut_at_any_line_boundary_reads_the_serial_array(tmp_path, helpers, newline, parts):
     x = np.random.default_rng(5).standard_normal((7, 3)) * 1e3
     x[2, 1] = -0.0
     p = tmp_path / "m.txt"
@@ -184,15 +189,16 @@ def test_a_cut_at_any_line_boundary_reads_the_serial_array(tmp_path, helpers, ne
     serial = outcome(read_matrix, p)
     assert serial == outcome(scan, p) and helpers == []
     data = p.read_bytes()
-    # not the end of the file: _split_point reads such a file whole, and a
-    # tail reader that returns no rows counts as failed
-    cuts = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")][:-1]
-    with split_reads() as mp:
+    # not the end of the file, which _cuts merges with the end
+    lines = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")][:-1]
+    cuts = list(itertools.combinations(lines, parts - 1))
+    with split_reads(parts) as mp:
         mp.setattr(cli, "_scan_matrix", forbidden)  # the split read must accept
-        for cut in cuts:
-            mp.setattr(cli, "_split_point", lambda fh, cut=cut: cut)
-            assert outcome(read_matrix, p) == serial, cut
-    assert len(helpers) == len(cuts) and all(proc.returncode == 0 for proc, _ in helpers)
+        for inner in cuts:
+            mp.setattr(cli, "_cuts", lambda fh, inner=inner: [0, *inner, len(data)])
+            assert outcome(read_matrix, p) == serial, inner
+    assert len(helpers) == len(cuts) * (parts - 1)
+    assert all(proc.returncode == 0 for proc, _ in helpers)
 
 
 GOOD = "".join(f"{i}.5,{-i},1e-{i}\n" for i in range(10))
@@ -278,13 +284,78 @@ def test_a_rejected_tail_goes_to_the_scan(tmp_path, helpers):
     assert len(helpers) == 1 and helpers[0][0].returncode != 0
 
 
-def test_the_helper_reads_the_file_this_process_opened(tmp_path, helpers):
-    # the file is replaced under its name after read_matrix opened it:
-    # both halves are still the opened file's
+def three_parts(p):
+    """The middle part's start and end when read_matrix cuts `p` in three."""
+    with open(p, "rb") as fh, split_reads(3):
+        cuts = cli._cuts(fh)
+    assert len(cuts) == 4
+    return cuts[1:3]
+
+
+def test_a_failed_middle_helper_has_its_part_parsed_here(tmp_path, helpers, fake_helper):
     p = tmp_path / "m.txt"
     p.write_text(GOOD, encoding="utf-8")
     serial = outcome(read_matrix, p)
-    split = cli._split_point
+    start, _ = three_parts(p)
+    fake_helper("import runpy, sys\n"
+                f"if sys.argv[3] == '{start}':\n"
+                "    raise SystemExit(1)\n"
+                f"runpy.run_path({_helper.__file__!r}, run_name='__main__')\n")
+    with split_reads(3) as mp:
+        mp.setattr(cli, "_scan_matrix", forbidden)
+        assert outcome(read_matrix, p) == serial
+    assert [proc.returncode for proc, _ in helpers] == [1, 0]
+
+
+@pytest.mark.parametrize("line", ["1,abc,2\n", "1,2\n", "\n"],
+                         ids=["field", "ragged", "blank"])
+def test_a_fault_in_the_middle_part_gives_the_serial_message(tmp_path, helpers, line):
+    p = tmp_path / "m.txt"
+    p.write_text(with_lines({6: line}), encoding="utf-8")
+    start, end = three_parts(p)
+    assert start <= GOOD.index("5.5,") < end  # line 6 is in the middle part
+    serial = outcome(read_matrix, p)
+    assert serial[0] == "MatrixFileError" and serial == outcome(scan, p)
+    with split_reads(3):
+        assert outcome(read_matrix, p) == serial
+    assert len(helpers) == 2 and helpers[0][0].returncode == 1
+
+
+@pytest.mark.parametrize("text, started", [
+    # 4 CPUs: the first two cuts fall just after line 1, the third after line 4
+    (f"{BIG!r},{-BIG!r},{BIG!r}\n" + "".join(f"{i},{i},{i}\n" for i in range(8)), 2),
+    # every cut falls at the end: the file is read whole
+    (f"1,2\n3,4\n{BIG!r},{-BIG!r}\n", 0),
+], ids=["first-line-long", "last-line-long"])
+def test_cuts_that_merge_read_as_serial(tmp_path, helpers, text, started):
+    p = tmp_path / "m.txt"
+    p.write_text(text, encoding="utf-8")
+    serial = outcome(read_matrix, p)
+    with split_reads(4) as mp:
+        if started:
+            mp.setattr(cli, "_scan_matrix", forbidden)
+        assert outcome(read_matrix, p) == serial
+    assert len(helpers) == started and all(proc.returncode == 0 for proc, _ in helpers)
+
+
+def test_parts_of_different_widths_go_to_the_scan(tmp_path, helpers):
+    # the second part's row holds two rows of the first part's width
+    p = tmp_path / "m.txt"
+    p.write_text("1.25,2.5\n3,4,5,6\n", encoding="utf-8")
+    serial = outcome(read_matrix, p)
+    assert serial == ("MatrixFileError", f"{p}: line 2: expected 2 fields, got 4")
+    with split_reads():
+        assert outcome(read_matrix, p) == serial
+    assert len(helpers) == 1 and helpers[0][0].returncode == 0
+
+
+def test_the_helper_reads_the_file_this_process_opened(tmp_path, helpers):
+    # the file is replaced under its name after read_matrix opened it:
+    # both parts are still the opened file's
+    p = tmp_path / "m.txt"
+    p.write_text(GOOD, encoding="utf-8")
+    serial = outcome(read_matrix, p)
+    split = cli._cuts
 
     def replace_then_cut(fh):
         q = tmp_path / "new.txt"
@@ -293,7 +364,7 @@ def test_the_helper_reads_the_file_this_process_opened(tmp_path, helpers):
         return split(fh)
 
     with split_reads() as mp:
-        mp.setattr(cli, "_split_point", replace_then_cut)
+        mp.setattr(cli, "_cuts", replace_then_cut)
         mp.setattr(cli, "_scan_matrix", forbidden)
         assert outcome(read_matrix, p) == serial
     assert len(helpers) == 1 and helpers[0][0].returncode == 0
@@ -321,9 +392,6 @@ def test_a_name_for_stdin_is_read_whole(tmp_path, helpers, name):
     assert len(helpers) == 1 and helpers[0][0].returncode == 0
 
 
-BIG = 1.7976931348623157e308  # two of them are finite, their sum is not
-
-
 @pytest.mark.parametrize("tail, expected", [
     (b"7.5,-7,1e-7\r\n8.5,-8,1e-8", [7.5, -7, 1e-7, 8.5, -8, 1e-8]),
     (b"7.5,-7,abc\n", None),
@@ -333,12 +401,13 @@ BIG = 1.7976931348623157e308  # two of them are finite, their sum is not
     (b"7.5,-7,1e-7\n%r,%r,1\n" % (BIG, BIG), [7.5, -7, 1e-7, BIG, BIG, 1]),
 ], ids=["good", "field", "ragged", "blank", "non-utf8", "sum-overflows"])
 def test_tail_reader_alone(tmp_path, helper_alone, tail, expected):
-    # run as read_matrix runs it, from the descriptor at the cut; it
-    # imports neither numpy nor usvt, nor array and the collections it imports
+    # run as read_matrix runs it, from the descriptor at the cut to the end;
+    # it imports neither numpy nor usvt, nor array and the collections it imports
     p = tmp_path / "m.txt"
     p.write_bytes(b"1,2,3\n" + tail)
     with open(p, "rb") as fh:
-        proc, imported = helper_alone("read", str(fh.fileno()), "6", pass_fds=(fh.fileno(),))
+        proc, imported = helper_alone("read", str(fh.fileno()), "6", str(6 + len(tail)),
+                                      pass_fds=(fh.fileno(),))
     assert not [m for m in imported
                 if m.split(".")[0] in ("numpy", "usvt", "array", "collections")]
     if expected is None:
@@ -347,6 +416,17 @@ def test_tail_reader_alone(tmp_path, helper_alone, tail, expected):
         assert proc.returncode == 0, proc.stderr
         assert int.from_bytes(proc.stdout[:8], "little") == 2
         assert np.frombuffer(proc.stdout[8:]).tolist() == expected
+
+
+def test_part_reader_stops_at_its_end(tmp_path, helper_alone):
+    # a part before the last: the bad line past END is the next part's
+    p = tmp_path / "m.txt"
+    p.write_bytes(b"1,2,3\n4,5,6\n7,8,9\n1,abc\n")
+    with open(p, "rb") as fh:
+        proc, _ = helper_alone("read", str(fh.fileno()), "6", "18", pass_fds=(fh.fileno(),))
+    assert proc.returncode == 0, proc.stderr
+    assert int.from_bytes(proc.stdout[:8], "little") == 2
+    assert np.frombuffer(proc.stdout[8:]).tolist() == [4, 5, 6, 7, 8, 9]
 
 
 def test_one_cpu_starts_no_helper(tmp_path):
@@ -364,11 +444,18 @@ def test_a_fifo_is_read_whole_without_a_seek(tmp_path):
     p = tmp_path / "m.txt"
     write_matrix(p, x)
     data = p.read_bytes()
+    scans = []
+
+    def spy(path, data):
+        scans.append(data)
+        return _scan_matrix(path, data)
+
     with fifo_of(data, tmp_path) as fifo, split_reads() as mp:
         mp.setattr(cli, "_start_helper", forbidden)
-        mp.setattr(cli, "_scan_matrix", forbidden)  # a seek on the pipe fails
+        mp.setattr(cli, "_scan_matrix", spy)
         a = read_matrix(fifo)
     assert len(data) > 2**16 and a.view(np.int64).tobytes() == x.view(np.int64).tobytes()
+    assert scans == [data]  # one parse of the bytes read
 
 
 @pytest.mark.parametrize("text", ["", "\n", " \n\n"])
