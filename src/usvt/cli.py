@@ -7,8 +7,8 @@ byte-stable.  Data goes to stdout, diagnostics to stderr; exit codes are
 0 on success, 2 for usage errors, 1 for runtime failures.
 
 `_helper.parse` is the one matrix-file parser and `_helper.line` the one
-row renderer.  A large file is read, and a large matrix written, in one
-part per usable CPU: this process does the first, helpers the others.
+row renderer.  A large file is read, and a large matrix written, in parts,
+at most one per usable CPU: this process does the first, helpers the others.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _helper
-from .estimators import DEFAULT_ETA, _check_eta, _check_sigma, _denoise, _sigma_hat
+from .estimators import DEFAULT_ETA, _check_eta, _check_sigma, estimate_sigma, usvt_denoise
 from .mp_law import MPLaw
 from .simulate import (
     NOISE_KINDS,
@@ -40,7 +40,7 @@ from .simulate import (
     preset_config,
     run_experiment,
 )
-from .spectral import SvdConvergenceError, _SpectralPass, singular_values
+from .spectral import SvdConvergenceError, singular_values
 
 
 def _list_of(kind, noun: str):
@@ -89,12 +89,13 @@ def read_matrix(path) -> np.ndarray:
     """Parse a matrix file into a finite 2-d float64 array.
 
     The file is opened once.  A regular file of at least SPLIT_MIN_BYTES is
-    cut at newlines into one part per usable CPU (`_cuts`): this process
-    parses the first part and helper interpreters the others (`_helper.read`
-    on the descriptor this process opened); a part whose helper does not
-    deliver is parsed here.  Any other file, and a cut file with a rejected
-    part or parts of different widths, go to `_scan_matrix`: one parse of
-    the bytes read, which names the file's own bad line and field.
+    cut at newlines into parts, one per usable CPU but none under half that
+    size (`_cuts`): this process parses the first part and helper
+    interpreters the others (`_helper.read` on the descriptor this process
+    opened); a part whose helper does not deliver is parsed here.  Any
+    other file, and a cut file with a rejected part or parts of different
+    widths, go to `_scan_matrix`: one parse of the bytes read, which names
+    the file's own bad line and field.
     """
     try:
         fh = open(path, "rb")
@@ -125,12 +126,12 @@ def _scan_matrix(path, data: bytes) -> np.ndarray:
 # 22k entries (0.8 us each) repays; below this, one process renders the
 # whole matrix.
 HELPER_MIN_ENTRIES = 2**17
-# A regular file of at least this many bytes is read on every usable CPU.
-# On a 2-CPU host a two-part read of a square %.17g matrix broke even with
-# the serial parse between 4.0 and 6.0 MB in three of four runs (3.0 and
-# 3.5 MB in the fourth): the helper's start-up and the parsers' contention
-# for the host's cores cost what the split saves.  At 14.5 MB it took 0.53
-# of the serial time.
+# A regular file of at least this many bytes is read in parts, one per
+# usable CPU but none under half this size.  On a 2-CPU host a two-part
+# read of a square %.17g matrix broke even with the serial parse between
+# 4.0 and 6.0 MB in three of four runs (3.0 and 3.5 MB in the fourth): the
+# helper's start-up and the parsers' contention for the host's cores cost
+# what the split saves.  At 14.5 MB it took 0.53 of the serial time.
 SPLIT_MIN_BYTES = 4 * 2**20
 
 
@@ -143,14 +144,15 @@ def _usable_cpus() -> int:
 
 def _cuts(fh):
     """The byte offsets, from 0 to the size, that cut the binary file `fh`
-    into one part per usable CPU, or None to read it whole.  For k CPUs,
-    cut i falls just after the first newline at or past i/k of the bytes;
-    cuts that coincide, or fall at the end, merge, so no part is empty.
-    Leaves `fh` at its start."""
+    into k parts, or None to read it whole.  k is the number of usable
+    CPUs, or fewer so that no part is under SPLIT_MIN_BYTES // 2, the size
+    of each part of the measured two-part break-even.  Cut i falls just
+    after the first newline at or past i/k of the bytes; cuts that
+    coincide, or fall at the end, merge, so no part is empty.  Leaves `fh`
+    at its start."""
     info = os.fstat(fh.fileno())
-    parts = _usable_cpus()
-    if not (stat.S_ISREG(info.st_mode) and info.st_size >= SPLIT_MIN_BYTES
-            and parts > 1 and hasattr(os, "pread")):
+    parts = min(_usable_cpus(), info.st_size // (SPLIT_MIN_BYTES // 2))
+    if not (stat.S_ISREG(info.st_mode) and parts > 1 and hasattr(os, "pread")):
         return None
     cuts = [0]
     for i in range(1, parts):
@@ -407,8 +409,8 @@ def _cmd_mp_quantile(args) -> int:
 
 
 def _cmd_estimate_sigma(args) -> int:
-    a = read_matrix(args.input)
-    print(format_float(_sigma_hat(_SpectralPass(a).values, a.shape)))
+    matrix = read_matrix(args.input)
+    print(format_float(estimate_sigma(matrix)))
     return 0
 
 
@@ -420,10 +422,10 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_denoise(args) -> int:
     _check_distinct(("--output", args.output), ("--report", args.report))
-    eta = _checked("--eta", _check_eta, args.eta)
-    sigma = None if args.sigma is None else _checked("--sigma", _check_sigma, args.sigma)
-    a = read_matrix(args.input)
-    denoised, report = _denoise(a, a.shape, sigma, eta)
+    _checked("--eta", _check_eta, args.eta)
+    if args.sigma is not None:
+        _checked("--sigma", _check_sigma, args.sigma)
+    denoised, report = usvt_denoise(read_matrix(args.input), args.sigma, args.eta)
     _write_all((write_matrix, args.output, denoised), (write_report, args.report, report))
     return 0
 

@@ -129,9 +129,10 @@ def fifo_of(data: bytes, directory):
 
 @contextlib.contextmanager
 def split_reads(cpus=2):
-    """read_matrix splits every regular file it can cut, as on `cpus` CPUs."""
+    """read_matrix splits every regular file it can cut, as on `cpus` CPUs:
+    a part may be as small as one byte."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "SPLIT_MIN_BYTES", 0)
+        mp.setattr(cli, "SPLIT_MIN_BYTES", 2)
         mp.setattr(cli, "_usable_cpus", lambda: cpus)
         yield mp
 
@@ -282,6 +283,20 @@ def test_a_rejected_tail_goes_to_the_scan(tmp_path, helpers):
         assert outcome(read_matrix, p) == serial
     assert scans == [(p, p.read_bytes())]
     assert len(helpers) == 1 and helpers[0][0].returncode != 0
+
+
+@pytest.mark.parametrize("size, parts", [(98, 1), (100, 2), (148, 2), (150, 3), (400, 4)])
+def test_a_part_is_no_smaller_than_half_the_split_threshold(tmp_path, monkeypatch,
+                                                            size, parts):
+    # on 4 CPUs a file of SPLIT_MIN_BYTES is read in 2 parts, and only a
+    # file of twice that size in 4
+    p = tmp_path / "m.txt"
+    p.write_bytes(b"1\n" * (size // 2))
+    monkeypatch.setattr(cli, "SPLIT_MIN_BYTES", 100)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    with open(p, "rb") as fh:
+        cuts = cli._cuts(fh)
+    assert (1 if cuts is None else len(cuts) - 1) == parts
 
 
 def three_parts(p):
