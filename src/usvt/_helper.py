@@ -1,10 +1,11 @@
 """The matrix-file format: how a row is rendered and how a file is parsed.
 
 `cli` imports this module, and a helper interpreter runs it by path as
-`python -I -S _helper.py render NCOLS` or `... read FD START END`.  It
-imports only the standard library, so a helper starts without numpy or
-usvt, and its repr and float() are those of the command that started it.
-Any failure exits non-zero; the command then does the job itself.
+`python -I -S _helper.py read FD START END` or `... render FD START END
+NCOLS`, on bytes START to END of the file the command holds open at FD.
+It imports only the standard library, so a helper starts without numpy
+or usvt, and its repr and float() are those of the command that started
+it.  Any failure exits non-zero; the command then does the job itself.
 """
 
 import io
@@ -20,9 +21,19 @@ def line(row) -> str:
     return ",".join(map(repr, row)) + "\n"
 
 
-def render(ncols: int) -> None:
-    """Write the float64 values on stdin to stdout as rows of `ncols`."""
-    values = memoryview(sys.stdin.buffer.read()).cast("d")
+def _pread(fd: int, start: int, end: int) -> bytes:
+    """Bytes `start` to `end` of the file open at descriptor `fd`.  os.pread
+    leaves the offset, which the command shares, alone."""
+    chunks = []
+    while start < end and (chunk := os.pread(fd, min(end - start, 1 << 26), start)):
+        chunks.append(chunk)
+        start += len(chunk)
+    return b"".join(chunks)
+
+
+def render(fd: int, start: int, end: int, ncols: int) -> None:
+    """Write the float64 values in bytes `start` to `end` at `fd` to stdout, rows of `ncols`."""
+    values = memoryview(_pread(fd, start, end)).cast("d")
     with open(sys.stdout.fileno(), "w", encoding="utf-8", newline="", closefd=False) as out:
         out.writelines(line(values[i:i + ncols]) for i in range(0, len(values), ncols))
 
@@ -61,14 +72,9 @@ def parse(data: bytes):
 
 
 def read(fd: int, start: int, end: int) -> None:
-    """`parse` bytes `start` to `end` of the file open at descriptor `fd`;
-    write the row count (8 bytes, little-endian) and the float64 values to
-    stdout.  os.pread leaves the offset, which the command shares, alone."""
-    chunks = []
-    while start < end and (chunk := os.pread(fd, min(end - start, 1 << 26), start)):
-        chunks.append(chunk)
-        start += len(chunk)
-    width, values = parse(b"".join(chunks))
+    """`parse` bytes `start` to `end` of the file open at `fd`; write the row
+    count (8 bytes, little-endian) and the float64 values to stdout."""
+    width, values = parse(_pread(fd, start, end))
     sys.stdout.buffer.write((len(values) // (8 * width)).to_bytes(8, "little"))
     sys.stdout.buffer.write(values)
 

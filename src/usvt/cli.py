@@ -7,8 +7,9 @@ byte-stable.  Data goes to stdout, diagnostics to stderr; exit codes are
 0 on success, 2 for usage errors, 1 for runtime failures.
 
 `_helper.parse` is the one matrix-file parser and `_helper.line` the one
-row renderer.  A large file is read, and a large matrix written, in parts,
-at most one per usable CPU: this process does the first, helpers the others.
+row renderer.  A large file is read, and a large matrix written, by one
+part rule (`_cuts`) and one gather loop (`_in_parts`): this process does
+the first part, helpers on byte ranges of an open file the others.
 """
 
 from __future__ import annotations
@@ -88,26 +89,31 @@ def format_float(value: float) -> str:
 def read_matrix(path) -> np.ndarray:
     """Parse a matrix file into a finite 2-d float64 array.
 
-    The file is opened once.  A regular file of at least SPLIT_MIN_BYTES is
-    cut at newlines into parts, one per usable CPU but none under half that
-    size (`_cuts`): this process parses the first part and helper
-    interpreters the others (`_helper.read` on the descriptor this process
-    opened); a part whose helper does not deliver is parsed here.  Any
-    other file, and a cut file with a rejected part or parts of different
-    widths, go to `_scan_matrix`: one parse of the bytes read, which names
-    the file's own bad line and field.
+    The file is opened once.  A regular file is cut into parts, each just
+    after a newline, one per usable CPU but none under SPLIT_MIN_BYTES // 2
+    (`_cuts`): this process parses the first part and helpers the others
+    (`_in_parts`, `_helper.read`); a part whose helper does not deliver is
+    parsed here.  A file in one part, any other file, and a cut file with a
+    rejected part or parts of different widths go to `_scan_matrix`: one
+    parse of the bytes read, which names the file's own bad line and field.
     """
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise MatrixFileError(f"{path}: cannot read: {exc.strerror}") from exc
     with fh:
-        cuts = _cuts(fh)
-        if cuts is not None:
-            try:
-                return _read_parts(fh, cuts)
-            except ValueError:
-                fh.seek(0)
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            def after_newline(at: int) -> int:
+                fh.seek(at)
+                fh.readline()
+                return fh.tell()
+
+            cuts = _cuts(info.st_size, SPLIT_MIN_BYTES // 2, after_newline)
+            fh.seek(0)
+            if len(cuts) > 2:
+                with contextlib.suppress(ValueError):
+                    return _read_parts(fh.fileno(), cuts)
         return _scan_matrix(path, fh.read())
 
 
@@ -121,10 +127,10 @@ def _scan_matrix(path, data: bytes) -> np.ndarray:
     return np.frombuffer(values, dtype=np.float64).reshape(-1, width)
 
 
-# A matrix of at least this many entries is rendered on every usable CPU.
-# Starting a helper interpreter costs about 18 ms, which rendering about
-# 22k entries (0.8 us each) repays; below this, one process renders the
-# whole matrix.
+# A matrix of at least this many entries is rendered in parts, one per
+# usable CPU but none under half this many entries.  Starting a helper
+# interpreter costs about 18 ms, which rendering about 22k entries (0.8 us
+# each) repays; below this, one process renders the whole matrix.
 HELPER_MIN_ENTRIES = 2**17
 # A regular file of at least this many bytes is read in parts, one per
 # usable CPU but none under half this size.  On a 2-CPU host a two-part
@@ -142,130 +148,57 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _cuts(fh):
-    """The byte offsets, from 0 to the size, that cut the binary file `fh`
-    into k parts, or None to read it whole.  k is the number of usable
-    CPUs, or fewer so that no part is under SPLIT_MIN_BYTES // 2, the size
-    of each part of the measured two-part break-even.  Cut i falls just
-    after the first newline at or past i/k of the bytes; cuts that
-    coincide, or fall at the end, merge, so no part is empty.  Leaves `fh`
-    at its start."""
-    info = os.fstat(fh.fileno())
-    parts = min(_usable_cpus(), info.st_size // (SPLIT_MIN_BYTES // 2))
-    if not (stat.S_ISREG(info.st_mode) and parts > 1 and hasattr(os, "pread")):
-        return None
-    cuts = [0]
-    for i in range(1, parts):
-        fh.seek(info.st_size * i // parts)
-        fh.readline()
-        cuts.append(fh.tell())
-    fh.seek(0)
-    cuts = list(dict.fromkeys([*cuts, info.st_size]))
-    return cuts if len(cuts) > 2 else None
+def _cuts(size: int, least: int, boundary) -> list[int]:
+    """The offsets, from 0 to `size`, that cut `size` units into k parts: k
+    is the number of usable CPUs, or fewer so that no part is under
+    `least`, or 1 without os.pread, by which helpers read.  Cut i falls at
+    `boundary(size * i // k)`, the first place at or past it where a part
+    may end; cuts that coincide, or fall at the end, merge, so no part is
+    empty."""
+    parts = max(1, min(_usable_cpus() if hasattr(os, "pread") else 1, size // least))
+    inner = (boundary(size * i // parts) for i in range(1, parts))
+    return [0, *dict.fromkeys(cut for cut in inner if cut < size), size]
 
 
-def _read_parts(fh, cuts) -> np.ndarray:
-    """The matrix in the binary file `fh` cut at the byte offsets `cuts`:
-    the first part parsed here, each other part by a helper, or here when
-    its helper does not deliver.  Raises ValueError when a part is rejected
-    or the parts differ in width."""
+@contextlib.contextmanager
+def _in_parts(job: str, fd: int, cuts, *args: int):
+    """Start a helper on `_helper`'s `job` for each part after the first
+    that `cuts` makes of the file open at `fd`, and yield an iterator of
+    (start, end, out) over all parts, in order: `out` is the rewound output
+    of the part's helper, waited for when its part is reached, if it exited
+    0, else None.  On exit every helper is killed, reaped and closed."""
     parts = list(zip(cuts, cuts[1:]))
     helpers = []
     try:
         for start, end in parts[1:]:
-            helpers.append(_start_helper("read", fh.fileno(), start, end,
-                                         pass_fds=(fh.fileno(),)))
-        width, values = 0, bytearray()
-        for (start, end), helper in zip(parts, (None, *helpers)):
-            part = _delivered(helper, width)
-            if part is None:
-                fh.seek(start)
-                part_width, part = _helper.parse(fh.read(end - start))
-                width = width or part_width
-                if part_width != width:
-                    raise ValueError("parts of different widths")
-            values += part
+            helpers.append(_start_helper(job, fd, start, end, *args))
+        yield ((start, end, _helper_output(helper))
+               for (start, end), helper in zip(parts, (None, *helpers)))
     finally:
-        _stop_helpers(helpers)
-    return np.frombuffer(values, dtype=np.float64).reshape(-1, width)
+        for proc, out in filter(None, helpers):
+            proc.kill()  # a no-op once it has exited
+            proc.wait()
+            out.close()
 
 
-def _delivered(helper, width: int):
-    """The float64 bytes of the rows the part reader `helper` delivered, or
-    None when it did not: it was not started, did not exit 0, or returned
-    no rows or rows not `width` wide."""
-    out = _helper_output(helper)
-    if out is None:
-        return None
-    data = memoryview(out.read())
-    rows = int.from_bytes(data[:8], "little")
-    return data[8:] if rows and len(data) == 8 + 8 * rows * width else None
-
-
-def write_matrix(path, matrix: np.ndarray) -> None:
-    """Write a matrix file: each row on one line, as `_helper.line`
-    renders it.
-
-    The bytes are always those of rendering the rows one by one, in order.
-    An all-+0.0 matrix (a kept-0 denoise) is one rendered row repeated.  A
-    matrix of at least HELPER_MIN_ENTRIES entries is cut into contiguous
-    row blocks, one per usable CPU: this process renders the first block
-    while helper interpreters (`_helper.render`) render the others from
-    their raw float64 bytes into temporary files, which are then appended
-    in order.  A block whose helper cannot start or does not exit 0 is
-    rendered here instead.
-    """
-    a = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if a.size and not a.any() and not np.signbit(a).any():
-            # every entry is +0.0 (a kept-0 denoise): all rows render alike
-            line = _helper.line(a[0].tolist())
-            for _ in range(len(a)):
-                fh.write(line)
-            return
-        parts = min(_usable_cpus(), len(a)) if a.size >= HELPER_MIN_ENTRIES else 1
-        first, *rest = np.array_split(a, parts)
-        helpers = []
-        try:
-            for block in rest:
-                helpers.append(_start_helper("render", block.shape[1], stdin=block))
-            for block, helper in zip((first, *rest), (None, *helpers)):
-                out = _helper_output(helper)
-                if out is None:
-                    # one row at a time keeps the boxed floats small next to the matrix
-                    fh.writelines(_helper.line(row.tolist()) for row in block)
-                else:
-                    fh.flush()
-                    shutil.copyfileobj(out, fh.buffer)
-        finally:
-            _stop_helpers(helpers)
-
-
-def _start_helper(job: str, *args: int, stdin: np.ndarray | None = None,
-                  pass_fds: tuple[int, ...] = ()):
+def _start_helper(job: str, fd: int, *args: int):
     """(process, output file) of a helper interpreter running `_helper`'s
-    `job` with `args`, or None when it cannot be started.  Its stdin holds
-    the raw float64 bytes of `stdin` (devnull if None), its stdout goes to
-    the temporary output file, its stderr to devnull, and it inherits the
-    descriptors in `pass_fds`."""
+    `job` with `args` on the file open at `fd`, which it inherits, or None
+    when it cannot start.  Its stdout is the file, stdin and stderr devnull."""
     import subprocess  # a few ms of start-up that only large reads and writes need
 
     if not sys.executable:
         return None
     try:
-        with (contextlib.nullcontext(subprocess.DEVNULL) if stdin is None
-              else tempfile.TemporaryFile()) as src:
-            if stdin is not None:
-                np.ascontiguousarray(stdin).tofile(src)
-                src.seek(0)
-            out = tempfile.TemporaryFile()
-            try:
-                proc = subprocess.Popen(
-                    [sys.executable, "-I", "-S", _helper.__file__, job, *map(str, args)],
-                    stdin=src, stdout=out, stderr=subprocess.DEVNULL, pass_fds=pass_fds)
-            except BaseException:
-                out.close()
-                raise
+        out = tempfile.TemporaryFile()
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-I", "-S", _helper.__file__, job, *map(str, (fd, *args))],
+                stdin=subprocess.DEVNULL, stdout=out, stderr=subprocess.DEVNULL,
+                pass_fds=(fd,))
+        except BaseException:
+            out.close()
+            raise
     except OSError:
         return None
     return proc, out
@@ -279,12 +212,66 @@ def _helper_output(helper):
     return helper[1]
 
 
-def _stop_helpers(helpers) -> None:
-    """Kill, reap and close every started helper in `helpers`."""
-    for proc, out in filter(None, helpers):
-        proc.kill()  # a no-op once it has exited
-        proc.wait()
-        out.close()
+def _read_parts(fd: int, cuts) -> np.ndarray:
+    """The matrix in the file open at `fd`, cut at the byte offsets `cuts`: a
+    helper delivers its part's row count (8 bytes, little-endian) and rows
+    as wide as the first part's, or the part is parsed here.  Raises
+    ValueError when a part is rejected or the parts differ in width."""
+    width, values = 0, bytearray()
+    with _in_parts("read", fd, cuts) as parts:
+        for start, end, out in parts:
+            data = memoryview(out.read()) if out else b""
+            rows = int.from_bytes(data[:8], "little")
+            if rows and len(data) == 8 + 8 * rows * width:
+                values += data[8:]
+                continue
+            part_width, part = _helper.parse(_helper._pread(fd, start, end))
+            width = width or part_width
+            if part_width != width:
+                raise ValueError("parts of different widths")
+            values += part
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, width)
+
+
+def write_matrix(path, matrix: np.ndarray) -> None:
+    """Write a matrix file: each row on one line, as `_helper.line`
+    renders it.
+
+    The bytes are always those of rendering the rows one by one, in order.
+    An all-+0.0 matrix (a kept-0 denoise) is one rendered row repeated.
+    Any other is cut at row ends into parts, one per usable CPU but none
+    under HELPER_MIN_ENTRIES // 2 entries (`_cuts`).  Cut, its float64 bytes
+    are staged in a temporary file; this process renders the first part and
+    helpers the others (`_in_parts`, `_helper.render`), or it does when a
+    helper does not deliver; the parts are appended in order.
+    """
+    a = np.asarray(matrix, dtype=np.float64)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if not (a.any() or np.signbit(a).any()):
+            # every entry is +0.0 (a kept-0 denoise), or there is none: all rows render alike
+            for line in map(_helper.line, a[:1].tolist()):
+                fh.writelines([line] * len(a))
+            return
+        row = 8 * a.shape[1]
+        cuts = _cuts(a.nbytes, 8 * (HELPER_MIN_ENTRIES // 2), lambda at: -(-at // row) * row)
+        with contextlib.ExitStack() as stack:
+            fd = -1
+            if len(cuts) > 2:
+                try:
+                    staged = stack.enter_context(tempfile.TemporaryFile())
+                    a.tofile(staged)
+                    fd = staged.fileno()
+                except OSError:  # nowhere to stage the bytes: render them here
+                    cuts = [0, a.nbytes]
+            with _in_parts("render", fd, cuts, a.shape[1]) as parts:
+                for start, end, out in parts:
+                    if out is None:
+                        # one row at a time keeps the boxed floats small next to the matrix
+                        fh.writelines(_helper.line(r.tolist())
+                                      for r in a[start // row:end // row])
+                    else:
+                        fh.flush()
+                        shutil.copyfileobj(out, fh.buffer)
 
 
 def _write_csv(path, cls, rows) -> None:
@@ -450,6 +437,11 @@ def _simulate_config(args) -> ExperimentConfig:
 
 def _cmd_simulate(args) -> int:
     _check_distinct(("--out", args.out), ("--summary", args.summary), ("--plot", args.plot))
+    if args.plot is not None:  # the script names both paths on its lines
+        for flag, path in (("--summary", args.summary), ("--plot", args.plot)):
+            if "\n" in path or "\r" in path:
+                raise UsageError(
+                    f"{flag}: a path in the gnuplot script has a line break: {path!r}")
     config = _simulate_config(args)
     records = run_experiment(config)
     writes = [(write_results, args.out, records),

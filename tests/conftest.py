@@ -10,7 +10,7 @@ from usvt import _helper, cli
 @pytest.fixture
 def helpers(monkeypatch, tmp_path):
     """The helper interpreters that write_matrix and read_matrix start, as
-    `cli._start_helper(job, *args, ...)` returned them, with temporary
+    `cli._start_helper(job, fd, *args)` returned them, with temporary
     files in an empty directory of their own.  Afterwards every helper
     must have been waited for and no temporary file be left."""
     tmp = tmp_path / "tmp"
@@ -19,9 +19,9 @@ def helpers(monkeypatch, tmp_path):
     started = []
     start = cli._start_helper
 
-    def recording(job, *args, **kwargs):
+    def recording(job, *args):
         assert job in ("render", "read")
-        started.append(start(job, *args, **kwargs))
+        started.append(start(job, *args))
         return started[-1]
 
     monkeypatch.setattr(cli, "_start_helper", recording)

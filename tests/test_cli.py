@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -104,28 +105,50 @@ def cpus(monkeypatch, count):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
 
 
+def staged(tmp_path, x):
+    """A binary file of x's float64 bytes, open for reading, as write_matrix
+    stages them for its helpers."""
+    p = tmp_path / "staged.bin"
+    x.tofile(p)
+    return open(p, "rb")
+
+
 class TestParallelWrite:
     """A matrix of at least HELPER_MIN_ENTRIES entries is rendered in row
-    blocks, all but the first by helper processes; the bytes must be those
-    of the row loop."""
+    blocks of at least half that many entries, one per CPU at most, all but
+    the first by helper processes; the bytes must be those of the row loop."""
 
-    @pytest.mark.parametrize("shape", [
-        (1, 1), (511, 256), (512, 256), (513, 257), (3, 2**16), (1, 2**17),
-    ], ids=["1x1", "below", "at", "odd-rows", "rows<cpus", "one-row"])
-    def test_bytes_are_the_row_loop(self, tmp_path, monkeypatch, helpers, shape):
+    @pytest.mark.parametrize("shape, parts", [
+        ((1, 1), 1), ((511, 256), 1), ((512, 256), 2), ((513, 257), 2), ((3, 2**16), 3),
+        ((1, 2**17), 1), ((3, 0), 1),
+    ], ids=["1x1", "below", "at", "odd-rows", "rows<cpus", "one-row", "no-columns"])
+    def test_bytes_are_the_row_loop(self, tmp_path, monkeypatch, helpers, shape, parts):
         cpus(monkeypatch, 4)
         x = np.random.default_rng(shape[0]).standard_normal(shape)
         p = tmp_path / "m.txt"
         write_matrix(p, x)
         assert p.read_bytes() == row_loop(x)
-        parts = min(4, shape[0]) if x.size >= cli.HELPER_MIN_ENTRIES else 1
+        assert len(helpers) == parts - 1 and all(proc.returncode == 0 for proc, _ in helpers)
+
+    @pytest.mark.parametrize("rows, parts", [(2**17 - 1, 1), (2**17, 2), (3 * 2**16, 3),
+                                             (2**18, 4)])
+    def test_a_block_is_no_smaller_than_half_the_helper_threshold(self, tmp_path, monkeypatch,
+                                                                  helpers, rows, parts):
+        # on 4 CPUs a matrix of HELPER_MIN_ENTRIES entries is rendered in 2
+        # blocks, and only one of twice that many in 4
+        cpus(monkeypatch, 4)
+        x = np.random.default_rng(rows).standard_normal((rows, 1))
+        p = tmp_path / "m.txt"
+        write_matrix(p, x)
+        assert p.read_bytes() == row_loop(x)
         assert len(helpers) == parts - 1 and all(proc.returncode == 0 for proc, _ in helpers)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
     def test_edge_values_on_any_cpu_count(self, tmp_path, monkeypatch, helpers, count):
+        # 2**18 entries or more: one block per CPU up to four
         cpus(monkeypatch, count)
         rng = np.random.default_rng(14)
-        x = rng.standard_normal((515, 256)) * 10.0**rng.integers(-30, 30, (515, 256))
+        x = rng.standard_normal((1030, 256)) * 10.0**rng.integers(-30, 30, (1030, 256))
         flat = x.reshape(-1)
         flat[rng.choice(x.size, 40 * len(EDGE_VALUES), replace=False)] = EDGE_VALUES * 40
         flat[:len(EDGE_VALUES)] = flat[-len(EDGE_VALUES):] = EDGE_VALUES
@@ -138,13 +161,25 @@ class TestParallelWrite:
                      b"12345.0", b"9007199254740992.0"):
             assert text in expected
 
-    def test_helper_alone_imports_no_numpy(self, helper_alone):
+    def test_helper_alone_imports_no_numpy(self, tmp_path, helper_alone):
+        # run as write_matrix runs it, on the staged bytes of its block
         x = np.array([[-0.0, 5e-324, 1e16], [1e-5, 2.0, -1.7976931348623157e308]])
-        proc, imported = helper_alone("render", "3", input=x.tobytes())
+        with staged(tmp_path, x) as fh:
+            proc, imported = helper_alone("render", str(fh.fileno()), "0", str(x.nbytes), "3",
+                                          pass_fds=(fh.fileno(),))
         assert not [m for m in imported
                     if m.split(".")[0] in ("numpy", "usvt", "array", "collections")]
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == row_loop(x)
+
+    def test_render_stops_at_its_end(self, tmp_path, helper_alone):
+        # a block before the last: the rows past END are the next block's
+        x = np.arange(12.0).reshape(4, 3)
+        with staged(tmp_path, x) as fh:
+            proc, _ = helper_alone("render", str(fh.fileno()), "24", "72", "3",
+                                   pass_fds=(fh.fileno(),))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == row_loop(x[1:3])
 
     def test_zeros_start_no_helper(self, tmp_path, monkeypatch, helpers):
         cpus(monkeypatch, 4)
@@ -165,7 +200,7 @@ class TestParallelWrite:
             fake_helper("import sys; print('1.0'); sys.exit(1)")
         else:
             fake_helper("import os, signal; os.kill(os.getpid(), signal.SIGKILL)")
-        x = np.random.default_rng(3).standard_normal((600, 300))
+        x = np.random.default_rng(3).standard_normal((700, 300))
         p = tmp_path / "m.txt"
         write_matrix(p, x)
         assert p.read_bytes() == row_loop(x)
@@ -175,6 +210,18 @@ class TestParallelWrite:
         else:
             assert all(proc.returncode != 0 for proc, _ in helpers)
 
+    def test_a_matrix_that_cannot_be_staged_is_rendered_here(self, tmp_path, monkeypatch,
+                                                             helpers):
+        def no_room(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        cpus(monkeypatch, 3)
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_room)
+        x = np.random.default_rng(4).standard_normal((700, 300))
+        p = tmp_path / "m.txt"
+        write_matrix(p, x)
+        assert p.read_bytes() == row_loop(x) and helpers == []
+
     def test_failed_write_reaps_helpers(self, tmp_path, monkeypatch, helpers):
         def failing(row):
             raise OSError("no space left")
@@ -182,7 +229,7 @@ class TestParallelWrite:
         cpus(monkeypatch, 3)
         monkeypatch.setattr(_helper, "line", failing)
         with pytest.raises(OSError, match="no space left"):
-            write_matrix(tmp_path / "m.txt", np.ones((600, 300)))
+            write_matrix(tmp_path / "m.txt", np.ones((700, 300)))
         assert len(helpers) == 2 and all(helpers)
 
 
@@ -657,6 +704,29 @@ class TestSimulate:
         assert capsys.readouterr().err == \
             f"usvt: error: --{first} and --{second} name the same file: {paths[second]}\n"
         assert not any(path.exists() for path in paths.values())
+
+    @pytest.mark.parametrize("char", ["\n", "\r"], ids=["lf", "cr"])
+    @pytest.mark.parametrize("flag", ["summary", "plot"])
+    def test_a_line_break_in_a_path_the_script_names_is_usage_error(self, tmp_path, capsys,
+                                                                     flag, char):
+        # the script names both paths on its lines: a line break would end
+        # one there and leave the rest of the path as a gnuplot command
+        paths = {name: tmp_path / f"{name}.txt" for name in ("out", "summary", "plot")}
+        paths[flag] = tmp_path / f"s{char}system.txt"
+        argv = ["simulate", "--m", "8", "--n", "12", "--ranks", "2", "--sigmas", "0.5",
+                "--reps", "1"]
+        for name, path in paths.items():
+            argv += [f"--{name}", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"usvt: error: --{flag}: a path in the gnuplot "
+                                           f"script has a line break: {str(paths[flag])!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_line_break_in_summary_without_plot_is_a_file_name(self, tmp_path):
+        out, summary = tmp_path / "r.csv", tmp_path / "s\nsystem.csv"
+        assert main(["simulate", "--m", "8", "--n", "12", "--ranks", "2", "--sigmas", "0.5",
+                     "--reps", "1", "--out", str(out), "--summary", str(summary)]) == 0
+        assert summary.read_text().startswith("rank,sigma,")
 
     @pytest.mark.parametrize("flag, value", [("--ranks", "2,2"), ("--sigmas", "0.5,0.50")])
     def test_repeated_grid_value_is_usage_error(self, tmp_path, capsys, flag, value):

@@ -196,7 +196,7 @@ def test_a_cut_at_any_line_boundary_reads_the_serial_array(tmp_path, helpers, ne
     with split_reads(parts) as mp:
         mp.setattr(cli, "_scan_matrix", forbidden)  # the split read must accept
         for inner in cuts:
-            mp.setattr(cli, "_cuts", lambda fh, inner=inner: [0, *inner, len(data)])
+            mp.setattr(cli, "_cuts", lambda *args, inner=inner: [0, *inner, len(data)])
             assert outcome(read_matrix, p) == serial, inner
     assert len(helpers) == len(cuts) * (parts - 1)
     assert all(proc.returncode == 0 for proc, _ in helpers)
@@ -286,7 +286,7 @@ def test_a_rejected_tail_goes_to_the_scan(tmp_path, helpers):
 
 
 @pytest.mark.parametrize("size, parts", [(98, 1), (100, 2), (148, 2), (150, 3), (400, 4)])
-def test_a_part_is_no_smaller_than_half_the_split_threshold(tmp_path, monkeypatch,
+def test_a_part_is_no_smaller_than_half_the_split_threshold(tmp_path, monkeypatch, helpers,
                                                             size, parts):
     # on 4 CPUs a file of SPLIT_MIN_BYTES is read in 2 parts, and only a
     # file of twice that size in 4
@@ -294,31 +294,33 @@ def test_a_part_is_no_smaller_than_half_the_split_threshold(tmp_path, monkeypatc
     p.write_bytes(b"1\n" * (size // 2))
     monkeypatch.setattr(cli, "SPLIT_MIN_BYTES", 100)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-    with open(p, "rb") as fh:
-        cuts = cli._cuts(fh)
-    assert (1 if cuts is None else len(cuts) - 1) == parts
+    assert read_matrix(p).tolist() == [[1.0]] * (size // 2)
+    assert len(helpers) == parts - 1 and all(proc.returncode == 0 for proc, _ in helpers)
 
 
-def three_parts(p):
-    """The middle part's start and end when read_matrix cuts `p` in three."""
-    with open(p, "rb") as fh, split_reads(3):
-        cuts = cli._cuts(fh)
-    assert len(cuts) == 4
-    return cuts[1:3]
+@contextlib.contextmanager
+def three_parts():
+    """read_matrix cuts every file it can in three, as on 3 CPUs; yields the
+    list that the cuts it makes are appended to, and the monkeypatch."""
+    made, cut = [], cli._cuts
+    with split_reads(3) as mp:
+        mp.setattr(cli, "_cuts", lambda *args: made.append(cut(*args)) or made[-1])
+        yield made, mp
 
 
 def test_a_failed_middle_helper_has_its_part_parsed_here(tmp_path, helpers, fake_helper):
     p = tmp_path / "m.txt"
     p.write_text(GOOD, encoding="utf-8")
     serial = outcome(read_matrix, p)
-    start, _ = three_parts(p)
+    # the middle part is the one whose helper stops before the end of the file
     fake_helper("import runpy, sys\n"
-                f"if sys.argv[3] == '{start}':\n"
+                f"if sys.argv[4] != '{len(GOOD)}':\n"
                 "    raise SystemExit(1)\n"
                 f"runpy.run_path({_helper.__file__!r}, run_name='__main__')\n")
-    with split_reads(3) as mp:
+    with three_parts() as (made, mp):
         mp.setattr(cli, "_scan_matrix", forbidden)
         assert outcome(read_matrix, p) == serial
+    assert len(made) == 1 and len(made[0]) == 4
     assert [proc.returncode for proc, _ in helpers] == [1, 0]
 
 
@@ -327,12 +329,13 @@ def test_a_failed_middle_helper_has_its_part_parsed_here(tmp_path, helpers, fake
 def test_a_fault_in_the_middle_part_gives_the_serial_message(tmp_path, helpers, line):
     p = tmp_path / "m.txt"
     p.write_text(with_lines({6: line}), encoding="utf-8")
-    start, end = three_parts(p)
-    assert start <= GOOD.index("5.5,") < end  # line 6 is in the middle part
     serial = outcome(read_matrix, p)
     assert serial[0] == "MatrixFileError" and serial == outcome(scan, p)
-    with split_reads(3):
+    with three_parts() as (made, _):
         assert outcome(read_matrix, p) == serial
+    assert len(made) == 1 and len(made[0]) == 4
+    start, end = made[0][1:3]
+    assert start <= GOOD.index("5.5,") < end  # line 6 is in the middle part
     assert len(helpers) == 2 and helpers[0][0].returncode == 1
 
 
@@ -372,11 +375,11 @@ def test_the_helper_reads_the_file_this_process_opened(tmp_path, helpers):
     serial = outcome(read_matrix, p)
     split = cli._cuts
 
-    def replace_then_cut(fh):
+    def replace_then_cut(*args):
         q = tmp_path / "new.txt"
         q.write_text(GOOD.replace(".5,", ".25,"), encoding="utf-8")
         os.replace(q, p)
-        return split(fh)
+        return split(*args)
 
     with split_reads() as mp:
         mp.setattr(cli, "_cuts", replace_then_cut)
@@ -451,6 +454,17 @@ def test_one_cpu_starts_no_helper(tmp_path):
         mp.setattr(cli, "_usable_cpus", lambda: 1)
         mp.setattr(cli, "_start_helper", forbidden)
         assert outcome(read_matrix, p) == outcome(scan, p)
+
+
+def test_without_pread_no_helper_starts(tmp_path):
+    # every helper job reads its byte range by os.pread
+    x = np.random.default_rng(8).standard_normal((700, 300))
+    p = tmp_path / "m.txt"
+    with split_reads(4) as mp:
+        mp.delattr(os, "pread")
+        mp.setattr(cli, "_start_helper", forbidden)
+        write_matrix(p, x)
+        assert read_matrix(p).view(np.int64).tobytes() == x.view(np.int64).tobytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
