@@ -128,9 +128,9 @@ def _scan_matrix(path, data: bytes) -> np.ndarray:
 
 
 # A matrix of at least this many entries is rendered in parts, one per
-# usable CPU but none under half this many entries.  Starting a helper
-# interpreter costs about 18 ms, which rendering about 22k entries (0.8 us
-# each) repays; below this, one process renders the whole matrix.
+# usable CPU but no more than rows.  A helper start (about 18 ms) is repaid
+# by about 22k entries (0.8 us each); only 2-CPU hosts have timed the write,
+# so a part has no larger floor.  Below this, one process renders it all.
 HELPER_MIN_ENTRIES = 2**17
 # A regular file of at least this many bytes is read in parts, one per
 # usable CPU but none under half this size.  On a 2-CPU host a two-part
@@ -239,11 +239,11 @@ def write_matrix(path, matrix: np.ndarray) -> None:
 
     The bytes are always those of rendering the rows one by one, in order.
     An all-+0.0 matrix (a kept-0 denoise) is one rendered row repeated.
-    Any other is cut at row ends into parts, one per usable CPU but none
-    under HELPER_MIN_ENTRIES // 2 entries (`_cuts`).  Cut, its float64 bytes
-    are staged in a temporary file; this process renders the first part and
-    helpers the others (`_in_parts`, `_helper.render`), or it does when a
-    helper does not deliver; the parts are appended in order.
+    Any other of at least HELPER_MIN_ENTRIES entries is cut at row ends,
+    one part per usable CPU, at most one per row (`_cuts`).  Cut, its
+    float64 bytes are staged in a temporary file; this process renders the
+    first part and helpers the others (`_in_parts`, `_helper.render`), or
+    it does when a helper does not deliver; the parts are appended in order.
     """
     a = np.asarray(matrix, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -253,13 +253,14 @@ def write_matrix(path, matrix: np.ndarray) -> None:
                 fh.writelines([line] * len(a))
             return
         row = 8 * a.shape[1]
-        cuts = _cuts(a.nbytes, 8 * (HELPER_MIN_ENTRIES // 2), lambda at: -(-at // row) * row)
+        least = row if a.size >= HELPER_MIN_ENTRIES else a.nbytes
+        cuts = _cuts(a.nbytes, least, lambda at: -(-at // row) * row)
         with contextlib.ExitStack() as stack:
             fd = -1
             if len(cuts) > 2:
                 try:
                     staged = stack.enter_context(tempfile.TemporaryFile())
-                    a.tofile(staged)
+                    np.ascontiguousarray(a).tofile(staged)
                     fd = staged.fileno()
                 except OSError:  # nowhere to stage the bytes: render them here
                     cuts = [0, a.nbytes]
@@ -437,11 +438,11 @@ def _simulate_config(args) -> ExperimentConfig:
 
 def _cmd_simulate(args) -> int:
     _check_distinct(("--out", args.out), ("--summary", args.summary), ("--plot", args.plot))
-    if args.plot is not None:  # the script names both paths on its lines
-        for flag, path in (("--summary", args.summary), ("--plot", args.plot)):
-            if "\n" in path or "\r" in path:
-                raise UsageError(
-                    f"{flag}: a path in the gnuplot script has a line break: {path!r}")
+    if args.plot is not None:  # the script names the summary and the image on its lines
+        for flag, path, named in (("--summary", args.summary, args.summary),
+                                  ("--plot", args.plot, Path(args.plot).stem)):
+            if "\n" in named or "\r" in named:
+                raise UsageError(f"{flag}: a line break cannot go in the gnuplot script: {path!r}")
     config = _simulate_config(args)
     records = run_experiment(config)
     writes = [(write_results, args.out, records),

@@ -115,13 +115,14 @@ def staged(tmp_path, x):
 
 class TestParallelWrite:
     """A matrix of at least HELPER_MIN_ENTRIES entries is rendered in row
-    blocks of at least half that many entries, one per CPU at most, all but
-    the first by helper processes; the bytes must be those of the row loop."""
+    blocks, one per CPU but no more than rows, all but the first by helper
+    processes; the bytes must be those of the row loop."""
 
     @pytest.mark.parametrize("shape, parts", [
-        ((1, 1), 1), ((511, 256), 1), ((512, 256), 2), ((513, 257), 2), ((3, 2**16), 3),
-        ((1, 2**17), 1), ((3, 0), 1),
-    ], ids=["1x1", "below", "at", "odd-rows", "rows<cpus", "one-row", "no-columns"])
+        ((1, 1), 1), ((511, 256), 1), ((512, 256), 4), ((513, 257), 4), ((3, 2**16), 3),
+        ((1, 2**17), 1), ((2**17, 1), 4), ((3, 0), 1),
+    ], ids=["1x1", "below", "at", "odd-rows", "rows<cpus", "one-row", "one-column",
+            "no-columns"])
     def test_bytes_are_the_row_loop(self, tmp_path, monkeypatch, helpers, shape, parts):
         cpus(monkeypatch, 4)
         x = np.random.default_rng(shape[0]).standard_normal(shape)
@@ -130,25 +131,11 @@ class TestParallelWrite:
         assert p.read_bytes() == row_loop(x)
         assert len(helpers) == parts - 1 and all(proc.returncode == 0 for proc, _ in helpers)
 
-    @pytest.mark.parametrize("rows, parts", [(2**17 - 1, 1), (2**17, 2), (3 * 2**16, 3),
-                                             (2**18, 4)])
-    def test_a_block_is_no_smaller_than_half_the_helper_threshold(self, tmp_path, monkeypatch,
-                                                                  helpers, rows, parts):
-        # on 4 CPUs a matrix of HELPER_MIN_ENTRIES entries is rendered in 2
-        # blocks, and only one of twice that many in 4
-        cpus(monkeypatch, 4)
-        x = np.random.default_rng(rows).standard_normal((rows, 1))
-        p = tmp_path / "m.txt"
-        write_matrix(p, x)
-        assert p.read_bytes() == row_loop(x)
-        assert len(helpers) == parts - 1 and all(proc.returncode == 0 for proc, _ in helpers)
-
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
     def test_edge_values_on_any_cpu_count(self, tmp_path, monkeypatch, helpers, count):
-        # 2**18 entries or more: one block per CPU up to four
         cpus(monkeypatch, count)
         rng = np.random.default_rng(14)
-        x = rng.standard_normal((1030, 256)) * 10.0**rng.integers(-30, 30, (1030, 256))
+        x = rng.standard_normal((515, 256)) * 10.0**rng.integers(-30, 30, (515, 256))
         flat = x.reshape(-1)
         flat[rng.choice(x.size, 40 * len(EDGE_VALUES), replace=False)] = EDGE_VALUES * 40
         flat[:len(EDGE_VALUES)] = flat[-len(EDGE_VALUES):] = EDGE_VALUES
@@ -200,7 +187,7 @@ class TestParallelWrite:
             fake_helper("import sys; print('1.0'); sys.exit(1)")
         else:
             fake_helper("import os, signal; os.kill(os.getpid(), signal.SIGKILL)")
-        x = np.random.default_rng(3).standard_normal((700, 300))
+        x = np.random.default_rng(3).standard_normal((600, 300))
         p = tmp_path / "m.txt"
         write_matrix(p, x)
         assert p.read_bytes() == row_loop(x)
@@ -217,7 +204,7 @@ class TestParallelWrite:
 
         cpus(monkeypatch, 3)
         monkeypatch.setattr(tempfile, "TemporaryFile", no_room)
-        x = np.random.default_rng(4).standard_normal((700, 300))
+        x = np.random.default_rng(4).standard_normal((600, 300))
         p = tmp_path / "m.txt"
         write_matrix(p, x)
         assert p.read_bytes() == row_loop(x) and helpers == []
@@ -229,7 +216,7 @@ class TestParallelWrite:
         cpus(monkeypatch, 3)
         monkeypatch.setattr(_helper, "line", failing)
         with pytest.raises(OSError, match="no space left"):
-            write_matrix(tmp_path / "m.txt", np.ones((700, 300)))
+            write_matrix(tmp_path / "m.txt", np.ones((600, 300)))
         assert len(helpers) == 2 and all(helpers)
 
 
@@ -707,10 +694,11 @@ class TestSimulate:
 
     @pytest.mark.parametrize("char", ["\n", "\r"], ids=["lf", "cr"])
     @pytest.mark.parametrize("flag", ["summary", "plot"])
-    def test_a_line_break_in_a_path_the_script_names_is_usage_error(self, tmp_path, capsys,
+    def test_a_line_break_in_a_name_the_script_holds_is_usage_error(self, tmp_path, capsys,
                                                                      flag, char):
-        # the script names both paths on its lines: a line break would end
-        # one there and leave the rest of the path as a gnuplot command
+        # the script names the summary path and the plot's file name on its
+        # lines: a line break would end one there and leave the rest of the
+        # name as a gnuplot command
         paths = {name: tmp_path / f"{name}.txt" for name in ("out", "summary", "plot")}
         paths[flag] = tmp_path / f"s{char}system.txt"
         argv = ["simulate", "--m", "8", "--n", "12", "--ranks", "2", "--sigmas", "0.5",
@@ -718,9 +706,20 @@ class TestSimulate:
         for name, path in paths.items():
             argv += [f"--{name}", str(path)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == (f"usvt: error: --{flag}: a path in the gnuplot "
-                                           f"script has a line break: {str(paths[flag])!r}\n")
+        assert capsys.readouterr().err == (f"usvt: error: --{flag}: a line break cannot go in "
+                                           f"the gnuplot script: {str(paths[flag])!r}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("char", ["\n", "\r"], ids=["lf", "cr"])
+    def test_a_line_break_in_the_plot_directory_is_not_in_the_script(self, tmp_path, char):
+        # the script names the image after the plot's file name only
+        plot_dir = tmp_path / f"a{char}b"
+        plot_dir.mkdir()
+        out, summary, plot = tmp_path / "r.csv", tmp_path / "s.csv", plot_dir / "p.gp"
+        assert main(["simulate", "--m", "8", "--n", "12", "--ranks", "2", "--sigmas", "0.5",
+                     "--reps", "1", "--out", str(out), "--summary", str(summary),
+                     "--plot", str(plot)]) == 0
+        assert plot.read_text() == cli.plot_script(str(summary), (2,), "p.png")
 
     def test_a_line_break_in_summary_without_plot_is_a_file_name(self, tmp_path):
         out, summary = tmp_path / "r.csv", tmp_path / "s\nsystem.csv"
