@@ -1,10 +1,24 @@
+import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
+import usvt
 from usvt import _helper, cli
+
+
+@pytest.fixture
+def child_env():
+    """os.environ with the directory this `usvt` was imported from first on
+    PYTHONPATH, so that a child interpreter imports the same copy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(usvt.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 @pytest.fixture

@@ -310,6 +310,24 @@ class TestEstimateSigma:
         assert main(["estimate-sigma", "--input", str(p)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rank", [None, 2], ids=["noise", "rank-2"])
+    def test_is_the_median_of_spectrum(self, tmp_path, capsys, rank):
+        # noise takes the W W^T eigenvalues; exactly rank 2, the median is
+        # at the rounding level, the spread bound refuses them and gesdd's
+        # values decide.  Either way sigma_hat is spectrum's median over
+        # sqrt(n mu_gamma)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((20, 40)) if rank is None else \
+            rng.standard_normal((20, rank)) @ rng.standard_normal((rank, 40))
+        p = tmp_path / "x.txt"
+        write_matrix(p, x)
+        assert main(["spectrum", "--input", str(p)]) == 0
+        values = [float(line) for line in capsys.readouterr().out.splitlines()]
+        assert main(["estimate-sigma", "--input", str(p)]) == 0
+        sigma = float(capsys.readouterr().out)
+        expected = float(np.median(values)) / np.sqrt(40 * MPLaw(20 / 40).median)
+        assert abs(sigma - expected) <= 1e-12 * expected
+
 
 class TestSpectrum:
     def test_diagonal(self, tmp_path, capsys):
@@ -324,32 +342,46 @@ class TestSpectrum:
         main(["spectrum", "--input", str(p)])
         assert capsys.readouterr().out.splitlines() == ["0.0", "0.0"]
 
-    def test_transpose_same_output(self, tmp_path, capsys):
-        x = np.random.default_rng(3).standard_normal((6, 11))
-        p, pt = tmp_path / "x.txt", tmp_path / "xt.txt"
-        write_matrix(p, x)
-        write_matrix(pt, x.T)
-        main(["spectrum", "--input", str(p)])
-        out1 = capsys.readouterr().out
-        main(["spectrum", "--input", str(pt)])
-        assert capsys.readouterr().out == out1
+    @pytest.mark.parametrize("argv, kept", [
+        (["spectrum"], None), (["estimate-sigma"], None), (["denoise"], 2),
+        (["denoise", "--sigma", "1000"], 0),
+    ], ids=["spectrum", "estimate-sigma", "denoise-kept", "denoise-kept0"])
+    def test_transpose_same_output(self, tmp_path, capsys, argv, kept):
+        # the spectral pass views a tall input as its wide transpose: the
+        # outputs agree bit for bit, the reports up to m and n
+        rng = np.random.default_rng(3)
+        if argv == ["spectrum"]:
+            x = rng.standard_normal((6, 11))
+        else:
+            x = 2 * rng.standard_normal((20, 2)) @ rng.standard_normal((2, 30)) \
+                + 0.1 * rng.standard_normal((20, 30))
+        src, out, rep = (tmp_path / name for name in ("in.txt", "out.txt", "r.json"))
+        files = ["--output", str(out), "--report", str(rep)] if argv[0] == "denoise" else []
+        results = []
+        for a in (x, x.T):
+            write_matrix(src, a)
+            assert main(argv + ["--input", str(src)] + files) == 0
+            results.append([capsys.readouterr().out])
+            if files:
+                report = json.loads(rep.read_text())
+                assert (report.pop("m"), report.pop("n")) == a.shape
+                assert report["kept_rank"] == kept
+                matrix = read_matrix(out)
+                results[-1] += [report, (matrix if a is x else matrix.T).tobytes()]
+        assert results[0] == results[1]
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
-    def test_dev_stdin_above_the_split_threshold(self, tmp_path):
+    def test_dev_stdin_above_the_split_threshold(self, tmp_path, child_env):
         # on two or more CPUs the file is split: the later parts must come
         # from the file on stdin, not from whatever /dev/stdin is in a helper
         x = np.random.default_rng(8).standard_normal((300, 800))
         p = tmp_path / "x.txt"
         write_matrix(p, x)
         assert p.stat().st_size >= cli.SPLIT_MIN_BYTES
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(usvt.__file__).resolve().parents[1])]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
 
         def spectrum(name, stdin=subprocess.DEVNULL):
             proc = subprocess.run([sys.executable, "-m", "usvt", "spectrum", "--input", name],
-                                  stdin=stdin, capture_output=True, env=env, timeout=120)
+                                  stdin=stdin, capture_output=True, env=child_env, timeout=120)
             return proc.returncode, proc.stdout, proc.stderr
 
         by_name = spectrum(str(p))
@@ -359,18 +391,47 @@ class TestSpectrum:
 
 
 class TestDenoise:
-    def test_sigma_zero_byte_identity(self, tmp_path):
-        x = np.random.default_rng(4).standard_normal((5, 9))
+    @pytest.mark.parametrize("shape, scale", [((5, 9), 1.0), ((420, 420), 1e-100)],
+                             ids=["5x9", "420x420"])
+    def test_sigma_zero_byte_identity(self, tmp_path, monkeypatch, helpers, shape, scale):
+        # 420 x 420 is at least HELPER_MIN_ENTRIES, so on 4 CPUs each write
+        # is rendered in 4 parts; its values, scaled, render long enough for
+        # a file of at least SPLIT_MIN_BYTES, which is read in 2
+        cpus(monkeypatch, 4)
+        x = scale * np.random.default_rng(4).standard_normal(shape)
         src = tmp_path / "in.txt"
         out = tmp_path / "out.txt"
         rep = tmp_path / "rep.json"
         write_matrix(src, x)
         assert main(["denoise", "--input", str(src), "--sigma", "0",
                      "--output", str(out), "--report", str(rep)]) == 0
-        assert out.read_bytes() == src.read_bytes()
+        assert out.read_bytes() == src.read_bytes() == row_loop(x)
         report = json.loads(rep.read_text())
-        assert report["kept_rank"] == 5
+        assert report["kept_rank"] == min(shape)
         assert report["degenerate_sigma"] is True
+        large = x.size >= cli.HELPER_MIN_ENTRIES
+        assert (src.stat().st_size >= cli.SPLIT_MIN_BYTES) == large
+        assert len(helpers) == (3 + 1 + 3 if large else 0)
+        assert all(proc.returncode == 0 for proc, _ in helpers)
+
+    def test_a_bad_last_line_of_a_large_file_writes_nothing(self, tmp_path, monkeypatch,
+                                                           helpers, capsys):
+        # the last line falls to the helper's part, which rejects it; the
+        # message is the serial scan's
+        cpus(monkeypatch, 2)
+        src, out, rep = (tmp_path / n for n in ("in.txt", "out.txt", "r.json"))
+        write_matrix(src, 1e-100 * np.random.default_rng(5).standard_normal((420, 420)))
+        lines = src.read_text().splitlines(keepends=True)
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",abc\n"
+        src.write_text("".join(lines))
+        assert src.stat().st_size >= cli.SPLIT_MIN_BYTES
+        assert main(["denoise", "--input", str(src), "--output", str(out),
+                     "--report", str(rep)]) == 1
+        assert capsys.readouterr().err == \
+            f"usvt: error: {src}: line 420: field 420: not a number: 'abc'\n"
+        assert not out.exists() and not rep.exists()
+        # one helper rendered the file's second half, one read it
+        assert len(helpers) == 2 and helpers[-1][0].returncode != 0
 
     def test_enormous_sigma_zero_output(self, tmp_path):
         x = np.random.default_rng(5).standard_normal((4, 7))
@@ -626,9 +687,17 @@ class TestSimulate:
         assert "plot 'it''s.csv' skip 1 using" in script
         assert "'it's.csv'" not in script
 
-    def test_deterministic_bytes(self, tmp_path):
-        args = ["simulate", "--m", "10", "--n", "14", "--ranks", "2",
-                "--sigmas", "0.4", "--reps", "2", "--seed", "77"]
+    @pytest.mark.parametrize("args", [
+        "--m 10 --n 14 --ranks 2 --sigmas 0.4 --reps 2 --seed 77",
+        "--m 20 --n 40 --ranks 2 --sigmas 0.5 --reps 3 --seed 7",
+        "--m 40 --n 20 --ranks 2 --sigmas 0.5 --reps 3 --seed 7",
+        "--m 20 --n 20 --ranks 2 --sigmas 0.5 --reps 3 --seed 7",
+        "--m 20 --n 30 --ranks 15 --sigmas 0.5 --reps 3 --seed 7",
+    ], ids=["10x14", "20x40", "40x20", "20x20", "20x30-rank-15"])
+    def test_deterministic_bytes(self, tmp_path, args):
+        # every Gaussian cell takes the reduced Bartlett form: a triangular
+        # factor where lo + r < hi, a trapezoidal one at 20 x 20 and at rank 15
+        args = ["simulate", *args.split()]
         a1, s1 = tmp_path / "a1.csv", tmp_path / "s1.csv"
         a2, s2 = tmp_path / "a2.csv", tmp_path / "s2.csv"
         assert main(args + ["--out", str(a1), "--summary", str(s1)]) == 0
@@ -791,14 +860,10 @@ class TestExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize("module", ["usvt", "usvt.cli"])
-    def test_python_m_runs_cli(self, module):
-        src = str(Path(usvt.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    def test_python_m_runs_cli(self, module, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", module, "mp-quantile", "--gamma", "1", "--p", "0.5"],
-            capture_output=True, text=True, env=env, timeout=120)
+            capture_output=True, text=True, env=child_env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) == pytest.approx(MU_1, abs=1e-8)
 
@@ -818,15 +883,11 @@ class TestExitCodes:
         assert not out.exists() and not rep.exists()
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
-    def test_a_bad_matrix_on_a_pipe_is_named_by_line_and_field(self):
+    def test_a_bad_matrix_on_a_pipe_is_named_by_line_and_field(self, child_env):
         # the pipe is read once, so the message comes from the bytes read
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(usvt.__file__).resolve().parents[1])]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run(
             [sys.executable, "-m", "usvt", "estimate-sigma", "--input", "/dev/stdin"],
-            input=b"1,2\n3,abc\n", capture_output=True, env=env, timeout=120)
+            input=b"1,2\n3,abc\n", capture_output=True, env=child_env, timeout=120)
         assert (proc.returncode, proc.stdout) == (1, b"")
         assert proc.stderr == b"usvt: error: /dev/stdin: line 2: field 2: not a number: 'abc'\n"
 

@@ -488,7 +488,7 @@ class TestGramValuesRoute:
     def test_one_gram_per_denoise(self, monkeypatch, shape):
         # on every route W and W W^T are formed once, from the wide W, eigvalsh
         # runs at most once, the input is validated only at the entry point,
-        # and the rank is gesdd's 2
+        # the rank is gesdd's 2 and the kept part numpy's truncation
         from usvt import estimators, spectral
 
         def spy(original, name, calls, fail):
@@ -508,17 +508,20 @@ class TestGramValuesRoute:
         for route in ("admitted", "spread_refused", "margin_known", "margin_estimated",
                       "margin_gesdd_fails", "eigvalsh_fails"):
             x, sigma, failing, expected = self.route_case(route, shape)
+            u, s, vt = np.linalg.svd(x, full_matrices=False)
+            top = (u[:, :2] * s[:2]) @ vt[:2]
             calls, formed = [], []
             with monkeypatch.context() as mp:
                 for module, name in spied:
                     mp.setattr(module, name, spy(getattr(module, name), name, calls,
                                                  fail=name == failing))
-                _, report = usvt_denoise(x, sigma)
+                denoised, report = usvt_denoise(x, sigma)
             linalg = [c for c in calls if c in ("values", "svd", "eigh", "eigvalsh")]
             assert linalg == expected, route
             assert [calls.count(n) for n in ("_wide", "_gram", "as_matrix")] == [1, 1, 1], route
             assert formed == [(20, 30)], route
             assert report.kept_rank == 2, route
+            assert np.linalg.norm(denoised - top) <= 1e-12 * np.linalg.norm(top), route
 
     @pytest.mark.parametrize("sigma, kept", [(1.0, 3), (2.7e307, 1), (5e307, 0)])
     def test_margin_check_of_huge_values_does_not_overflow(self, sigma, kept):

@@ -10,6 +10,7 @@ import contextlib
 import itertools
 import os
 import signal
+import subprocess
 import sys
 import threading
 import warnings
@@ -445,6 +446,34 @@ def test_part_reader_stops_at_its_end(tmp_path, helper_alone):
     assert proc.returncode == 0, proc.stderr
     assert int.from_bytes(proc.stdout[:8], "little") == 2
     assert np.frombuffer(proc.stdout[8:]).tolist() == [4, 5, 6, 7, 8, 9]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs to pin to one")
+def test_a_file_reads_alike_on_every_cpu_and_on_one(tmp_path, child_env):
+    # at twice SPLIT_MIN_BYTES the file is cut into one part per usable CPU
+    # up to four; pinned to one CPU before usvt is imported, the command
+    # parses it whole.  OpenBLAS runs one thread in both runs: its thread
+    # count, which the pinning would change, moves the last bits of the SVD
+    p = tmp_path / "m.txt"
+    write_matrix(p, np.random.default_rng(6).standard_normal((500, 900)))
+    assert p.stat().st_size >= 2 * cli.SPLIT_MIN_BYTES
+    env = dict(child_env, OPENBLAS_NUM_THREADS="1")
+    pin = f"import os; os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}}); "
+
+    def outputs(name, prefix):
+        out, rep = tmp_path / f"{name}.txt", tmp_path / f"{name}.json"
+        stdout = []
+        for argv in (["estimate-sigma"], ["spectrum"],
+                     ["denoise", "--sigma", "0", "--output", str(out), "--report", str(rep)]):
+            proc = subprocess.run(
+                [sys.executable, "-c", prefix + "from usvt.cli import run; run()",
+                 *argv, "--input", str(p)], capture_output=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            stdout.append(proc.stdout)
+        return stdout, out.read_bytes(), rep.read_bytes()
+
+    assert outputs("all", "") == outputs("one", pin)
 
 
 def test_one_cpu_starts_no_helper(tmp_path):
