@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _helper
+from . import _helper, _host
 from .estimators import DEFAULT_ETA, _check_eta, _check_sigma, estimate_sigma, usvt_denoise
 from .mp_law import MPLaw
 from .simulate import (
@@ -141,13 +141,6 @@ HELPER_MIN_ENTRIES = 2**17
 SPLIT_MIN_BYTES = 4 * 2**20
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _cuts(size: int, least: int, boundary) -> list[int]:
     """The offsets, from 0 to `size`, that cut `size` units into k parts: k
     is the number of usable CPUs, or fewer so that no part is under
@@ -155,7 +148,7 @@ def _cuts(size: int, least: int, boundary) -> list[int]:
     `boundary(size * i // k)`, the first place at or past it where a part
     may end; cuts that coincide, or fall at the end, merge, so no part is
     empty."""
-    parts = max(1, min(_usable_cpus() if hasattr(os, "pread") else 1, size // least))
+    parts = max(1, min(_host.usable_cpus() if hasattr(os, "pread") else 1, size // least))
     inner = (boundary(size * i // parts) for i in range(1, parts))
     return [0, *dict.fromkeys(cut for cut in inner if cut < size), size]
 

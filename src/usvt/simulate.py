@@ -24,8 +24,8 @@ m n.  Its draws, in order: A_1 row by row (lo r normals), T's strictly
 lower entries row by row, then T's diagonal top to bottom (p chi-squares).
 
 Each (rank, sigma, replication) cell draws from its own named substream,
-so results are independent of execution order and may be computed in
-parallel.  Same-seed Gaussian outputs differ from versions that drew full
+so results are independent of execution order, and `run_experiment`
+computes them on every usable CPU.  Same-seed Gaussian outputs differ from versions that drew full
 noise for them (with lo + r >= hi, before the trapezoidal factor) or Haar
 frames, and all outputs differ from versions that drew square Haar
 matrices; the law of every record does not.
@@ -35,10 +35,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _host
 from .estimators import DEFAULT_ETA, _check_eta, _check_sigma, _denoise
 from .spectral import SvdConvergenceError
 
@@ -211,21 +213,34 @@ def run_cell(config: ExperimentConfig, rank_index: int, sigma_index: int,
     r = config.ranks[rank_index]
     sigma = config.sigmas[sigma_index]
     rng = cell_rng(config.seed, rank_index, sigma_index, rep)
-    if config.noise_kind in _ORTHOGONALLY_INVARIANT:
-        noise = _bartlett_noise(min(m, n), max(m, n), r, rng)
-        signal = np.zeros(noise.shape)
-        signal[np.arange(r), np.arange(r)] = signal_spectrum(r)
+    reduced = config.noise_kind in _ORTHOGONALLY_INVARIANT
+    if reduced:  # the signal is D_r (+) 0, added in place on its diagonal
+        x = _bartlett_noise(min(m, n), max(m, n), r, rng)
+        x *= sigma
+        diagonal, spectrum = (np.arange(r), np.arange(r)), signal_spectrum(r)
+        x[diagonal] += spectrum
     else:
         signal = signal_matrix(r, m, n, rng)
-        noise = noise_matrix(m, n, config.noise_kind, rng)
+        x = noise_matrix(m, n, config.noise_kind, rng)
+        x *= sigma
+        x += signal
     cell = f"cell rank={r} sigma={sigma} rep={rep}"
     try:
         # an overflow would write inf or nan into the records as a result
         with np.errstate(over="raise"):
             # decided and scored as the m x n cell, also in reduced form
-            denoised, report = _denoise(signal + sigma * noise, (m, n), None, config.eta)
+            denoised, report = _denoise(x, (m, n), None, config.eta)
             sq_err_sigma = (report.sigma_used - sigma) ** 2
-            mse_matrix = float(np.sum((denoised - signal) ** 2)) / (m * n)
+            # the error is formed in the owned `denoised`; a tall cell's
+            # F-ordered part is subtracted into a new C-ordered array, so
+            # that the sum adds the squares in row order
+            if reduced:
+                denoised[diagonal] -= spectrum
+            elif denoised.flags.c_contiguous:
+                denoised -= signal
+            else:
+                denoised = denoised - signal
+            mse_matrix = float(np.sum(np.square(denoised, out=denoised))) / (m * n)
     except ArithmeticError as exc:
         raise ValueError(f"{cell}: a value overflows float64") from exc
     except (ValueError, SvdConvergenceError) as exc:
@@ -238,13 +253,49 @@ def run_cell(config: ExperimentConfig, rank_index: int, sigma_index: int,
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
-    """One record per (rank, sigma, replication), in that loop order."""
-    return [
-        run_cell(config, i, j, rep)
-        for i in range(len(config.ranks))
-        for j in range(len(config.sigmas))
-        for rep in range(config.replications)
-    ]
+    """One record per (rank, sigma, replication), in that loop order.
+
+    The cells run on min(usable CPUs, cells) threads, this one included,
+    each taking the next cell in loop order, with numpy's OpenBLAS held at
+    one thread (`_host.one_blas_thread`); where that cannot be held, they
+    run here one by one.  Once a cell raises, no thread takes another, and
+    the error of the first failing cell in loop order is raised.
+    """
+    cells = enumerate((i, j, rep)
+                      for i in range(len(config.ranks))
+                      for j in range(len(config.sigmas))
+                      for rep in range(config.replications))
+    count = len(config.ranks) * len(config.sigmas) * config.replications
+    records, failures = [None] * count, {}
+    lock, stop = threading.Lock(), threading.Event()
+
+    def take():
+        with lock:
+            return None if stop.is_set() else next(cells, None)
+
+    def work() -> None:
+        for index, cell in iter(take, None):
+            try:
+                records[index] = run_cell(config, *cell)
+            except BaseException as exc:  # raised by the calling thread below
+                failures[index] = exc
+                stop.set()
+
+    with _host.one_blas_thread() as held:
+        threads = []
+        try:
+            for _ in range(min(_host.usable_cpus(), count) - 1 if held else 0):
+                thread = threading.Thread(target=work)
+                thread.start()
+                threads.append(thread)
+            work()
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return records
 
 
 def aggregate(records) -> list[SummaryRow]:

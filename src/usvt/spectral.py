@@ -64,7 +64,7 @@ def _gram(w: np.ndarray):
     """(W W^T / 4^e, e), formed exactly from W / 2^e with 2^e the binade of
     max|W|, so that its entries stay below n.  W / 2^e is in C order, so
     x and x.T give the product the same bytes."""
-    e = np.frexp(np.abs(w).max())[1]
+    e = np.frexp(max(w.max(), -w.min()))[1]  # max|W|, with no |W| array
     v = np.ldexp(w, -e, order="C")
     return v @ v.T, e
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import usvt
-from usvt import DenoiseReport, MPLaw, _helper, cli, mse, signal_matrix, singular_values
+from usvt import DenoiseReport, MPLaw, _helper, _host, cli, mse, signal_matrix, singular_values
 from usvt.cli import (
     MatrixFileError,
     main,
@@ -102,7 +102,7 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.1125369292536007e-308,
 
 
 def cpus(monkeypatch, count):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(_host, "usable_cpus", lambda: count)
 
 
 def staged(tmp_path, x):

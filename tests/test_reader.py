@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from usvt import _helper, cli
+from usvt import _helper, _host, cli
 from usvt.cli import MatrixFileError, _scan_matrix, read_matrix, write_matrix
 
 BAD_FIELDS = ["nan", "inf", "-inf", "1e400", "-1e400", "1_0", " 1.5", "1.5 ",
@@ -134,7 +134,7 @@ def split_reads(cpus=2):
     a part may be as small as one byte."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "SPLIT_MIN_BYTES", 2)
-        mp.setattr(cli, "_usable_cpus", lambda: cpus)
+        mp.setattr(_host, "usable_cpus", lambda: cpus)
         yield mp
 
 
@@ -294,7 +294,7 @@ def test_a_part_is_no_smaller_than_half_the_split_threshold(tmp_path, monkeypatc
     p = tmp_path / "m.txt"
     p.write_bytes(b"1\n" * (size // 2))
     monkeypatch.setattr(cli, "SPLIT_MIN_BYTES", 100)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(_host, "usable_cpus", lambda: 4)
     assert read_matrix(p).tolist() == [[1.0]] * (size // 2)
     assert len(helpers) == parts - 1 and all(proc.returncode == 0 for proc, _ in helpers)
 
@@ -480,7 +480,7 @@ def test_one_cpu_starts_no_helper(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text(GOOD, encoding="utf-8")
     with split_reads() as mp:
-        mp.setattr(cli, "_usable_cpus", lambda: 1)
+        mp.setattr(_host, "usable_cpus", lambda: 1)
         mp.setattr(cli, "_start_helper", forbidden)
         assert outcome(read_matrix, p) == outcome(scan, p)
 

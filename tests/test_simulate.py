@@ -1,6 +1,10 @@
 """Monte Carlo harness: Haar draws, signal/noise generators, seeded cells."""
 
+import contextlib
 import math
+import subprocess
+import sys
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,6 +29,7 @@ from usvt import (
     singular_values,
     usvt_adaptive,
 )
+from usvt import _host, simulate
 from usvt.estimators import _denoise
 from usvt.simulate import ConfigError, _bartlett_noise
 
@@ -385,6 +390,22 @@ class TestRunExperiment:
         with pytest.raises(SvdConvergenceError, match="cell rank=2 sigma=0.01 rep=0: .*rank-"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("kind, m, n", [
+        ("rademacher", 60, 40), ("uniform", 60, 40), ("rademacher", 40, 60)])
+    def test_full_draw_cell_is_signal_plus_noise(self, kind, m, n):
+        # bit for bit, with the squared error summed over the rows of the
+        # difference, also where a tall cell's kept part is F-ordered
+        cfg = ExperimentConfig(m=m, n=n, ranks=(3,), sigmas=(0.05,),
+                               replications=8, noise_kind=kind, seed=12)
+        for rep, rec in enumerate(run_experiment(cfg)):
+            rng = cell_rng(12, 0, 0, rep)
+            signal = signal_matrix(3, m, n, rng)
+            x = signal + 0.05 * noise_matrix(m, n, kind, rng)
+            denoised, report = _denoise(x, (m, n), None, cfg.eta)
+            assert rec.kept_rank == report.kept_rank == 3
+            assert (rec.sigma_hat, rec.mse_matrix) == \
+                (report.sigma_used, float(np.sum((denoised - signal) ** 2)) / (m * n))
+
     def test_observed_matrix_mse_estimates_sigma_squared(self):
         # mse(X, M) concentrates at sigma^2 on the CLT scale 5 sigma^2/sqrt(mn)
         m, n = 200, 1000
@@ -396,6 +417,118 @@ class TestRunExperiment:
             for sigma in (1.0,):
                 dev = abs(mse(signal + sigma * noise, signal) - sigma**2)
                 assert dev <= band * sigma**2
+
+
+def blas_threads() -> int | None:
+    """numpy's OpenBLAS thread count, or None where it cannot be read."""
+    blas = _host._openblas()
+    return blas and blas[0]()
+
+
+@pytest.fixture
+def blas_at_three():
+    """numpy's OpenBLAS at 3 threads, a count no study leaves behind, and
+    at its former count afterwards."""
+    if _host._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    get, set_ = _host._openblas()
+    saved = get()
+    set_(3)
+    yield
+    set_(saved)
+
+
+class TestCellThreads:
+    """run_experiment runs its cells on every usable CPU, with OpenBLAS held
+    at one thread: its records are those of the loop, on any CPU count and
+    any OpenBLAS thread count."""
+
+    @pytest.mark.parametrize("kind, m, n", [
+        ("gaussian", 30, 60), ("rademacher", 60, 30), ("uniform", 40, 40)])
+    def test_records_do_not_depend_on_the_worker_count(self, monkeypatch, kind, m, n):
+        cfg = ExperimentConfig(m=m, n=n, ranks=(1, 4, 12), sigmas=(0.01, 0.3, 2.0),
+                               replications=3, noise_kind=kind, seed=13)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more workers than cores, switching often
+        try:
+            for cpus in (1, 4):
+                monkeypatch.setattr(_host, "usable_cpus", lambda: cpus)
+                runs.append(run_experiment(cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1]
+        assert {rec.kept_rank for rec in runs[0]} > {0}
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_first_failing_cell_in_loop_order_is_raised(self, monkeypatch, cpus):
+        # at 1e200 and 1e250 (sigma_hat - sigma)^2 is not a float64; on 4
+        # workers the 1e200 cell starts late, so it fails second
+        monkeypatch.setattr(_host, "usable_cpus", lambda: cpus)
+        run = simulate.run_cell
+
+        def late_first_failure(config, i, j, rep):
+            if j == 1:
+                time.sleep(0.1)
+            return run(config, i, j, rep)
+
+        monkeypatch.setattr(simulate, "run_cell", late_first_failure)
+        cfg = ExperimentConfig(m=8, n=12, ranks=(2,), sigmas=(0.5, 1e200, 1.0, 1e250),
+                               replications=1, seed=3)
+        before = blas_threads()
+        with pytest.raises(ValueError) as failed:
+            run_experiment(cfg)
+        assert str(failed.value) == "cell rank=2 sigma=1e+200 rep=0: a value overflows float64"
+        assert blas_threads() == before
+
+    def test_no_cell_is_taken_after_a_failure(self, monkeypatch):
+        monkeypatch.setattr(_host, "usable_cpus", lambda: 4)
+        taken = []
+
+        def spy(config, i, j, rep):
+            taken.append((i, j, rep))
+            if (i, j, rep) == (0, 0, 0):
+                raise ValueError("first")
+            time.sleep(0.05)  # the failure is recorded while the others run
+
+        monkeypatch.setattr(simulate, "run_cell", spy)
+        cfg = ExperimentConfig(m=8, n=12, ranks=(2,), sigmas=(0.5,), replications=40)
+        with pytest.raises(ValueError, match="^first$"):
+            run_experiment(cfg)
+        assert 1 <= len(taken) <= 4
+
+    @pytest.mark.parametrize("raised", [None, ValueError, KeyboardInterrupt])
+    def test_blas_is_held_at_one_thread_and_restored(self, monkeypatch, blas_at_three,
+                                                     raised):
+        monkeypatch.setattr(_host, "usable_cpus", lambda: 2)
+        run, seen = simulate.run_cell, []
+
+        def spy(config, i, j, rep):
+            seen.append(blas_threads())
+            if raised and rep == 3:
+                raise raised("stop")
+            return run(config, i, j, rep)
+
+        monkeypatch.setattr(simulate, "run_cell", spy)
+        cfg = ExperimentConfig(m=8, n=12, ranks=(2,), sigmas=(0.5,), replications=6)
+        with contextlib.nullcontext() if raised is None else pytest.raises(raised):
+            run_experiment(cfg)
+        assert blas_threads() == 3
+        assert set(seen) == {1}
+
+    def test_files_do_not_depend_on_the_blas_thread_count(self, tmp_path, child_env):
+        outputs = []
+        for threads in ("1", "2"):
+            out, summary = tmp_path / f"r{threads}.csv", tmp_path / f"s{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "usvt", "simulate", "--m", "300", "--n", "600",
+                 "--ranks", "75,150", "--sigmas", "0.1,1", "--reps", "1",
+                 "--out", str(out), "--summary", str(summary)],
+                capture_output=True, env=dict(child_env, OPENBLAS_NUM_THREADS=threads),
+                timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out.read_bytes(), summary.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestReducedGaussianCell:
