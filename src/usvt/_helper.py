@@ -38,14 +38,15 @@ def render(fd: int, start: int, end: int, ncols: int) -> None:
         out.writelines(line(values[i:i + ncols]) for i in range(0, len(values), ncols))
 
 
-def parse(data: bytes):
+def parse(data: bytes, width: int = 0, first: int = 1):
     """(width, float64 bytes) of the matrix file `data`, by its rules: UTF-8,
     universal newlines, no blank line, each line stripped and split on ",",
-    every field finite by float(), one width.  A ValueError names the first
-    bad line and field; a byte that is not UTF-8 is a field float() rejects."""
-    width, values = 0, bytearray()
+    every field finite by float(), one width (`width`, if given).  A
+    ValueError names the first bad line, counted from `first`, and field;
+    a byte that is not UTF-8 is a field float() rejects."""
+    values = bytearray()
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
-    for lineno, text_line in enumerate(text, start=1):
+    for lineno, text_line in enumerate(text, start=first):
         fields = text_line.strip().split(",")
         if fields == [""]:
             raise ValueError(f"line {lineno}: blank line")

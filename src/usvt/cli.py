@@ -93,9 +93,9 @@ def read_matrix(path) -> np.ndarray:
     after a newline, one per usable CPU but none under SPLIT_MIN_BYTES // 2
     (`_cuts`): this process parses the first part and helpers the others
     (`_in_parts`, `_helper.read`); a part whose helper does not deliver is
-    parsed here.  A file in one part, any other file, and a cut file with a
-    rejected part or parts of different widths go to `_scan_matrix`: one
-    parse of the bytes read, which names the file's own bad line and field.
+    parsed here (`_read_parts`).  A file in one part, and any other file, is
+    one parse of the bytes read (`_scan_matrix`).  A MatrixFileError names
+    the file's own bad line and field, from the one parse that meets it.
     """
     try:
         fh = open(path, "rb")
@@ -104,16 +104,14 @@ def read_matrix(path) -> np.ndarray:
     with fh:
         info = os.fstat(fh.fileno())
         if stat.S_ISREG(info.st_mode):
-            def after_newline(at: int) -> int:
-                fh.seek(at)
-                fh.readline()
-                return fh.tell()
-
-            cuts = _cuts(info.st_size, SPLIT_MIN_BYTES // 2, after_newline)
+            cuts = _cuts(info.st_size, SPLIT_MIN_BYTES // 2,
+                         lambda at: fh.seek(at) + len(fh.readline()))  # just after a newline
             fh.seek(0)
             if len(cuts) > 2:
-                with contextlib.suppress(ValueError):
+                try:
                     return _read_parts(fh.fileno(), cuts)
+                except ValueError as exc:
+                    raise MatrixFileError(f"{path}: {exc}") from None
         return _scan_matrix(path, fh.read())
 
 
@@ -208,8 +206,9 @@ def _helper_output(helper):
 def _read_parts(fd: int, cuts) -> np.ndarray:
     """The matrix in the file open at `fd`, cut at the byte offsets `cuts`: a
     helper delivers its part's row count (8 bytes, little-endian) and rows
-    as wide as the first part's, or the part is parsed here.  Raises
-    ValueError when a part is rejected or the parts differ in width."""
+    as wide as the first part's, or the part is parsed here, at that width
+    and from the line after the rows before it.  So a bad part raises, where
+    it is met, the ValueError that a parse of the whole file raises."""
     width, values = 0, bytearray()
     with _in_parts("read", fd, cuts) as parts:
         for start, end, out in parts:
@@ -218,10 +217,8 @@ def _read_parts(fd: int, cuts) -> np.ndarray:
             if rows and len(data) == 8 + 8 * rows * width:
                 values += data[8:]
                 continue
-            part_width, part = _helper.parse(_helper._pread(fd, start, end))
-            width = width or part_width
-            if part_width != width:
-                raise ValueError("parts of different widths")
+            width, part = _helper.parse(_helper._pread(fd, start, end), width,
+                                        len(values) // (8 * width or 1) + 1)
             values += part
     return np.frombuffer(values, dtype=np.float64).reshape(-1, width)
 
@@ -240,7 +237,7 @@ def write_matrix(path, matrix: np.ndarray) -> None:
     """
     a = np.asarray(matrix, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if not (a.any() or np.signbit(a).any()):
+        if not a.view(np.uint64).any():
             # every entry is +0.0 (a kept-0 denoise), or there is none: all rows render alike
             for line in map(_helper.line, a[:1].tolist()):
                 fh.writelines([line] * len(a))
@@ -319,13 +316,14 @@ def _write_all(*writes) -> None:
         raise
 
 
-def _check_distinct(*outputs) -> None:
-    """Usage error when two (flag, path) outputs name the same regular file,
-    or one not made yet, whose later write would replace the earlier one's
-    data; a device or a pipe may take both.  A path of None is a flag not given."""
-    outputs = [(flag, path) for flag, path in outputs if path is not None]
-    for i, (flag, path) in enumerate(outputs):
-        for other_flag, other in outputs[:i]:
+def _check_distinct(*files) -> None:
+    """Usage error when two (flag, path) files, an input before the outputs,
+    name the same regular file, or one not made yet, whose later write would
+    replace the earlier one's data (an output opened for writing empties the
+    input); a device or a pipe may take both.  A path of None is a flag not given."""
+    files = [(flag, path) for flag, path in files if path is not None]
+    for i, (flag, path) in enumerate(files):
+        for other_flag, other in files[:i]:
             try:
                 same = os.path.samefile(path, other) and os.path.isfile(path)
             except OSError:  # one of them does not exist yet
@@ -402,7 +400,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    _check_distinct(("--output", args.output), ("--report", args.report))
+    _check_distinct(("--input", args.input), ("--output", args.output), ("--report", args.report))
     _checked("--eta", _check_eta, args.eta)
     if args.sigma is not None:
         _checked("--sigma", _check_sigma, args.sigma)

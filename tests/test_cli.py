@@ -44,12 +44,13 @@ class TestMatrixFile:
         write_matrix(p, x)
         assert np.array_equal(read_matrix(p), x)
 
-    @pytest.mark.parametrize("case", ["zeros", "one_negative_zero", "nonzero"])
+    @pytest.mark.parametrize("case", ["zeros", "one_negative_zero", "nonzero",
+                                      "f_order_negative_zero"])
     def test_write_matches_row_loop(self, tmp_path, case):
         # an all +0.0 matrix is written as one rendered row repeated; the
         # bytes must be those of rendering every row
-        x = np.zeros((7, 5))
-        if case == "one_negative_zero":
+        x = np.zeros((7, 5), order="F" if case.startswith("f_order") else "C")
+        if case.endswith("negative_zero"):
             x[3, 2] = -0.0
         elif case == "nonzero":
             x[6, 4] = 1e-300
@@ -57,7 +58,7 @@ class TestMatrixFile:
         write_matrix(p, x)
         expected = "".join(",".join(map(repr, row.tolist())) + "\n" for row in x)
         assert p.read_text(encoding="utf-8") == expected
-        assert ("-0.0" in expected) == (case == "one_negative_zero")
+        assert ("-0.0" in expected) == case.endswith("negative_zero")
 
     def test_write_then_read_is_canonical(self, tmp_path):
         p = tmp_path / "m.txt"
@@ -550,6 +551,26 @@ class TestDenoise:
             assert out.read_text() == "kept"
         else:
             assert not out.exists()
+
+    @pytest.mark.parametrize("alias", ["same", "dot", "symlink", "hardlink", "missing"])
+    def test_output_naming_the_input_is_usage_error(self, tmp_path, capsys, alias):
+        # opening the output would empty the input, and the failing report
+        # would then remove it: refused before the input is read
+        src = tmp_path / "in.txt"
+        if alias != "missing":
+            write_matrix(src, np.random.default_rng(4).standard_normal((5, 9)))
+        out = {"dot": tmp_path / "." / "in.txt", "symlink": tmp_path / "link",
+               "hardlink": tmp_path / "hard"}.get(alias, src)
+        if alias == "symlink":
+            out.symlink_to(src)
+        elif alias == "hardlink":
+            os.link(src, out)
+        data = src.read_bytes() if src.exists() else None
+        assert main(["denoise", "--input", str(src), "--output", str(out),
+                     "--report", str(tmp_path / "missing" / "r.json")]) == 2
+        assert capsys.readouterr().err == \
+            f"usvt: error: --input and --output name the same file: {out}\n"
+        assert (src.read_bytes() if src.exists() else None) == data
 
     def test_output_and_report_on_one_device_is_allowed(self, tmp_path, capsys):
         # the later write replaces nothing on a device: only a regular file is refused

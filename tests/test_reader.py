@@ -1,9 +1,10 @@
-"""read_matrix (bulk parse) against _scan_matrix (line-by-line reference).
+"""read_matrix against _scan_matrix, one parse of all the bytes read.
 
 Both readers must accept the same bytes with bit-identical arrays and
 reject the same bytes with the same error and message, whether
 read_matrix reads a file whole, cut into parts between itself and
-helpers, or from a pipe.
+helpers, or from a pipe.  Cut, a bad part raises the file's own message
+from the parse that meets it: no byte is parsed twice in this process.
 """
 
 import contextlib
@@ -268,22 +269,33 @@ def test_split_or_failed_helper_reads_as_serial(tmp_path, helpers, fake_helper, 
         assert (helpers[0][0].returncode != 0) == bool(tail_exit)
 
 
-def test_a_rejected_tail_goes_to_the_scan(tmp_path, helpers):
+def parsed_here(mp) -> list:
+    """The list that the length of every `data` given to `_helper.parse` in
+    this process is appended to; the scan of a whole file is refused."""
+    lengths, parse = [], _helper.parse
+
+    def spy(data, *args):
+        lengths.append(len(data))
+        return parse(data, *args)
+
+    mp.setattr(_helper, "parse", spy)
+    mp.setattr(cli, "_scan_matrix", forbidden)
+    return lengths
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_a_rejected_last_part_is_parsed_once(tmp_path, helpers, parts):
+    # the last part's helper exits non-zero; that part is parsed here, from
+    # its first line, 8, at the first part's width: its error is the file's
     p = tmp_path / "m.txt"
     p.write_text(with_lines({10: "1,2,abc\n"}), encoding="utf-8")
     serial = outcome(read_matrix, p)
     assert serial == ("MatrixFileError", f"{p}: line 10: field 3: not a number: 'abc'")
-    scans = []
-
-    def spy(path, data):
-        scans.append((path, data))
-        return _scan_matrix(path, data)
-
-    with split_reads() as mp:
-        mp.setattr(cli, "_scan_matrix", spy)
+    with split_reads(parts) as mp:
+        lengths = parsed_here(mp)
         assert outcome(read_matrix, p) == serial
-    assert scans == [(p, p.read_bytes())]
-    assert len(helpers) == 1 and helpers[0][0].returncode != 0
+    assert len(lengths) == 2 and sum(lengths) <= p.stat().st_size
+    assert [proc.returncode for proc, _ in helpers] == [0] * (parts - 2) + [1]
 
 
 @pytest.mark.parametrize("size, parts", [(98, 1), (100, 2), (148, 2), (150, 3), (400, 4)])
@@ -357,14 +369,18 @@ def test_cuts_that_merge_read_as_serial(tmp_path, helpers, text, started):
     assert len(helpers) == started and all(proc.returncode == 0 for proc, _ in helpers)
 
 
-def test_parts_of_different_widths_go_to_the_scan(tmp_path, helpers):
-    # the second part's row holds two rows of the first part's width
+def test_a_delivered_part_of_another_width_is_parsed_once(tmp_path, helpers):
+    # the helper delivers the second part, one row of four, which holds as
+    # many values as two rows of the first part's width; parsed here at
+    # that width, its first line is the file's first bad one
     p = tmp_path / "m.txt"
     p.write_text("1.25,2.5\n3,4,5,6\n", encoding="utf-8")
     serial = outcome(read_matrix, p)
     assert serial == ("MatrixFileError", f"{p}: line 2: expected 2 fields, got 4")
-    with split_reads():
+    with split_reads() as mp:
+        lengths = parsed_here(mp)
         assert outcome(read_matrix, p) == serial
+    assert lengths == [9, 8] and sum(lengths) == p.stat().st_size
     assert len(helpers) == 1 and helpers[0][0].returncode == 0
 
 

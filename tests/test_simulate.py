@@ -11,7 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import stats
 
 from usvt import (
     ExperimentConfig,
@@ -117,6 +116,7 @@ class TestHaarOrthogonal:
             haar_frame(0, 0, np.random.default_rng(0))
 
     def test_first_entry_matches_uniform_angle_law(self):
+        stats = pytest.importorskip("scipy.stats")
         # Q[0, 0] of a Haar 2 x 2 orthogonal matrix is cos(theta) with theta
         # uniform; compare against a brute-force uniform-angle sample
         rng = np.random.default_rng(42)
@@ -305,6 +305,7 @@ class TestRunExperiment:
         assert len(asked) == frames
 
     def test_diagonal_gaussian_cell_has_the_haar_law(self):
+        stats = pytest.importorskip("scipy.stats")
         # U D_r V^T + sigma A and E D_r E^T + sigma A give records with one
         # joint law for Gaussian A; compare 600 Haar-frame cells, built as
         # before, with 600 cells of run_cell's diagonal construction
@@ -563,6 +564,7 @@ class TestReducedGaussianCell:
         (40, 200, 5, 0.72), (40, 200, 5, 0.3), (25, 30, 10, 0.4), (20, 20, 20, 0.5),
     ], ids=["0.72", "0.3", "trapezoidal", "no-trapezoid"])
     def test_reduced_cell_has_the_law_of_the_full_cell(self, m, n, r, sigma):
+        stats = pytest.importorskip("scipy.stats")
         # 600 reduced run_experiment cells against 600 full-draw m x n
         # diagonal cells built here: sigma_hat, mse_matrix and kept rank.
         # lo + r >= hi at 25 x 30 (T is 25 x 20) and 20 x 20 (p = 0)
