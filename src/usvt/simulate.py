@@ -257,9 +257,11 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
 
     The cells run on min(usable CPUs, cells) threads, this one included,
     each taking the next cell in loop order, with numpy's OpenBLAS held at
-    one thread (`_host.one_blas_thread`); where that cannot be held, they
-    run here one by one.  Once a cell raises, no thread takes another, and
-    the error of the first failing cell in loop order is raised.
+    one thread (`_host.one_blas_thread`); a cell's eigensolve releases the
+    GIL (`_host.syevd`), so the threads' eigensolves overlap.  Where numpy's
+    OpenBLAS is not found, they run here one by one.  Once a cell raises, no
+    thread takes another, and the error of the first failing cell in loop
+    order is raised.
     """
     cells = enumerate((i, j, rep)
                       for i in range(len(config.ranks))

@@ -19,6 +19,10 @@ about eps * lambda_1, so the median's relative error grows with the spread
 lambda_1 / lambda_med; beyond GRAM_MAX_SPREAD the route is refused and
 gesdd runs.  W, W W^T and eigvalsh each run at most once per pass, also
 when gesdd's values decide.
+
+Every eigensolve of W W^T, values only ("eigvalsh") or with vectors
+("eigh"), is `_host.syevd`: numpy's bytes, with the GIL released, so that
+the study's cells solve on several threads at once.  gesdd is numpy's.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import math
 
 import numpy as np
 
+from . import _host
 from .mp_law import MPLaw
 
 # _SpectralPass.rank_k_part takes the Gram eigensolve while
@@ -110,7 +115,7 @@ def singular_values(x) -> np.ndarray:
 
     def gram_values():
         gram, e = _gram(w)
-        return np.linalg.eigvalsh(gram)[::-1], e
+        return _host.syevd(gram)[::-1], e
 
     return _svd_values(w, gram_values)
 
@@ -132,7 +137,7 @@ class _SpectralPass:
         self.gram, e = _gram(self.w)
         self._eigen = None  # exact()'s fallback, None where eigvalsh failed
         try:
-            lam = np.linalg.eigvalsh(self.gram)[::-1]
+            lam = _host.syevd(self.gram)[::-1]
         except np.linalg.LinAlgError:
             self.exact()
             return
@@ -172,7 +177,7 @@ class _SpectralPass:
         return top.T if self.tall else top
 
     def _gram_part(self, k: int) -> np.ndarray:
-        q = np.linalg.eigh(self.gram)[1][:, -k:]
+        q = _host.syevd(self.gram, vectors=True)[1][:, -k:]
         # W in C order, so x and x.T give the product the same bytes
         return q @ (q.T @ np.ascontiguousarray(self.w))
 

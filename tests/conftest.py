@@ -4,10 +4,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import usvt
-from usvt import _helper, cli
+from usvt import _helper, _host, cli
 
 
 @pytest.fixture
@@ -19,6 +20,28 @@ def child_env():
         [str(Path(usvt.__file__).resolve().parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return env
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Call to spy on every eigensolve of a Gram, `_host.syevd`: the list
+    returned gets "eigh" for each call with vectors and "eigvalsh" for each
+    values-only one, and the calls of a kind named in `fail` raise
+    LinAlgError.  Calls again wrap the spy already installed."""
+
+    def install(fail=()):
+        calls, syevd = [], _host.syevd
+
+        def spy(a, vectors=False):
+            calls.append("eigh" if vectors else "eigvalsh")
+            if calls[-1] in fail:
+                raise np.linalg.LinAlgError("did not converge")
+            return syevd(a, vectors)
+
+        monkeypatch.setattr(_host, "syevd", spy)
+        return calls
+
+    return install
 
 
 @pytest.fixture

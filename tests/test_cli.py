@@ -642,7 +642,8 @@ class TestDenoise:
         assert capsys.readouterr().err.startswith("usvt: error: ")
         assert unlinked == []
 
-    def test_spectral_failure_falls_back_then_exits_one(self, tmp_path, capsys, monkeypatch):
+    def test_spectral_failure_falls_back_then_exits_one(self, tmp_path, capsys, monkeypatch,
+                                                        eigensolves):
         # a failed SVD leaves the values pass its W W^T eigenvalues (kept 0
         # needs nothing else); only when those fail too is it exit 1
         def exploding(*args, **kwargs):
@@ -657,7 +658,7 @@ class TestDenoise:
         assert json.loads(rep.read_text())["kept_rank"] == 0
         out.unlink()
         rep.unlink()
-        monkeypatch.setattr(np.linalg, "eigvalsh", exploding)
+        eigensolves(fail=("eigvalsh",))
         assert main(argv) == 1
         assert "did not converge" in capsys.readouterr().err
         assert not out.exists() and not rep.exists()

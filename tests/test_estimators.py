@@ -16,6 +16,7 @@ from usvt import (
     usvt_adaptive,
     usvt_denoise,
 )
+from usvt import _host
 from usvt.estimators import _decide
 from usvt.spectral import GRAM_MAX_SPREAD, _SpectralPass
 
@@ -42,27 +43,22 @@ def planted(spikes, m, n, seed=16):
 
 
 def spy_linalg(monkeypatch):
-    """Record numpy's spectral calls: "values" for a values-only SVD, "svd"
-    for one with vectors, "eigvalsh" for the Gram values, "eigh" for the
-    Gram eigensolve."""
+    """Record the spectral calls: "values" for a values-only SVD, "svd" for
+    one with vectors, "eigvalsh" for the Gram values, "eigh" for the Gram
+    eigensolve with vectors."""
     calls = []
-    svd, eigh, eigvalsh = np.linalg.svd, np.linalg.eigh, np.linalg.eigvalsh
+    svd, syevd = np.linalg.svd, _host.syevd
 
     def counted_svd(*args, **kwargs):
         calls.append("svd" if kwargs.get("compute_uv", True) else "values")
         return svd(*args, **kwargs)
 
-    def counted_eigh(*args, **kwargs):
-        calls.append("eigh")
-        return eigh(*args, **kwargs)
-
-    def counted_eigvalsh(*args, **kwargs):
-        calls.append("eigvalsh")
-        return eigvalsh(*args, **kwargs)
+    def counted_syevd(a, vectors=False):
+        calls.append("eigh" if vectors else "eigvalsh")
+        return syevd(a, vectors)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(_host, "syevd", counted_syevd)
     return calls
 
 
@@ -491,20 +487,23 @@ class TestGramValuesRoute:
         # the rank is gesdd's 2 and the kept part numpy's truncation
         from usvt import estimators, spectral
 
-        def spy(original, name, calls, fail):
+        def spy(original, name, calls, failing):
             def counted(*args, **kwargs):
-                calls.append("values" if kwargs.get("compute_uv") is False else name)
+                if name == "syevd":  # the Gram eigensolve, with vectors or not
+                    called = "eigh" if kwargs.get("vectors") else "eigvalsh"
+                else:
+                    called = "values" if kwargs.get("compute_uv") is False else name
+                calls.append(called)
                 if name == "_gram":
                     formed.append(args[0].shape)
-                if fail:
+                if failing in (name, called):
                     raise np.linalg.LinAlgError("did not converge")
                 return original(*args, **kwargs)
 
             return counted
 
         spied = [(spectral, "_wide"), (spectral, "_gram"), (spectral, "as_matrix"),
-                 (estimators, "as_matrix"), (np.linalg, "svd"), (np.linalg, "eigh"),
-                 (np.linalg, "eigvalsh")]
+                 (estimators, "as_matrix"), (np.linalg, "svd"), (_host, "syevd")]
         for route in ("admitted", "spread_refused", "margin_known", "margin_estimated",
                       "margin_gesdd_fails", "eigvalsh_fails"):
             x, sigma, failing, expected = self.route_case(route, shape)
@@ -513,8 +512,7 @@ class TestGramValuesRoute:
             calls, formed = [], []
             with monkeypatch.context() as mp:
                 for module, name in spied:
-                    mp.setattr(module, name, spy(getattr(module, name), name, calls,
-                                                 fail=name == failing))
+                    mp.setattr(module, name, spy(getattr(module, name), name, calls, failing))
                 denoised, report = usvt_denoise(x, sigma)
             linalg = [c for c in calls if c in ("values", "svd", "eigh", "eigvalsh")]
             assert linalg == expected, route

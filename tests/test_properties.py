@@ -12,7 +12,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usvt import DenoiseReport, MPLaw, estimators, singular_values, usvt_adaptive, usvt_denoise
+from usvt import (
+    DenoiseReport,
+    MPLaw,
+    _host,
+    estimators,
+    signal_matrix,
+    singular_values,
+    usvt_adaptive,
+    usvt_denoise,
+)
 from usvt.estimators import _decide
 from usvt.spectral import GRAM_MIN_GAP, _SpectralPass
 
@@ -216,3 +225,39 @@ def test_power_of_two_scaling_is_exact(x, sigma, j):
     assert b.tobytes() == np.ldexp(a, j).tobytes()
     assert rb == replace(ra, sigma_used=math.ldexp(ra.sigma_used, j),
                          threshold=math.ldexp(ra.threshold, j))
+
+
+@st.composite
+def planted_cells(draw):
+    """(signal, noise, r, sigma) of a small study cell, wide or tall: a
+    rank-r signal U D_r V^T in Haar frames with the study's spectrum, and
+    sigma times i.i.d. Gaussian noise."""
+    lo, hi = draw(st.integers(1, 12)), draw(st.integers(1, 24))
+    m, n = (lo, lo + hi) if draw(st.booleans()) else (lo + hi, lo)
+    r = draw(st.integers(1, lo))
+    sigma = draw(st.sampled_from([0.01, 0.3, 1.0, 3.0, 20.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return signal_matrix(r, m, n, rng), sigma * rng.standard_normal((m, n)), r, sigma
+
+
+@settings(PROPERTIES, max_examples=100)
+@given(planted_cells(), st.booleans())
+def test_error_is_within_the_rank_bound(cell, known):
+    # X = M + E with rank(M) = r: M_hat - M has rank at most k + r and
+    # operator norm at most s_{k+1}(X) + ||E|| < tau + ||E||, so
+    # ||M_hat - M||_F^2 <= (k + r)(tau + ||E||)^2 at any sigma, known or
+    # estimated.  Each Gram eigensolve is the binding's: the values of the
+    # pass, then the vectors of a kept part unless its gap sends it to gesdd.
+    signal, noise, r, sigma = cell
+    calls, syevd = [], _host.syevd
+
+    def spy(a, vectors=False):
+        calls.append("eigh" if vectors else "eigvalsh")
+        return syevd(a, vectors)
+
+    with mock.patch.object(_host, "syevd", spy):
+        denoised, report = usvt_denoise(signal + noise, sigma if known else None)
+    k = report.kept_rank
+    assert calls[0] == "eigvalsh" and calls.count("eigh") <= (k > 0)
+    bound = (k + r) * (report.threshold + np.linalg.norm(noise, 2)) ** 2
+    assert np.sum((denoised - signal) ** 2) <= bound * (1.0 + 1e-9)

@@ -357,21 +357,21 @@ class TestRunExperiment:
         assert reversed_records == expected
         assert parallel == serial
 
-    def test_svd_failure_carries_cell_identity(self, monkeypatch):
+    def test_svd_failure_carries_cell_identity(self, monkeypatch, eigensolves):
         def exploding_svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         # the values pass falls back to the eigenvalues of W W^T, so that
         # has to fail as well
         monkeypatch.setattr(np.linalg, "svd", exploding_svd)
-        monkeypatch.setattr(np.linalg, "eigvalsh", exploding_svd)
+        eigensolves(fail=("eigvalsh",))
         from usvt import SvdConvergenceError
         cfg = ExperimentConfig(m=4, n=6, ranks=(2,), sigmas=(0.7,),
                                replications=1, seed=0)
         with pytest.raises(SvdConvergenceError, match="rank=2 sigma=0.7 rep=0"):
             run_experiment(cfg)
 
-    def test_vector_pass_failure_carries_cell_identity(self, monkeypatch):
+    def test_vector_pass_failure_carries_cell_identity(self, monkeypatch, eigensolves):
         # the values pass succeeds; eigh and the SVD with vectors both fail
         svd = np.linalg.svd
 
@@ -380,11 +380,8 @@ class TestRunExperiment:
                 raise np.linalg.LinAlgError("SVD did not converge")
             return svd(*args, **kwargs)
 
-        def exploding_eigh(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
         monkeypatch.setattr(np.linalg, "svd", values_only)
-        monkeypatch.setattr(np.linalg, "eigh", exploding_eigh)
+        eigensolves(fail=("eigh",))
         from usvt import SvdConvergenceError
         cfg = ExperimentConfig(m=10, n=15, ranks=(2,), sigmas=(0.01,),
                                replications=1, seed=0)
@@ -432,7 +429,7 @@ def blas_at_three():
     at its former count afterwards."""
     if _host._openblas() is None:
         pytest.skip("numpy's bundled OpenBLAS not found")
-    get, set_ = _host._openblas()
+    get, set_, _ = _host._openblas()
     saved = get()
     set_(3)
     yield

@@ -1,5 +1,8 @@
 """Spectral primitives: rank-k truncation, singular values, nuclear norm, KS; the public API."""
 
+import contextlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,8 +10,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 import usvt
-from usvt import MPLaw, SvdConvergenceError, ks_distance, nuclear_norm, singular_values
-from usvt.spectral import GRAM_MAX_SPREAD, GRAM_MIN_GAP, _SpectralPass, as_matrix
+from usvt import (
+    ExperimentConfig,
+    MPLaw,
+    SvdConvergenceError,
+    ks_distance,
+    nuclear_norm,
+    run_experiment,
+    singular_values,
+)
+from usvt import _host, simulate
+from usvt.spectral import GRAM_MAX_SPREAD, GRAM_MIN_GAP, _gram, _SpectralPass, as_matrix
 
 MU_02 = 0.9329154766004399
 
@@ -67,10 +79,10 @@ class TestSvd:
             assert top.shape == x.shape
             assert np.linalg.norm(top - x) <= 1e-10 * max(1.0, np.linalg.norm(x))
 
-    def test_convergence_failure_is_explicit(self, monkeypatch):
+    def test_convergence_failure_is_explicit(self, monkeypatch, eigensolves):
         # the values pass raises only once its W W^T fallback fails too
         monkeypatch.setattr(np.linalg, "svd", exploding)
-        monkeypatch.setattr(np.linalg, "eigvalsh", exploding)
+        eigensolves(fail=("eigvalsh",))
         with pytest.raises(SvdConvergenceError):
             singular_values(np.ones((3, 3)))
 
@@ -89,10 +101,10 @@ class TestVectorFallback:
         return values
 
     @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
-    def test_failed_eigh_takes_the_svd(self, monkeypatch, shape):
+    def test_failed_eigh_takes_the_svd(self, eigensolves, shape):
         x = planted(self.spectrum("resolved_gap"), *shape)
         spectrum = _SpectralPass(x)
-        monkeypatch.setattr(np.linalg, "eigh", exploding)
+        eigensolves(fail=("eigh",))
         top = spectrum.rank_k_part(2)
         assert np.linalg.norm(top - truncation(x, 2)) <= 1e-12 * np.linalg.norm(top)
 
@@ -106,11 +118,11 @@ class TestVectorFallback:
         assert np.linalg.norm(top - expected) <= 1e-9 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("gap", ["resolved_gap", "near_tie"])
-    def test_both_failing_is_explicit(self, monkeypatch, gap):
+    def test_both_failing_is_explicit(self, monkeypatch, eigensolves, gap):
         x = planted(self.spectrum(gap), 20, 30)
         spectrum = _SpectralPass(x)
         monkeypatch.setattr(np.linalg, "svd", exploding)
-        monkeypatch.setattr(np.linalg, "eigh", exploding)
+        eigensolves(fail=("eigh",))
         with pytest.raises(SvdConvergenceError, match="rank-2"):
             spectrum.rank_k_part(2)
 
@@ -158,15 +170,21 @@ class TestGramRoute:
 
     @staticmethod
     def counted(monkeypatch, name, fail=False):
-        calls, routine = [], getattr(np.linalg, name)
+        """The list of the calls of gesdd ("svd") or of the Gram eigensolves
+        of one kind ("eigvalsh", "eigh"), which raise LinAlgError if fail."""
+        calls = []
+        module, attr = (np.linalg, "svd") if name == "svd" else (_host, "syevd")
+        routine = getattr(module, attr)
 
         def spy(*args, **kwargs):
+            if attr == "syevd" and ("eigh" if kwargs.get("vectors") else "eigvalsh") != name:
+                return routine(*args, **kwargs)
             calls.append(name)
             if fail:
                 raise np.linalg.LinAlgError("did not converge")
             return routine(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, spy)
+        monkeypatch.setattr(module, attr, spy)
         return calls
 
     @pytest.mark.parametrize("shape", [(1, 9), (12, 20), (20, 12), (15, 15)])
@@ -282,6 +300,89 @@ class TestGramRoute:
         self.counted(monkeypatch, "svd", fail=True)
         with pytest.raises(ValueError, match="overflows float64"):
             _SpectralPass(x)
+
+
+def solved(gram):
+    """The bytes of _host.syevd's eigvalsh and eigh of gram."""
+    w, v = _host.syevd(gram, vectors=True)
+    return _host.syevd(gram).tobytes(), w.tobytes(), v.tobytes()
+
+
+class TestSyevd:
+    """_host.syevd, which every Gram eigensolve calls: numpy's eigvalsh and
+    eigh, byte for byte, with the GIL released."""
+
+    @staticmethod
+    def grams(shapes=((1, 1), (2, 3), (7, 20), (200, 400), (600, 1200)), seed=60):
+        # the scaled W W^T a spectral pass forms
+        rng = np.random.default_rng(seed)
+        return [_gram(rng.standard_normal(shape))[0] for shape in shapes]
+
+    @pytest.mark.parametrize("held", [False, True], ids=["default_threads", "one_blas_thread"])
+    def test_bytes_are_numpys(self, held):
+        with _host.one_blas_thread() if held else contextlib.nullcontext():
+            for gram in self.grams():
+                w, v = np.linalg.eigh(gram)
+                assert solved(gram) == (np.linalg.eigvalsh(gram).tobytes(), w.tobytes(),
+                                        v.tobytes()), gram.shape
+                assert _host.syevd(gram, vectors=True)[1].flags.c_contiguous
+
+    @pytest.mark.parametrize("held", [False, True], ids=["default_threads", "one_blas_thread"])
+    def test_threads_at_once_get_the_serial_bytes(self, held):
+        grams = self.grams(((150, 300), (150, 300)), seed=61)
+        results, barrier = [None, None], threading.Barrier(2)
+
+        def solve(i):
+            barrier.wait(timeout=60)
+            results[i] = [solved(grams[i]) for _ in range(8)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switching as often as it can
+        try:
+            with _host.one_blas_thread() if held else contextlib.nullcontext():
+                expected = [solved(gram) for gram in grams]
+                threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[expected[0]] * 8, [expected[1]] * 8]
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
+    def test_a_non_square_matrix_is_refused(self, shape):
+        # dsyevd would read past the end of a 2 x 3 buffer
+        with pytest.raises(ValueError):
+            _host.syevd(np.ones(shape))
+
+    def test_without_the_library_numpy_runs_and_the_study_is_serial(self, monkeypatch):
+        x = np.random.default_rng(62).standard_normal((30, 50))
+        cfg = ExperimentConfig(m=30, n=60, ranks=(1, 4, 12), sigmas=(0.01, 0.3),
+                               replications=2, seed=13)
+        monkeypatch.setattr(_host, "usable_cpus", lambda: 4)
+
+        def outputs():
+            spectrum = _SpectralPass(x)
+            return ([solved(gram) for gram in self.grams()[:4]], spectrum.values.tobytes(),
+                    spectrum.rank_k_part(3).tobytes(), run_experiment(cfg))
+
+        bound = outputs()
+        run, threads = simulate.run_cell, set()
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return run(*args)
+
+        monkeypatch.setattr(_host, "_openblas", lambda: None)
+        monkeypatch.setattr(simulate, "run_cell", spy)
+        with _host.one_blas_thread() as held:
+            assert not held
+        unbound = outputs()
+        assert unbound == bound
+        assert any(rec.kept_rank for rec in unbound[3])
+        assert threads == {threading.get_ident()}
 
 
 class TestSingularValues:
