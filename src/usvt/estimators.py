@@ -11,13 +11,17 @@ plugs in sigma_hat.  `_decide` makes that choice from the singular values
 and the shape alone.
 
 A denoise makes one spectral pass (`spectral._SpectralPass`) that views
-x as its wide W and forms W W^T and its eigenvalues once on every route.
-Its values are the eigenvalues' or, where their spread would make
-sigma_hat inaccurate, gesdd's; its W W^T gives the rank-k part.  Where
-some s_i^2 lies within the eigenvalues' error band of tau^2, widened by
-tau^2's own error through sigma_hat, gesdd's values decide instead: the
-kept rank is always gesdd's, and sigma_hat and tau differ from gesdd's
-only in the last digits.
+x as its wide W and forms W W^T and its tridiagonal form once on every
+route.  Its values are the eigenvalues', each computed when the decision
+first reads it, or, where their spread would make sigma_hat inaccurate,
+gesdd's; its W W^T gives the rank-k part.  The decision reads its values
+through the pass: by index (`_sigma_hat` reads the median pair) and by
+count (the values at least the threshold, and whether some s_i^2 lies
+near tau^2).  Where some s_i^2 lies within the eigenvalues' error band of
+tau^2, widened by tau^2's own error through sigma_hat, gesdd's values
+decide instead; that check runs before the count, so the kept rank is
+always gesdd's, and sigma_hat and tau differ from gesdd's only in the
+last digits.
 """
 
 from __future__ import annotations
@@ -61,8 +65,9 @@ class DenoiseReport:
     degenerate_sigma: bool
 
 
-def _sigma_hat(values: np.ndarray, shape: tuple[int, int]) -> float:
-    """med(values) / sqrt(n * mu_gamma) for the descending singular values."""
+def _sigma_hat(values, shape: tuple[int, int]) -> float:
+    """med(values) / sqrt(n * mu_gamma) for the descending singular values,
+    read by index; only the middle pair is read."""
     lo, hi = min(shape), max(shape)
     a, b = float(values[(lo - 1) // 2]), float(values[lo // 2])
     # np.median's (a + b) / 2, halved first where the sum overflows
@@ -96,17 +101,27 @@ def _check_sigma(sigma: float) -> float:
     return abs(sigma)  # -0.0 is reported as 0.0
 
 
-def _decide(values, shape: tuple[int, int], sigma: float | None, eta: float) -> DenoiseReport:
-    """The keep/drop decision from x's descending singular values and shape
-    alone: sigma None plugs in sigma_hat, and each value reaching the
-    threshold is kept.  A zero threshold keeps all min(m, n), so `values`
-    may be None at sigma 0.  Raises ValueError if the threshold overflows."""
-    m, n = shape
+def _threshold(values, shape: tuple[int, int], sigma: float | None, eta: float):
+    """(sigma, (2 + eta) sigma sqrt(max(m, n))), sigma None plugging in
+    sigma_hat of the descending singular values; raises ValueError if the
+    threshold overflows."""
     sigma = _sigma_hat(values, shape) if sigma is None else sigma
-    threshold = (2.0 + eta) * sigma * math.sqrt(max(m, n))
+    threshold = (2.0 + eta) * sigma * math.sqrt(max(shape))
     if not math.isfinite(threshold):
         raise ValueError(f"threshold (2 + eta) * sigma * sqrt(n) overflows for sigma {sigma}")
-    kept = min(m, n) if threshold == 0.0 else int(np.count_nonzero(values >= threshold))
+    return sigma, threshold
+
+
+def _decide(values, shape: tuple[int, int], sigma: float | None, eta: float) -> DenoiseReport:
+    """The keep/drop decision from x's descending singular values (a
+    spectral pass's, which read by index and count those at least a bound)
+    and shape alone: sigma None plugs in sigma_hat, and each value reaching
+    the threshold is kept.  A zero threshold keeps all min(m, n), so
+    `values` may be None at sigma 0.  Raises ValueError if the threshold
+    overflows."""
+    m, n = shape
+    sigma, threshold = _threshold(values, shape, sigma, eta)
+    kept = min(m, n) if threshold == 0.0 else values.at_least(threshold)
     return DenoiseReport(
         m=m, n=n, eta=eta, sigma_used=sigma, mu_gamma=_law(min(m, n) / max(m, n)).median,
         threshold=threshold, kept_rank=kept, kept_indices=tuple(range(1, kept + 1)),
@@ -129,18 +144,19 @@ def usvt_denoise(x, sigma: float | None = None, eta: float = DEFAULT_ETA):
     return _denoise(a, a.shape, sigma, eta)
 
 
-def _near_threshold(values: np.ndarray, report: DenoiseReport, tol: float | None,
-                    estimated: bool) -> bool:
+def _near_threshold(values, tau: float, tol: float | None, estimated: bool) -> bool:
     """Whether some s_i^2 lies within tol s_1^2 of tau^2, the band being
     widened by tol s_1^2 tau^2 / s_med^2 (s_med the lower middle value),
     the error of tau^2 through sigma_hat, when sigma was estimated.  A tol
     of None (gesdd's values) is never near."""
-    s1, tau = values[0], report.threshold
-    if tol is None or tau / 2.0 > s1:  # gesdd's, or every s_i^2 < tau^2 / 4
+    if tol is None:
         return False
-    u, t = (values / s1) ** 2, (tau / s1) ** 2
-    band = tol * (1.0 + t / u[u.size // 2]) if estimated else tol
-    return bool(np.any(np.abs(u - t) <= band))
+    s1 = values[0]
+    if tau / 2.0 > s1:  # every s_i^2 < tau^2 / 4
+        return False
+    r, med = tau / s1, values[len(values) // 2] / s1
+    band = tol * (1.0 + r * r / (med * med)) if estimated else tol
+    return values.near(r * r, band)
 
 
 def _denoise(a: np.ndarray, shape: tuple[int, int], sigma: float | None, eta: float):
@@ -150,9 +166,13 @@ def _denoise(a: np.ndarray, shape: tuple[int, int], sigma: float | None, eta: fl
     if sigma == 0.0:  # all kept: the input itself, exactly
         return a.copy(), _decide(None, shape, sigma, eta)
     spectrum = _SpectralPass(a)
+    # The band check comes before the count: outside the band, the count of
+    # the Gram route's eigenvalues that reach tau^2 is the count of gesdd's
+    # s_i >= tau; inside it, gesdd's values decide.
+    tau = _threshold(spectrum.values, shape, sigma, eta)[1]
+    if _near_threshold(spectrum.values, tau, spectrum.tol, sigma is None):
+        spectrum.exact()
     report = _decide(spectrum.values, shape, sigma, eta)
-    if _near_threshold(spectrum.values, report, spectrum.tol, sigma is None):
-        report = _decide(spectrum.exact(), shape, sigma, eta)
     k = report.kept_rank
     if k and report.threshold:
         return spectrum.rank_k_part(k), report

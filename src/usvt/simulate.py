@@ -201,8 +201,10 @@ def _bartlett_noise(lo: int, hi: int, r: int, rng: np.random.Generator) -> np.nd
     noise = np.zeros((lo, r + p))
     noise[:, :r] = rng.standard_normal((lo, r))
     t = noise[:, r:]
-    t[np.tril_indices(lo, -1, p)] = rng.standard_normal(p * (2 * lo - p - 1) // 2)
-    t[np.diag_indices(p)] = np.sqrt(rng.chisquare(hi - r - np.arange(p)))
+    # a mask takes T's strictly lower entries row by row, the draws' order,
+    # with no index arrays to build
+    t[np.tri(lo, p, -1, dtype=bool)] = rng.standard_normal(p * (2 * lo - p - 1) // 2)
+    np.fill_diagonal(t, np.sqrt(rng.chisquare(hi - r - np.arange(p))))
     return noise
 
 
@@ -258,10 +260,10 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     The cells run on min(usable CPUs, cells) threads, this one included,
     each taking the next cell in loop order, with numpy's OpenBLAS held at
     one thread (`_host.one_blas_thread`); a cell's eigensolve releases the
-    GIL (`_host.syevd`), so the threads' eigensolves overlap.  Where numpy's
-    OpenBLAS is not found, they run here one by one.  Once a cell raises, no
-    thread takes another, and the error of the first failing cell in loop
-    order is raised.
+    GIL (`_host`'s LAPACK calls), so the threads' eigensolves overlap.
+    Where numpy's OpenBLAS is not found, they run here one by one.  Once a
+    cell raises, no thread takes another, and the error of the first
+    failing cell in loop order is raised.
     """
     cells = enumerate((i, j, rep)
                       for i in range(len(config.ranks))

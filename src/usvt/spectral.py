@@ -12,17 +12,23 @@ formed at an exact power-of-two scale and neither over- nor underflows,
 and W in Q_k^T W.
 
 `singular_values` is LAPACK's values-only SVD (gesdd), accurate for every
-value.  The denoiser takes its values from one eigvalsh of W W^T instead,
-two to four times cheaper, in one spectral pass (`_SpectralPass`) whose
-W W^T then gives the rank-k part.  The eigenvalues' error |dlambda_i| is
-about eps * lambda_1, so the median's relative error grows with the spread
-lambda_1 / lambda_med; beyond GRAM_MAX_SPREAD the route is refused and
-gesdd runs.  W, W W^T and eigvalsh each run at most once per pass, also
-when gesdd's values decide.
+value.  The denoiser takes its values from the eigenvalues of W W^T
+instead, several times cheaper, in one spectral pass (`_SpectralPass`)
+whose W W^T then gives the rank-k part.  A decision reads only lambda_1,
+the median pair, lambda_k and lambda_{k+1} for the kept k, and counts at
+tau^2, so the pass reduces W W^T to tridiagonal form once and bisects
+just the eigenvalues it reads, and counts by Sturm sequences
+(`_Bisected`).  The eigenvalues' error |dlambda_i| is about eps *
+lambda_1, so the median's relative error grows with the spread lambda_1 /
+lambda_med; beyond GRAM_MAX_SPREAD the route is refused and gesdd runs.
+W, W W^T and its tridiagonal form are each formed at most once per pass,
+also when gesdd's values decide.
 
-Every eigensolve of W W^T, values only ("eigvalsh") or with vectors
-("eigh"), is `_host.syevd`: numpy's bytes, with the GIL released, so that
-the study's cells solve on several threads at once.  gesdd is numpy's.
+Every LAPACK call on W W^T is `_host`'s, with the GIL released, so that
+the study's cells solve on several threads at once: the tridiagonal
+reduction, bisection and Sturm counts of the values, and dsyevd with
+numpy's bytes for the eigenvectors of the rank-k part ("eigh") and for
+all eigenvalues ("eigvalsh") where gesdd fails.  gesdd is numpy's.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ GRAM_MIN_GAP = 1e-2
 # The relative error of their median against gesdd's was measured at most
 # 1.3 eps * lambda_1 / lambda_med (1 x 7 to 600 x 1200), so at most 3e-13.
 GRAM_MAX_SPREAD = 2.0 ** 10
+
+_EPS = np.finfo(np.float64).eps
 
 
 class SvdConvergenceError(RuntimeError):
@@ -90,7 +98,7 @@ def _svd_values(w: np.ndarray, fallback) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         if fallback is None:
             raise SvdConvergenceError(
-                f"neither eigvalsh of W W^T nor the SVD converged: {exc}") from exc
+                f"neither the eigenvalues of W W^T nor the SVD converged: {exc}") from exc
         try:
             lam, e = fallback()
         except np.linalg.LinAlgError as exc:
@@ -120,6 +128,87 @@ def singular_values(x) -> np.ndarray:
     return _svd_values(w, gram_values)
 
 
+class _Held:
+    """Descending singular values held whole in `array`: gesdd's, or
+    sqrt(lambda_i) 2^e of numpy's eigenvalues of W W^T / 4^e where numpy's
+    OpenBLAS is not found."""
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+    def __len__(self) -> int:
+        return self.array.size
+
+    def __getitem__(self, i: int) -> float:
+        return float(self.array[i])
+
+    def at_least(self, x: float) -> int:
+        """The number of values >= x."""
+        return int(np.count_nonzero(self.array >= x))
+
+    def near(self, t: float, band: float) -> bool:
+        """Whether some (s_i / s_1)^2 lies within band of t."""
+        u = (self.array / self.array[0]) ** 2
+        return bool(np.any(np.abs(u - t) <= band))
+
+
+class _Bisected:
+    """The descending singular values sqrt(max(lambda_i, 0)) 2^e of a
+    spectral pass, lambda_i the eigenvalues of W W^T / 4^e, held as its
+    tridiagonal form (`_host.sytrd`): lambda_i is bisected where first read
+    (`_host.stebz`) and kept, and values are counted by Sturm counts
+    (`_host.laebz`), so that no eigenvalue is computed that is not read."""
+
+    def __init__(self, gram: np.ndarray, e: int) -> None:
+        d, f = _host.sytrd(gram)
+        self.d, self.f, self.e = d, f, int(e)
+        self._lam: dict[int, float] = {}
+
+    def __len__(self) -> int:
+        return self.d.size
+
+    def bisect(self, first: int, last: int) -> None:
+        """Bisect lambda_first to lambda_last (0-based, descending) in one
+        call, unless they were read already."""
+        if not all(i in self._lam for i in range(first, last + 1)):
+            n = self.d.size
+            lam = _host.stebz(self.d, self.f, n - last, n - first)  # ascending
+            self._lam.update(zip(range(last, first - 1, -1), lam.tolist()))
+
+    def eigenvalue(self, i: int) -> float:
+        """lambda_i, 0-based, descending."""
+        self.bisect(i, i)
+        return self._lam[i]
+
+    def __getitem__(self, i: int) -> float:
+        return math.ldexp(math.sqrt(max(self.eigenvalue(i), 0.0)), self.e)
+
+    def at_least(self, x: float) -> int:
+        """The number of lambda_i >= (x / 2^e)^2: the number of values >= x
+        but for lambda_i within rounding of (x / 2^e)^2."""
+        if x > self[0]:
+            return 0
+        y = math.ldexp(x, -self.e)  # at most sqrt(lambda_1), so y^2 is finite
+        return self.d.size - _host.laebz(self.d, self.f, y * y, y * y)[0]
+
+    def near(self, t: float, band: float) -> bool:
+        """Whether some lambda_i / lambda_1 lies within band of t, by the
+        count of lambda_i in [lambda_1 (t - band), lambda_1 (t + band)],
+        widened by 4 ulps of lambda_1: (s_i / s_1)^2 and lambda_i / lambda_1,
+        and the Sturm counts, differ by rounding."""
+        lam_1 = self.eigenvalue(0)
+        slack = 4.0 * _EPS * lam_1
+        below, within = _host.laebz(self.d, self.f, (t - band) * lam_1 - slack,
+                                    (t + band) * lam_1 + slack)
+        return within > below
+
+
+def _admitted(lam_1: float, median: float, e: int) -> bool:
+    # the spread guard, and s_1 = sqrt(lambda_1) 2^e a finite float64
+    return (0.0 < median and lam_1 <= GRAM_MAX_SPREAD * median
+            and not _overflows(math.sqrt(max(lam_1, 0.0)), e))
+
+
 class _SpectralPass:
     """One denoise's spectral pass over the validated matrix a: the wide
     view W, the scaled W W^T of `_gram`, a's singular values, descending,
@@ -127,33 +216,49 @@ class _SpectralPass:
     eigenvalues lambda_i of W W^T / 4^e, |lambda_i 4^e - s_i^2| <= tol s_1^2
     against gesdd's s_i, tol = 16 (1 + sqrt(min(m, n))) eps: over six times
     the largest error measured, 2.4 (1 + sqrt(min(m, n))) eps from 1 x 3 to
-    1000 x 1000.  Where lambda_med <= 0, lambda_1 > GRAM_MAX_SPREAD
-    lambda_med, eigvalsh does not converge or s_1 overflows, they are
-    gesdd's, with the errors of singular_values(a), and tol is None."""
+    1000 x 1000 with all of them computed, and 1.5 with each bisected (60
+    matrices up to 300 x 300, against 1.6 with all computed).  They
+    are read one at a time (`_Bisected`), or held whole (`_Held`) where
+    numpy's OpenBLAS is not found.  Where lambda_med <= 0, lambda_1 >
+    GRAM_MAX_SPREAD lambda_med, the eigensolve fails or s_1 overflows, they
+    are gesdd's, held whole, with the errors of singular_values(a), and tol
+    is None."""
 
     def __init__(self, a: np.ndarray) -> None:
         self.tall = a.shape[0] > a.shape[1]
         self.w = _wide(a)
         self.gram, e = _gram(self.w)
-        self._eigen = None  # exact()'s fallback, None where eigvalsh failed
+        self._eigen = None  # exact()'s fallback, None where the Gram route failed
         try:
-            lam = _host.syevd(self.gram)[::-1]
+            values = self._gram_values(e)
         except np.linalg.LinAlgError:
+            values = None
+        if values is None:
             self.exact()
-            return
-        self._eigen = lambda: (lam, e)
-        median = lam[lam.size // 2]
-        s = np.sqrt(np.maximum(lam, 0.0))
-        if 0.0 < median and lam[0] <= GRAM_MAX_SPREAD * median and not _overflows(s[0], e):
-            self.values = np.ldexp(s, e)
-            self.tol = 16.0 * (1.0 + math.sqrt(lam.size)) * np.finfo(np.float64).eps
         else:
-            self.exact()
+            self.values, self.tol = values, 16.0 * (1.0 + math.sqrt(len(values))) * _EPS
 
-    def exact(self) -> np.ndarray:
+    def _gram_values(self, e: int):
+        """The values of the Gram route, or None where the spread guard or
+        an overflow refuses them; sets exact()'s fallback to all eigenvalues
+        of W W^T.  Raises LinAlgError where the eigensolve fails."""
+        gram = self.gram  # closed over below, not self, so that no cycle holds the pass
+        lo = gram.shape[0]
+        if _host._openblas() is None:  # numpy's eigvalsh, the values held whole
+            lam = _host.syevd(gram)[::-1]
+            self._eigen = lambda: (lam, e)
+            if not _admitted(lam[0], lam[lo // 2], e):
+                return None
+            return _Held(np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e))
+        values = _Bisected(gram, e)
+        self._eigen = lambda: (_host.syevd(gram)[::-1], e)
+        values.bisect((lo - 1) // 2, lo // 2)  # sigma_hat's median pair, in one call
+        return values if _admitted(values.eigenvalue(0), values.eigenvalue(lo // 2), e) else None
+
+    def exact(self) -> _Held:
         """Replace the values by gesdd's and return them; where gesdd fails,
-        the eigenvalues already computed stand in, if eigvalsh converged."""
-        self.values, self.tol = _svd_values(self.w, self._eigen), None
+        all eigenvalues of W W^T stand in, unless the Gram route failed."""
+        self.values, self.tol = _Held(_svd_values(self.w, self._eigen)), None
         return self.values
 
     def rank_k_part(self, k: int) -> np.ndarray:
@@ -162,9 +267,15 @@ class _SpectralPass:
         GRAM_MIN_GAP, else numpy's truncated thin SVD.  Where the chosen
         LAPACK route does not converge the other one runs; where both fail,
         SvdConvergenceError is raised."""
-        sk, below = np.append(self.values, 0.0)[k - 1:k + 1] / self.values[0]
         first, second = self._gram_part, self._svd_part
-        if sk * sk - below * below < GRAM_MIN_GAP:
+        try:
+            s_1 = self.values[0]
+            sk = self.values[k - 1] / s_1
+            below = self.values[k] / s_1 if k < len(self.values) else 0.0
+            resolved = sk * sk - below * below >= GRAM_MIN_GAP
+        except np.linalg.LinAlgError:  # a gap that cannot be read: the SVD needs none
+            resolved = False
+        if not resolved:
             first, second = second, first
         try:
             top = first(k)

@@ -24,21 +24,31 @@ def child_env():
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Call to spy on every eigensolve of a Gram, `_host.syevd`: the list
-    returned gets "eigh" for each call with vectors and "eigvalsh" for each
-    values-only one, and the calls of a kind named in `fail` raise
-    LinAlgError.  Calls again wrap the spy already installed."""
+    """Call to spy on every eigensolve of a Gram: the list returned gets
+    "sytrd" for each tridiagonal reduction of the Gram route
+    (`_host.sytrd`), "eigh" for each `_host.syevd` with vectors and
+    "eigvalsh" for each values-only one, and the calls of a kind named in
+    `fail` raise LinAlgError.  Calls again wrap the spies already
+    installed."""
 
     def install(fail=()):
-        calls, syevd = [], _host.syevd
+        calls, sytrd, syevd = [], _host.sytrd, _host.syevd
 
-        def spy(a, vectors=False):
-            calls.append("eigh" if vectors else "eigvalsh")
-            if calls[-1] in fail:
+        def record(kind):
+            calls.append(kind)
+            if kind in fail:
                 raise np.linalg.LinAlgError("did not converge")
+
+        def tridiagonal(a):
+            record("sytrd")
+            return sytrd(a)
+
+        def solve(a, vectors=False):
+            record("eigh" if vectors else "eigvalsh")
             return syevd(a, vectors)
 
-        monkeypatch.setattr(_host, "syevd", spy)
+        monkeypatch.setattr(_host, "sytrd", tridiagonal)
+        monkeypatch.setattr(_host, "syevd", solve)
         return calls
 
     return install

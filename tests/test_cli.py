@@ -645,7 +645,8 @@ class TestDenoise:
     def test_spectral_failure_falls_back_then_exits_one(self, tmp_path, capsys, monkeypatch,
                                                         eigensolves):
         # a failed SVD leaves the values pass its W W^T eigenvalues (kept 0
-        # needs nothing else); only when those fail too is it exit 1
+        # needs nothing else); only when their tridiagonal reduction fails
+        # too is it exit 1
         def exploding(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
@@ -658,7 +659,7 @@ class TestDenoise:
         assert json.loads(rep.read_text())["kept_rank"] == 0
         out.unlink()
         rep.unlink()
-        eigensolves(fail=("eigvalsh",))
+        eigensolves(fail=("sytrd",))
         assert main(argv) == 1
         assert "did not converge" in capsys.readouterr().err
         assert not out.exists() and not rep.exists()

@@ -18,7 +18,7 @@ from usvt import (
 )
 from usvt import _host
 from usvt.estimators import _decide
-from usvt.spectral import GRAM_MAX_SPREAD, _SpectralPass
+from usvt.spectral import GRAM_MAX_SPREAD, _Held, _SpectralPass
 
 
 def embedded_diag(values, m, n):
@@ -44,20 +44,26 @@ def planted(spikes, m, n, seed=16):
 
 def spy_linalg(monkeypatch):
     """Record the spectral calls: "values" for a values-only SVD, "svd" for
-    one with vectors, "eigvalsh" for the Gram values, "eigh" for the Gram
+    one with vectors, "sytrd" for the tridiagonal reduction the Gram values
+    are read from, "eigvalsh" for all Gram values, "eigh" for the Gram
     eigensolve with vectors."""
     calls = []
-    svd, syevd = np.linalg.svd, _host.syevd
+    svd, sytrd, syevd = np.linalg.svd, _host.sytrd, _host.syevd
 
     def counted_svd(*args, **kwargs):
         calls.append("svd" if kwargs.get("compute_uv", True) else "values")
         return svd(*args, **kwargs)
+
+    def counted_sytrd(a):
+        calls.append("sytrd")
+        return sytrd(a)
 
     def counted_syevd(a, vectors=False):
         calls.append("eigh" if vectors else "eigvalsh")
         return syevd(a, vectors)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(_host, "sytrd", counted_sytrd)
     monkeypatch.setattr(_host, "syevd", counted_syevd)
     return calls
 
@@ -89,7 +95,9 @@ class TestEstimateSigma:
         # of the values the spectral pass gives
         x = np.random.default_rng(sum(shape)).standard_normal(shape)
         lo, hi = min(shape), max(shape)
-        expected = float(np.median(_SpectralPass(x).values)) / math.sqrt(hi * MPLaw(lo / hi).median)
+        values = _SpectralPass(x).values
+        values = [values[i] for i in range(lo)]
+        expected = float(np.median(values)) / math.sqrt(hi * MPLaw(lo / hi).median)
         assert estimate_sigma(x) == expected
 
     def test_even_median_of_huge_values_is_finite(self):
@@ -103,10 +111,10 @@ class TestEstimateSigma:
 class TestDecide:
     def test_value_at_threshold_kept_next_below_dropped(self):
         shape, sigma = (3, 7), 0.3
-        tau = _decide(np.zeros(3), shape, sigma, DEFAULT_ETA).threshold
+        tau = _decide(_Held(np.zeros(3)), shape, sigma, DEFAULT_ETA).threshold
         assert tau == (2.0 + DEFAULT_ETA) * sigma * math.sqrt(7)
         for top, kept in ((tau, 1), (np.nextafter(tau, 0.0), 0)):
-            report = _decide(np.array([top, tau / 2, 0.0]), shape, sigma, DEFAULT_ETA)
+            report = _decide(_Held(np.array([top, tau / 2, 0.0])), shape, sigma, DEFAULT_ETA)
             assert report.threshold == tau
             assert (report.kept_rank, report.kept_indices) == (kept, tuple(range(1, kept + 1)))
 
@@ -120,7 +128,7 @@ class TestDecide:
     def test_overflowing_threshold_raises(self, sigma):
         # sigma_hat of these values is finite, its threshold is not
         with pytest.raises(ValueError, match="overflows"):
-            _decide(np.array([1e308, 1e308]), (2, 2), sigma, DEFAULT_ETA)
+            _decide(_Held(np.array([1e308, 1e308])), (2, 2), sigma, DEFAULT_ETA)
 
 
 class TestUsvtDenoise:
@@ -245,7 +253,7 @@ class TestUsvtDenoise:
         sigma = tau / (2.0 + DEFAULT_ETA) / np.sqrt(30) if known else None
         _, report = usvt_denoise(x, sigma)
         assert report.kept_rank == 2
-        assert calls == ["eigvalsh", solver]
+        assert calls == ["sytrd", solver]
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1e308])
     def test_rejects_non_finite_sigma_or_threshold(self, sigma):
@@ -275,8 +283,8 @@ class TestUsvtAdaptive:
         assert np.abs(scaled - 5.0 * base).max() <= 1e-8
 
     def test_kept_zero_skips_singular_vectors(self, monkeypatch):
-        # the published setting keeps nothing: one eigvalsh of W W^T, no
-        # vectors from either route
+        # the published setting keeps nothing: one tridiagonal reduction of
+        # W W^T, no values-only eigensolve of it, no vectors from either route
         rng = np.random.default_rng(13)
         x = signal_matrix(50, 200, 1000, rng) + rng.standard_normal((200, 1000))
         _, expected = usvt_denoise(x, estimate_sigma(x))
@@ -284,7 +292,7 @@ class TestUsvtAdaptive:
         denoised, report = usvt_adaptive(x)
         assert report == expected and report.kept_rank == 0
         assert np.array_equal(denoised, np.zeros_like(x))
-        assert calls == ["eigvalsh"]
+        assert calls == ["sytrd"]
 
     def test_estimated_threshold_tie_is_kept(self):
         # lambda_1 set to the float threshold the median of the rest yields
@@ -350,7 +358,7 @@ class TestGramValuesRoute:
 
     @staticmethod
     def gesdd_report(x, sigma, eta=DEFAULT_ETA):
-        return _decide(np.linalg.svd(x, compute_uv=False), x.shape, sigma, eta)
+        return _decide(_Held(np.linalg.svd(x, compute_uv=False)), x.shape, sigma, eta)
 
     def test_exactly_low_rank_runs_gesdd(self, monkeypatch):
         # the spread guard: a median at the rounding level is gesdd's, and
@@ -362,7 +370,7 @@ class TestGramValuesRoute:
         calibration = math.sqrt(hi * MPLaw(lo / hi).median)
         calls = spy_linalg(monkeypatch)
         _, report = usvt_adaptive(x)
-        assert calls[:2] == ["eigvalsh", "values"]
+        assert calls[:2] == ["sytrd", "values"]
         expected = float(np.median(values)) / calibration
         assert abs(report.sigma_used - expected) <= max(1e-12 * expected,
                                                         1e-12 * values[0] / calibration)
@@ -376,7 +384,7 @@ class TestGramValuesRoute:
         sigma = s[1] / (2.0 + DEFAULT_ETA) / math.sqrt(max(shape))
         calls = spy_linalg(monkeypatch)
         _, report = usvt_denoise(x, sigma)
-        assert calls[:2] == ["eigvalsh", "values"]
+        assert calls[:2] == ["sytrd", "values"]
         assert report == self.gesdd_report(x, sigma)
         assert report.kept_rank == int(np.count_nonzero(s >= report.threshold))
 
@@ -389,7 +397,7 @@ class TestGramValuesRoute:
         x = (u * s) @ vt
         calls = spy_linalg(monkeypatch)
         _, report = usvt_adaptive(x)
-        assert calls[:2] == ["eigvalsh", "values"]
+        assert calls[:2] == ["sytrd", "values"]
         assert report == self.gesdd_report(x, None)
 
     def test_band_is_widened_by_the_error_of_tau_hat(self, monkeypatch):
@@ -406,11 +414,11 @@ class TestGramValuesRoute:
         x = (u * s) @ v.T
         calls = spy_linalg(monkeypatch)
         _, report = usvt_adaptive(x)
-        assert calls[:2] == ["eigvalsh", "values"]
+        assert calls[:2] == ["sytrd", "values"]
         assert report == self.gesdd_report(x, None)
         calls.clear()
         usvt_denoise(x, report.sigma_used)
-        assert calls == ["eigvalsh", "eigh"]
+        assert calls == ["sytrd", "eigh"]
 
     def test_estimate_sigma_is_denoises_but_at_the_margin(self):
         # estimate_sigma makes no keep/drop decision: it keeps the Gram
@@ -463,7 +471,9 @@ class TestGramValuesRoute:
     def route_case(route, shape):
         """(x, sigma, the numpy routine that fails, the numpy calls expected)
         of a denoise of shape `shape` taking `route`; "values" is gesdd's
-        values-only SVD, "eigh" the rank-k part's Gram eigensolve."""
+        values-only SVD, "sytrd" the Gram route's tridiagonal reduction,
+        "eigvalsh" all Gram values, "eigh" the rank-k part's Gram
+        eigensolve."""
         spikes = [40.0, 30.0, 0.8] if route == "spread_refused" else [3.0, 2.0, 0.8]
         x, _ = planted(spikes, *shape)
         s = np.linalg.svd(x, compute_uv=False)
@@ -471,20 +481,22 @@ class TestGramValuesRoute:
         if route == "margin_estimated":
             u, s, vt = np.linalg.svd(x, full_matrices=False)
             s[0] = _decide(_SpectralPass(x).values, shape, None, DEFAULT_ETA).threshold
-            return (u * s) @ vt, None, None, ["eigvalsh", "values", "eigh"]
+            return (u * s) @ vt, None, None, ["sytrd", "values", "eigh"]
         return {
-            "admitted": (x, None, None, ["eigvalsh", "eigh"]),
-            "spread_refused": (x, None, None, ["eigvalsh", "values", "eigh"]),
-            "margin_known": (x, sigma, None, ["eigvalsh", "values", "eigh"]),
-            "margin_gesdd_fails": (x, sigma, "svd", ["eigvalsh", "values", "eigh"]),
-            "eigvalsh_fails": (x, None, "eigvalsh", ["eigvalsh", "values", "eigh"]),
+            "admitted": (x, None, None, ["sytrd", "eigh"]),
+            "spread_refused": (x, None, None, ["sytrd", "values", "eigh"]),
+            "margin_known": (x, sigma, None, ["sytrd", "values", "eigh"]),
+            "margin_gesdd_fails": (x, sigma, "svd", ["sytrd", "values", "eigvalsh", "eigh"]),
+            "sytrd_fails": (x, None, "sytrd", ["sytrd", "values", "eigh"]),
         }[route]
 
     @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
     def test_one_gram_per_denoise(self, monkeypatch, shape):
-        # on every route W and W W^T are formed once, from the wide W, eigvalsh
-        # runs at most once, the input is validated only at the entry point,
-        # the rank is gesdd's 2 and the kept part numpy's truncation
+        # on every route W and W W^T are formed once, from the wide W, W W^T
+        # is reduced to tridiagonal form once and all its eigenvalues are
+        # computed only where gesdd fails, the input is validated only at the
+        # entry point, the rank is gesdd's 2 and the kept part numpy's
+        # truncation
         from usvt import estimators, spectral
 
         def spy(original, name, calls, failing):
@@ -503,9 +515,10 @@ class TestGramValuesRoute:
             return counted
 
         spied = [(spectral, "_wide"), (spectral, "_gram"), (spectral, "as_matrix"),
-                 (estimators, "as_matrix"), (np.linalg, "svd"), (_host, "syevd")]
+                 (estimators, "as_matrix"), (np.linalg, "svd"), (_host, "sytrd"),
+                 (_host, "syevd")]
         for route in ("admitted", "spread_refused", "margin_known", "margin_estimated",
-                      "margin_gesdd_fails", "eigvalsh_fails"):
+                      "margin_gesdd_fails", "sytrd_fails"):
             x, sigma, failing, expected = self.route_case(route, shape)
             u, s, vt = np.linalg.svd(x, full_matrices=False)
             top = (u[:, :2] * s[:2]) @ vt[:2]
@@ -514,7 +527,7 @@ class TestGramValuesRoute:
                 for module, name in spied:
                     mp.setattr(module, name, spy(getattr(module, name), name, calls, failing))
                 denoised, report = usvt_denoise(x, sigma)
-            linalg = [c for c in calls if c in ("values", "svd", "eigh", "eigvalsh")]
+            linalg = [c for c in calls if c in ("values", "svd", "sytrd", "eigh", "eigvalsh")]
             assert linalg == expected, route
             assert [calls.count(n) for n in ("_wide", "_gram", "as_matrix")] == [1, 1, 1], route
             assert formed == [(20, 30)], route
@@ -538,7 +551,7 @@ class TestGramValuesRoute:
             a, ra = usvt_denoise(x, known)
             calls = spy_linalg(monkeypatch)
             b, rb = usvt_denoise(np.ldexp(x, j), None if known is None else math.ldexp(known, j))
-            assert calls == ["eigvalsh", "eigh"] and ra.kept_rank == 2
+            assert calls == ["sytrd", "eigh"] and ra.kept_rank == 2
             assert b.tobytes() == np.ldexp(a, j).tobytes()
             assert (rb.sigma_used, rb.threshold) == \
                 (math.ldexp(ra.sigma_used, j), math.ldexp(ra.threshold, j))

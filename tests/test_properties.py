@@ -18,17 +18,24 @@ from usvt import (
     _host,
     estimators,
     signal_matrix,
+    signal_spectrum,
     singular_values,
     usvt_adaptive,
     usvt_denoise,
 )
-from usvt.estimators import _decide
-from usvt.spectral import GRAM_MIN_GAP, _SpectralPass
+from usvt.estimators import _decide, _sigma_hat
+from usvt.simulate import _bartlett_noise
+from usvt.spectral import _EPS, GRAM_MIN_GAP, _SpectralPass
 
 # Derandomized so every run checks the same examples; no database writes.
 PROPERTIES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 REL = 1e-12
+
+
+def read(values):
+    """Every value of a spectral pass's values, as an array."""
+    return np.array([values[i] for i in range(len(values))])
 
 
 def decided(x, sigma, eta):
@@ -124,8 +131,8 @@ def test_report_is_the_decision_on_values_and_shape(x, sigma, eta):
     values, report = decided(x, sigma, eta)
     assert report == _decide(values, x.shape, sigma, eta)
     if values is not None:
-        assert any(values.tobytes() == v.tobytes()
-                   for v in (_SpectralPass(x).values, singular_values(x)))
+        assert any(read(values).tobytes() == v.tobytes()
+                   for v in (read(_SpectralPass(x).values), singular_values(x)))
 
 
 @PROPERTIES
@@ -198,7 +205,7 @@ def test_rank_k_part_is_numpys_truncation(planted, known, eta):
     sigma = (values[k - 1] + below) / 2 / (2.0 + eta) / math.sqrt(max(m, n)) if known else None
     denoised, report = usvt_denoise(x, sigma, eta)
 
-    values_decided = decided(x, sigma, eta)[0]
+    values_decided = read(decided(x, sigma, eta)[0])
     sigma = float(np.median(values_decided)) / calibration(x) if sigma is None else sigma
     threshold = (2.0 + eta) * sigma * math.sqrt(max(m, n))
     kept = int(np.count_nonzero(values >= threshold))
@@ -246,18 +253,74 @@ def test_error_is_within_the_rank_bound(cell, known):
     # X = M + E with rank(M) = r: M_hat - M has rank at most k + r and
     # operator norm at most s_{k+1}(X) + ||E|| < tau + ||E||, so
     # ||M_hat - M||_F^2 <= (k + r)(tau + ||E||)^2 at any sigma, known or
-    # estimated.  Each Gram eigensolve is the binding's: the values of the
-    # pass, then the vectors of a kept part unless its gap sends it to gesdd.
+    # estimated.  Each Gram eigensolve is the binding's: the tridiagonal
+    # form the pass reads its values from, then the vectors of a kept part
+    # unless its gap sends it to gesdd; no values-only eigensolve runs.
     signal, noise, r, sigma = cell
-    calls, syevd = [], _host.syevd
+    calls, sytrd, syevd = [], _host.sytrd, _host.syevd
+
+    def tridiagonal(a):
+        calls.append("sytrd")
+        return sytrd(a)
 
     def spy(a, vectors=False):
         calls.append("eigh" if vectors else "eigvalsh")
         return syevd(a, vectors)
 
-    with mock.patch.object(_host, "syevd", spy):
+    with mock.patch.object(_host, "sytrd", tridiagonal), mock.patch.object(_host, "syevd", spy):
         denoised, report = usvt_denoise(signal + noise, sigma if known else None)
     k = report.kept_rank
-    assert calls[0] == "eigvalsh" and calls.count("eigh") <= (k > 0)
+    assert calls[0] == "sytrd" and calls.count("eigh") <= (k > 0)
+    assert "eigvalsh" not in calls
     bound = (k + r) * (report.threshold + np.linalg.norm(noise, 2)) ** 2
     assert np.sum((denoised - signal) ** 2) <= bound * (1.0 + 1e-9)
+
+
+@st.composite
+def bracketed_cells(draw):
+    """(x, noise, shape) of a small study cell of rank r, wide or tall: the
+    full draw x = M + E, or a Gaussian cell's reduced Bartlett draw, whose
+    noise E is sigma [A_1 | T] and whose signal D_r (+) 0 lies on its
+    diagonal; shape is the cell's m x n, which sigma_hat is calibrated to."""
+    lo, hi = draw(st.integers(1, 12)), draw(st.integers(1, 24))
+    hi += lo
+    shape = (lo, hi) if draw(st.booleans()) else (hi, lo)
+    r = draw(st.integers(1, lo))
+    sigma = draw(st.sampled_from([0.01, 0.3, 1.0, 3.0, 20.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # reduced, always wide
+        noise = sigma * _bartlett_noise(lo, hi, r, rng)
+        x = noise.copy()
+        x[np.arange(r), np.arange(r)] += signal_spectrum(r)
+    else:
+        noise = sigma * rng.standard_normal(shape)
+        x = signal_matrix(r, *shape, rng) + noise
+    return x, noise, r, shape
+
+
+@PROPERTIES
+@given(bracketed_cells())
+def test_sigma_hat_is_bracketed_by_the_noise(cell):
+    # Weyl's inequalities for X = M + E with rank(M) = r: s_{i+r}(E) <=
+    # s_i(X) <= s_{i-r}(E), 0-based, s_j(E) read as 0 past the end and as
+    # +inf before the start.  So sigma_hat, the median pair of X over
+    # sqrt(n mu_gamma), lies between the noise's median pair shifted by +r
+    # and by -r, up to the error of the values it is computed from.
+    x, noise, r, shape = cell
+    spectrum = _SpectralPass(x)
+    values, lo = spectrum.values, min(x.shape)
+    sigma_hat = _sigma_hat(values, shape)
+    e = np.linalg.svd(noise, compute_uv=False)
+    lo_shape, hi_shape = min(shape), max(shape)
+    calibration = math.sqrt(hi_shape * MPLaw(lo_shape / hi_shape).median)
+
+    def pair(shift):
+        at = [i + shift for i in ((lo - 1) // 2, lo // 2)]
+        return sum(math.inf if i < 0 else e[i] if i < lo else 0.0 for i in at) / 2 / calibration
+
+    # the values are gesdd's, or within tol s_1^2 of them in their squares
+    # (then s_med > 0); the noise's are gesdd's
+    tol = spectrum.tol or 16.0 * (1.0 + math.sqrt(lo)) * _EPS
+    s1, s_med = values[0], values[lo // 2]
+    slack = tol * (s1 + e[0] + (s1 * s1 / s_med if spectrum.tol else 0.0)) / calibration
+    assert pair(r) - slack <= sigma_hat <= pair(-r) + slack

@@ -1,9 +1,11 @@
 """Spectral primitives: rank-k truncation, singular values, nuclear norm, KS; the public API."""
 
 import contextlib
+import gc
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,15 @@ from usvt import (
     singular_values,
 )
 from usvt import _host, simulate
-from usvt.spectral import GRAM_MAX_SPREAD, GRAM_MIN_GAP, _gram, _SpectralPass, as_matrix
+from usvt.spectral import (
+    GRAM_MAX_SPREAD,
+    GRAM_MIN_GAP,
+    _Bisected,
+    _gram,
+    _Held,
+    _SpectralPass,
+    as_matrix,
+)
 
 MU_02 = 0.9329154766004399
 
@@ -41,6 +51,11 @@ def planted(values, m, n, seed=30):
     rng = np.random.default_rng(seed)
     u, v = (np.linalg.qr(rng.standard_normal((d, min(m, n))))[0] for d in (m, n))
     return (u * values) @ v.T
+
+
+def read(values):
+    """Every value of a spectral pass's values, as an array."""
+    return np.array([values[i] for i in range(len(values))])
 
 
 def truncation(x, k):
@@ -170,10 +185,12 @@ class TestGramRoute:
 
     @staticmethod
     def counted(monkeypatch, name, fail=False):
-        """The list of the calls of gesdd ("svd") or of the Gram eigensolves
-        of one kind ("eigvalsh", "eigh"), which raise LinAlgError if fail."""
+        """The list of the calls of gesdd ("svd"), of the Gram route's
+        tridiagonal reduction ("sytrd") or of the Gram eigensolves of one
+        kind ("eigvalsh", "eigh"), which raise LinAlgError if fail."""
         calls = []
-        module, attr = (np.linalg, "svd") if name == "svd" else (_host, "syevd")
+        module, attr = {"svd": (np.linalg, "svd"), "sytrd": (_host, "sytrd")}.get(
+            name, (_host, "syevd"))
         routine = getattr(module, attr)
 
         def spy(*args, **kwargs):
@@ -196,28 +213,33 @@ class TestGramRoute:
         e = np.frexp(np.abs(x).max())[1]
         v = np.ldexp(np.ascontiguousarray(x if shape[0] <= shape[1] else x.T), -e)
         assert np.array_equal(gram, v @ v.T)
-        assert values.tobytes() == np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[::-1]), e).tobytes()
+        # each bisected from W W^T's tridiagonal form, not all computed:
+        # numpy's eigenvalues to rounding, not bit for bit
+        lam = np.linalg.eigvalsh(gram)[::-1]
+        assert isinstance(values, _Bisected)
+        assert np.abs(np.ldexp(read(values), -e) ** 2 - lam).max() <= tol * lam[0]
         expected = np.linalg.svd(x, compute_uv=False)
         assert 0.0 < tol < 1e-12
-        assert np.abs(values**2 - expected**2).max() <= tol * expected[0] ** 2
+        assert np.abs(read(values) ** 2 - expected**2).max() <= tol * expected[0] ** 2
 
     def test_transpose_gives_the_same_bytes(self, monkeypatch):
         # against x.T and the C-order copy a file of x.T reads as: admitted,
-        # spread-refused, a rank-2 part by thin SVD, and with eigvalsh failed
+        # spread-refused, a rank-2 part by thin SVD, and with the Gram route's
+        # tridiagonal reduction failed
         near_tie = np.concatenate([[3.0, 1.001, 0.999], np.linspace(0.3, 0.1, 6)])
         cases = [np.random.default_rng(41).standard_normal((9, 17)),
                  planted(np.concatenate([[1e4], np.ones(8)]), 9, 14, seed=42),
                  planted(near_tie, 9, 14, seed=47)]
         for fail in (False, True):
             if fail:
-                self.counted(monkeypatch, "eigvalsh", fail=True)
+                self.counted(monkeypatch, "sytrd", fail=True)
             for x, refused in zip(cases, (fail, True, fail)):
                 spectrum = _SpectralPass(x)
                 assert (spectrum.tol is None) == refused
                 top = spectrum.rank_k_part(2).T.tobytes()
                 for tall in (x.T, np.ascontiguousarray(x.T)):
                     other = _SpectralPass(tall)
-                    assert other.values.tobytes() == spectrum.values.tobytes()
+                    assert read(other.values).tobytes() == read(spectrum.values).tobytes()
                     assert other.rank_k_part(2).tobytes() == top
 
     def test_tall_input_is_viewed_not_copied(self):
@@ -242,55 +264,56 @@ class TestGramRoute:
         spectrum = _SpectralPass(x)
         assert (spectrum.tol is not None) == admitted
         if not admitted:
-            assert spectrum.values.tobytes() == singular_values(x).tobytes()
+            assert spectrum.values.array.tobytes() == singular_values(x).tobytes()
 
     def test_exactly_low_rank_runs_gesdd(self, monkeypatch):
         # the median value is at the rounding level: lambda_med <= 0 or a
         # spread far beyond the bound
         x = np.outer(np.arange(1.0, 7.0), np.arange(1.0, 11.0))
         expected = singular_values(x)
-        eig, svd = self.counted(monkeypatch, "eigvalsh"), self.counted(monkeypatch, "svd")
+        eig, svd = self.counted(monkeypatch, "sytrd"), self.counted(monkeypatch, "svd")
         spectrum = _SpectralPass(x)
         assert spectrum.tol is None
-        assert spectrum.values.tobytes() == expected.tobytes()
-        assert (eig, svd) == (["eigvalsh"], ["svd"])
+        assert spectrum.values.array.tobytes() == expected.tobytes()
+        assert (eig, svd) == (["sytrd"], ["svd"])
 
     def test_failed_eigvalsh_runs_gesdd(self, monkeypatch):
         x = np.random.default_rng(43).standard_normal((12, 20))
         expected = singular_values(x)
-        eig = self.counted(monkeypatch, "eigvalsh", fail=True)
+        eig = self.counted(monkeypatch, "sytrd", fail=True)
         spectrum = _SpectralPass(x)
-        assert spectrum.values.tobytes() == expected.tobytes() and spectrum.tol is None
-        assert eig == ["eigvalsh"]
+        assert spectrum.values.array.tobytes() == expected.tobytes() and spectrum.tol is None
+        assert eig == ["sytrd"]
 
     def test_both_failing_is_explicit_and_runs_eigvalsh_once(self, monkeypatch):
         x = np.random.default_rng(44).standard_normal((12, 20))
-        eig = self.counted(monkeypatch, "eigvalsh", fail=True)
+        eig = self.counted(monkeypatch, "sytrd", fail=True)
         svd = self.counted(monkeypatch, "svd", fail=True)
         with pytest.raises(SvdConvergenceError, match="did not converge"):
             _SpectralPass(x)
-        assert (eig, svd) == (["eigvalsh"], ["svd"])
+        assert (eig, svd) == (["sytrd"], ["svd"])
 
     def test_exact_after_failed_eigvalsh_has_no_fallback(self, monkeypatch):
-        # a pass whose eigvalsh failed has no eigenvalues for exact() to fall
-        # back on, so a later gesdd failure is explicit
+        # a pass whose Gram route failed has no eigenvalues for exact() to
+        # fall back on, so a later gesdd failure is explicit
         x = np.random.default_rng(44).standard_normal((12, 20))
-        eig = self.counted(monkeypatch, "eigvalsh", fail=True)
+        eig = self.counted(monkeypatch, "sytrd", fail=True)
         spectrum = _SpectralPass(x)
         self.counted(monkeypatch, "svd", fail=True)
-        with pytest.raises(SvdConvergenceError, match="neither eigvalsh"):
+        with pytest.raises(SvdConvergenceError, match="neither the eigenvalues"):
             spectrum.exact()
-        assert eig == ["eigvalsh"]
+        assert eig == ["sytrd"]
 
     def test_refused_values_stand_in_when_gesdd_fails(self, monkeypatch):
-        # beyond the spread bound gesdd runs; where it does not converge, the
-        # W W^T values already computed are the fallback, as in singular_values
+        # beyond the spread bound gesdd runs; where it does not converge, all
+        # W W^T values are the fallback, from the same W W^T, as in
+        # singular_values
         x = planted(np.concatenate([[1e4], np.ones(8)]), 9, 14, seed=45)
-        eig = self.counted(monkeypatch, "eigvalsh")
+        tri, eig = self.counted(monkeypatch, "sytrd"), self.counted(monkeypatch, "eigvalsh")
         self.counted(monkeypatch, "svd", fail=True)
         spectrum = _SpectralPass(x)
-        assert spectrum.tol is None and eig == ["eigvalsh"]
-        assert spectrum.values.tobytes() == singular_values(x).tobytes()
+        assert spectrum.tol is None and (tri, eig) == (["sytrd"], ["eigvalsh"])
+        assert spectrum.values.array.tobytes() == singular_values(x).tobytes()
         assert eig == ["eigvalsh"] * 2
 
     def test_overflowing_values_are_explicit(self, monkeypatch):
@@ -309,8 +332,9 @@ def solved(gram):
 
 
 class TestSyevd:
-    """_host.syevd, which every Gram eigensolve calls: numpy's eigvalsh and
-    eigh, byte for byte, with the GIL released."""
+    """_host.syevd, which every Gram eigensolve with vectors, and every one
+    of all values, calls: numpy's eigvalsh and eigh, byte for byte, with the
+    GIL released."""
 
     @staticmethod
     def grams(shapes=((1, 1), (2, 3), (7, 20), (200, 400), (600, 1200)), seed=60):
@@ -365,8 +389,11 @@ class TestSyevd:
 
         def outputs():
             spectrum = _SpectralPass(x)
-            return ([solved(gram) for gram in self.grams()[:4]], spectrum.values.tobytes(),
+            return ([solved(gram) for gram in self.grams()[:4]], read(spectrum.values),
                     spectrum.rank_k_part(3).tobytes(), run_experiment(cfg))
+
+        def decided(records):
+            return [(r.rank, r.sigma, r.rep, r.kept_rank, r.mse_matrix) for r in records]
 
         bound = outputs()
         run, threads = simulate.run_cell, set()
@@ -380,9 +407,184 @@ class TestSyevd:
         with _host.one_blas_thread() as held:
             assert not held
         unbound = outputs()
-        assert unbound == bound
+        # numpy's eigenvalues, held whole, in place of the bisected ones: the
+        # same eigensolve bytes and rank-k part, the values to rounding, and
+        # the study's kept ranks and squared errors, with sigma_hat to rounding
+        assert (unbound[0], unbound[2]) == (bound[0], bound[2])
+        assert_allclose(unbound[1], bound[1], rtol=0, atol=1e-14 * bound[1][0])
+        assert decided(unbound[3]) == decided(bound[3])
+        assert_allclose([r.sigma_hat for r in unbound[3]], [r.sigma_hat for r in bound[3]],
+                        rtol=1e-14)
         assert any(rec.kept_rank for rec in unbound[3])
         assert threads == {threading.get_ident()}
+
+
+def decision_reads(x):
+    """What a decision reads of x's spectral pass: s_1, the median pair,
+    s_k and s_{k+1} at k = lo // 4 + 1, the count of values at least
+    s_{lo // 4} and whether a squared value lies near the midpoint of
+    (s_2 / s_1)^2 and (s_3 / s_1)^2."""
+    values = _SpectralPass(x).values
+    lo = len(values)
+    k = lo // 4 + 1
+    reads = [values[i] for i in (0, (lo - 1) // 2, lo // 2, k - 1, min(k, lo - 1))]
+    t = ((values[min(1, lo - 1)] / values[0]) ** 2 + (values[min(2, lo - 1)] / values[0]) ** 2) / 2
+    return reads, values.at_least(values[lo // 4]), values.near(t, 1e-13)
+
+
+class TestBisection:
+    """The Gram route's values: W W^T reduced once to tridiagonal form
+    (`_host.sytrd`), the values read bisected (`_host.stebz`) and the counts
+    by Sturm sequences (`_host.laebz`), with the GIL released."""
+
+    SHAPES = ((1, 1), (2, 3), (7, 20), (400, 200), (200, 400), (600, 1200))
+
+    @pytest.mark.parametrize("held", [False, True], ids=["default_threads", "one_blas_thread"])
+    def test_values_read_are_within_tol_of_gesdd(self, held):
+        rng = np.random.default_rng(63)
+        with _host.one_blas_thread() if held else contextlib.nullcontext():
+            for shape in self.SHAPES:
+                x = rng.standard_normal(shape)
+                spectrum = _SpectralPass(x)
+                values, lo = spectrum.values, min(shape)
+                assert isinstance(values, _Bisected), shape
+                expected = np.linalg.svd(x, compute_uv=False)
+                k = lo // 4 + 1
+                for i in {0, (lo - 1) // 2, lo // 2, k - 1, min(k, lo - 1)}:
+                    assert abs(values[i] ** 2 - expected[i] ** 2) <= \
+                        spectrum.tol * expected[0] ** 2, (shape, i)
+
+    def test_counts_match_eigvalsh_outside_the_band(self):
+        # thresholds midway between numpy's values and beyond both ends:
+        # where the band check is clear, the Sturm count is numpy's count;
+        # at each of numpy's values the band check is never clear
+        rng = np.random.default_rng(64)
+        for shape in self.SHAPES[:5]:
+            spectrum = _SpectralPass(rng.standard_normal(shape))
+            values, tol = spectrum.values, spectrum.tol
+            s = np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(spectrum.gram)[::-1], 0.0)),
+                         values.e)
+            cuts = np.concatenate([[1.5 * s[0]], (s[:-1] + s[1:]) / 2, [s[-1] / 2]])
+            clear = 0
+            for tau in cuts:
+                if not values.near((tau / values[0]) ** 2, tol):
+                    clear += 1
+                    assert values.at_least(tau) == np.count_nonzero(s >= tau), (shape, tau)
+            assert clear >= 0.9 * cuts.size, shape
+            for value in s:
+                assert values.near((value / values[0]) ** 2, tol), shape
+
+    def test_a_value_tied_at_tau_goes_to_gesdd(self, monkeypatch):
+        # tau on a value the pass read, known or estimated: the band check is
+        # never clear, so gesdd's values decide, as they do for a tie
+        from usvt import DEFAULT_ETA, usvt_denoise
+        from usvt.estimators import _near_threshold
+
+        x = planted(np.concatenate([[3.0, 2.0], np.linspace(0.9, 0.5, 18)]), 20, 30, seed=65)
+        spectrum = _SpectralPass(x)
+        values = spectrum.values
+        for i in range(len(values)):
+            for estimated in (False, True):
+                assert _near_threshold(values, values[i], spectrum.tol, estimated)
+        sigma = values[1] / (2.0 + DEFAULT_ETA) / np.sqrt(30)
+        calls = TestGramRoute.counted(monkeypatch, "svd")
+        _, report = usvt_denoise(x, sigma)
+        assert calls == ["svd"]
+        assert report.kept_rank == np.count_nonzero(singular_values(x) >= report.threshold)
+
+    @pytest.mark.parametrize("held", [False, True], ids=["default_threads", "one_blas_thread"])
+    def test_threads_at_once_get_the_serial_results(self, held):
+        rng = np.random.default_rng(66)
+        xs = [rng.standard_normal((150, 300)) for _ in range(2)]
+        results, barrier = [None, None], threading.Barrier(2)
+
+        def solve(i):
+            barrier.wait(timeout=60)
+            results[i] = [decision_reads(xs[i]) for _ in range(8)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switching as often as it can
+        try:
+            with _host.one_blas_thread() if held else contextlib.nullcontext():
+                expected = [decision_reads(x) for x in xs]
+                threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[expected[0]] * 8, [expected[1]] * 8]
+
+    def test_without_the_library_the_values_are_held_and_the_ranks_kept(self, monkeypatch):
+        from usvt import usvt_denoise
+
+        rng = np.random.default_rng(67)
+        cases = [(planted(np.concatenate([[5.0, 4.0, 3.0], np.linspace(1.0, 0.5, 17)]),
+                          *shape, seed=68), sigma)
+                 for shape in ((20, 30), (30, 20)) for sigma in (None, 0.05, 0.2)]
+        cases += [(rng.standard_normal((40, 90)), sigma) for sigma in (None, 0.5, 0.9)]
+        bound = [usvt_denoise(x, sigma)[1] for x, sigma in cases]
+        monkeypatch.setattr(_host, "_openblas", lambda: None)
+        assert isinstance(_SpectralPass(cases[0][0]).values, _Held)
+        unbound = [usvt_denoise(x, sigma)[1] for x, sigma in cases]
+        assert [r.kept_rank for r in unbound] == [r.kept_rank for r in bound]
+        assert any(r.kept_rank for r in bound) and not all(r.kept_rank for r in bound)
+        assert_allclose([r.sigma_used for r in unbound], [r.sigma_used for r in bound],
+                        rtol=1e-14)
+
+    def test_sturm_counts_take_an_exactly_zero_pivot_once(self):
+        # a pivot of exactly 0 counts its eigenvalue once; unguarded, the
+        # next pivot would be 0 / 0 over a zero subdiagonal entry, which no
+        # count takes, and -e^2 / 0 = -inf over a nonzero one, counted twice
+        assert _host.laebz(np.array([1.0, 0.5, 0.2]), np.zeros(2), 1.0, 1.0) == (3, 3)
+        # [[1, .5], [.5, 1]]: eigenvalues 0.5 and 1.5, one of them <= 1
+        assert _host.laebz(np.ones(2), np.array([0.5]), 1.0, 1.0) == (1, 1)
+        assert _host.laebz(np.ones(2), np.array([0.5]), 0.4, 1.6) == (0, 2)
+        # a diagonal W W^T has a zero subdiagonal, and its count at one of
+        # its values meets a pivot of exactly 0
+        x = embedded_diag([1.0, 0.8, 0.5, 0.3, 0.1], 5, 7)
+        values = _SpectralPass(x).values
+        d, f = _host.sytrd(_gram(x)[0])
+        assert not f.any() and d[0] == d.max()
+        assert _host.laebz(d, f, d[0], d[0]) == (5, 5)
+        for i in range(5):
+            assert values.at_least(values[i]) in (i, i + 1)
+
+    @pytest.mark.parametrize("eta, sigma", [(0.5, 0.2), (1.0, 1.0 / 6.0)])
+    def test_a_threshold_on_a_zero_pivot_keeps_gesdds_rank(self, eta, sigma):
+        # tau = 1 exactly, and W W^T = [[1, .5], [.5, 1]] is tridiagonal with
+        # d = (1, 1): the count at tau^2 meets a pivot of exactly 0 before a
+        # nonzero subdiagonal entry, far from the eigenvalues 0.5 and 1.5
+        from usvt import usvt_denoise
+
+        x = np.array([[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, -0.5]])
+        d, f = _host.sytrd(_gram(x)[0])
+        assert d.tolist() == [1.0, 1.0] and abs(f[0]) == 0.5
+        _, report = usvt_denoise(x, sigma, eta)
+        assert report.threshold == 1.0
+        assert report.kept_rank == np.count_nonzero(singular_values(x) >= 1.0) == 1
+
+    def test_a_pass_is_freed_without_the_cycle_collector(self):
+        # a reference cycle through a pass would hold its W W^T until the
+        # collector ran, and a study's memory would grow with its cells
+        cases = [np.random.default_rng(69).standard_normal((30, 50)),
+                 planted(np.concatenate([[1e4], np.ones(8)]), 9, 14, seed=42)]
+        gc.disable()
+        try:
+            for x in cases:
+                spectrum = _SpectralPass(x)
+                spectrum.rank_k_part(2)
+                freed = weakref.ref(spectrum)
+                del spectrum
+                assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_sytrd_refuses_a_non_square_matrix(self):
+        with pytest.raises(ValueError):
+            _host.sytrd(np.ones((2, 3)))
 
 
 class TestSingularValues:
