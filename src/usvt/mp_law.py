@@ -16,10 +16,11 @@ where sqrt(a) = 1 - sqrt(gamma), sqrt(b) = 1 + sqrt(gamma) and
 sqrt(ab) = 1 - gamma; atan2 covers gamma = 1 (a = 0) without a special
 case.
 
-The package imports only numpy and the standard library.  Code that ever
-needs scipy (a LAPACK driver fallback, a partial eigensolver) must import
-it inside the function that uses it: importing scipy.integrate used to be
-most of the command line's start-up time.
+The package imports only numpy and the standard library; the LAPACK
+routines numpy does not expose are bound from numpy's own OpenBLAS
+(`_host`).  Code that ever needs scipy must import it inside the function
+that uses it: importing scipy.integrate used to be most of the command
+line's start-up time.
 """
 
 from __future__ import annotations

@@ -21,14 +21,17 @@ just the eigenvalues it reads, and counts by Sturm sequences
 (`_Bisected`).  The eigenvalues' error |dlambda_i| is about eps *
 lambda_1, so the median's relative error grows with the spread lambda_1 /
 lambda_med; beyond GRAM_MAX_SPREAD the route is refused and gesdd runs.
-W, W W^T and its tridiagonal form are each formed at most once per pass,
-also when gesdd's values decide.
+The same tridiagonal form, with the reduction's reflectors, gives the
+top-k eigenvectors of the rank-k part, and where gesdd fails all
+eigenvalues are bisected from it.  W, W W^T and its tridiagonal form are
+each formed at most once per pass, on every route; the reduction
+overwrites W W^T with its reflectors, so no copy of it is held.
 
 Every LAPACK call on W W^T is `_host`'s, with the GIL released, so that
 the study's cells solve on several threads at once: the tridiagonal
-reduction, bisection and Sturm counts of the values, and dsyevd with
-numpy's bytes for the eigenvectors of the rank-k part ("eigh") and for
-all eigenvalues ("eigvalsh") where gesdd fails.  gesdd is numpy's.
+reduction, the bisection and Sturm counts of the values, and the top-k
+eigenvectors.  Where numpy's OpenBLAS is not found, numpy's eigvalsh and
+eigh run on W W^T instead.  gesdd is numpy's.
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ def singular_values(x) -> np.ndarray:
 
     def gram_values():
         gram, e = _gram(w)
-        return _host.syevd(gram)[::-1], e
+        return np.linalg.eigvalsh(gram)[::-1], e
 
     return _svd_values(w, gram_values)
 
@@ -155,12 +158,12 @@ class _Held:
 class _Bisected:
     """The descending singular values sqrt(max(lambda_i, 0)) 2^e of a
     spectral pass, lambda_i the eigenvalues of W W^T / 4^e, held as its
-    tridiagonal form (`_host.sytrd`): lambda_i is bisected where first read
-    (`_host.stebz`) and kept, and values are counted by Sturm counts
-    (`_host.laebz`), so that no eigenvalue is computed that is not read."""
+    tridiagonal form, diagonal d and subdiagonal f (`_host.sytrd`):
+    lambda_i is bisected where first read (`_host.stebz`) and kept, and
+    values are counted by Sturm counts (`_host.laebz`), so that no
+    eigenvalue is computed that is not read."""
 
-    def __init__(self, gram: np.ndarray, e: int) -> None:
-        d, f = _host.sytrd(gram)
+    def __init__(self, d: np.ndarray, f: np.ndarray, e: int) -> None:
         self.d, self.f, self.e = d, f, int(e)
         self._lam: dict[int, float] = {}
 
@@ -211,15 +214,16 @@ def _admitted(lam_1: float, median: float, e: int) -> bool:
 
 class _SpectralPass:
     """One denoise's spectral pass over the validated matrix a: the wide
-    view W, the scaled W W^T of `_gram`, a's singular values, descending,
-    and their error bound tol.  The values are sqrt(lambda_i) 2^e from the
-    eigenvalues lambda_i of W W^T / 4^e, |lambda_i 4^e - s_i^2| <= tol s_1^2
-    against gesdd's s_i, tol = 16 (1 + sqrt(min(m, n))) eps: over six times
-    the largest error measured, 2.4 (1 + sqrt(min(m, n))) eps from 1 x 3 to
-    1000 x 1000 with all of them computed, and 1.5 with each bisected (60
-    matrices up to 300 x 300, against 1.6 with all computed).  They
-    are read one at a time (`_Bisected`), or held whole (`_Held`) where
-    numpy's OpenBLAS is not found.  Where lambda_med <= 0, lambda_1 >
+    view W, a's singular values, descending, and their error bound tol,
+    from the scaled W W^T of `_gram`, which it reduces once, in place.  The
+    values are sqrt(lambda_i) 2^e from the eigenvalues lambda_i of
+    W W^T / 4^e, |lambda_i 4^e - s_i^2| <= tol s_1^2 against gesdd's s_i,
+    tol = 16 (1 + sqrt(min(m, n))) eps: over six times the largest error
+    measured, 2.4 (1 + sqrt(min(m, n))) eps from 1 x 3 to 1000 x 1000 with
+    all of them computed, and 1.5 with each bisected (60 matrices up to
+    300 x 300, against 1.6 with all computed).  They are read one at a
+    time (`_Bisected`), or held whole (`_Held`) where numpy's OpenBLAS is
+    not found.  Where lambda_med <= 0, lambda_1 >
     GRAM_MAX_SPREAD lambda_med, the eigensolve fails or s_1 overflows, they
     are gesdd's, held whole, with the errors of singular_values(a), and tol
     is None."""
@@ -227,10 +231,9 @@ class _SpectralPass:
     def __init__(self, a: np.ndarray) -> None:
         self.tall = a.shape[0] > a.shape[1]
         self.w = _wide(a)
-        self.gram, e = _gram(self.w)
-        self._eigen = None  # exact()'s fallback, None where the Gram route failed
+        self._eigen = self._vectors = None  # None where the Gram route failed first
         try:
-            values = self._gram_values(e)
+            values = self._gram_values(*_gram(self.w))
         except np.linalg.LinAlgError:
             values = None
         if values is None:
@@ -238,20 +241,28 @@ class _SpectralPass:
         else:
             self.values, self.tol = values, 16.0 * (1.0 + math.sqrt(len(values))) * _EPS
 
-    def _gram_values(self, e: int):
-        """The values of the Gram route, or None where the spread guard or
-        an overflow refuses them; sets exact()'s fallback to all eigenvalues
-        of W W^T.  Raises LinAlgError where the eigensolve fails."""
-        gram = self.gram  # closed over below, not self, so that no cycle holds the pass
+    def _gram_values(self, gram: np.ndarray, e: int):
+        """The values of the Gram route from gram = W W^T / 4^e, or None
+        where the spread guard or an overflow refuses them; sets exact()'s
+        fallback to all eigenvalues of W W^T and the rank-k part's
+        eigenvectors, from gram's tridiagonal form where numpy's OpenBLAS is
+        found and from gram itself where not.  Raises LinAlgError where the
+        eigensolve fails.  The closures hold no self, so that no cycle holds
+        the pass."""
         lo = gram.shape[0]
-        if _host._openblas() is None:  # numpy's eigvalsh, the values held whole
-            lam = _host.syevd(gram)[::-1]
+        if _host._openblas() is None:  # numpy's eigvalsh and eigh, the values held whole
+            self._vectors = lambda k: np.linalg.eigh(gram)[1][:, -k:]
+            lam = np.linalg.eigvalsh(gram)[::-1]
             self._eigen = lambda: (lam, e)
             if not _admitted(lam[0], lam[lo // 2], e):
                 return None
             return _Held(np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e))
-        values = _Bisected(gram, e)
-        self._eigen = lambda: (_host.syevd(gram)[::-1], e)
+        # gram.T is gram, which numpy forms exactly symmetric, and column-major,
+        # so it is reduced in place
+        d, f, z, tau = _host.sytrd(gram.T)
+        self._vectors = lambda k: _host.top_vectors(d, f, z, tau, k)
+        self._eigen = lambda: (_host.stebz(d, f, 1, lo)[::-1], e)
+        values = _Bisected(d, f, e)
         values.bisect((lo - 1) // 2, lo // 2)  # sigma_hat's median pair, in one call
         return values if _admitted(values.eigenvalue(0), values.eigenvalue(lo // 2), e) else None
 
@@ -265,7 +276,8 @@ class _SpectralPass:
         """The rank-k SVD truncation of a, 1 <= k: Q_k Q_k^T W, Q_k the top-k
         eigenvectors of W W^T, while (s_k^2 - s_{k+1}^2) / s_1^2 >=
         GRAM_MIN_GAP, else numpy's truncated thin SVD.  Where the chosen
-        LAPACK route does not converge the other one runs; where both fail,
+        LAPACK route does not converge, or the Gram route failed before its
+        eigenvectors could be taken, the other one runs; where both fail,
         SvdConvergenceError is raised."""
         first, second = self._gram_part, self._svd_part
         try:
@@ -284,11 +296,14 @@ class _SpectralPass:
                 top = second(k)
             except np.linalg.LinAlgError as exc:
                 raise SvdConvergenceError(
-                    f"neither eigh nor the SVD converged for the rank-{k} part: {exc}") from exc
+                    f"neither the Gram's eigenvectors nor the SVD converged for the "
+                    f"rank-{k} part: {exc}") from exc
         return top.T if self.tall else top
 
     def _gram_part(self, k: int) -> np.ndarray:
-        q = _host.syevd(self.gram, vectors=True)[1][:, -k:]
+        if self._vectors is None:
+            raise np.linalg.LinAlgError("W W^T was not reduced")
+        q = self._vectors(k)
         # W in C order, so x and x.T give the product the same bytes
         return q @ (q.T @ np.ascontiguousarray(self.w))
 

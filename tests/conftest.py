@@ -26,29 +26,33 @@ def child_env():
 def eigensolves(monkeypatch):
     """Call to spy on every eigensolve of a Gram: the list returned gets
     "sytrd" for each tridiagonal reduction of the Gram route
-    (`_host.sytrd`), "eigh" for each `_host.syevd` with vectors and
-    "eigvalsh" for each values-only one, and the calls of a kind named in
-    `fail` raise LinAlgError.  Calls again wrap the spies already
-    installed."""
+    (`_host.sytrd`), "eigh" for each solve for eigenvectors
+    (`_host.top_vectors`, or numpy's eigh) and "eigvalsh" for each solve
+    for all eigenvalues (`_host.stebz` over the whole range, or numpy's
+    eigvalsh), and the calls of a kind named in `fail` raise LinAlgError.
+    Calls again wrap the spies already installed."""
 
     def install(fail=()):
-        calls, sytrd, syevd = [], _host.sytrd, _host.syevd
+        calls = []
 
-        def record(kind):
-            calls.append(kind)
-            if kind in fail:
-                raise np.linalg.LinAlgError("did not converge")
+        def spy(module, name, kind):
+            original = getattr(module, name)
 
-        def tridiagonal(a):
-            record("sytrd")
-            return sytrd(a)
+            def counted(*args, **kwargs):
+                called = kind(*args) if callable(kind) else kind
+                if called:
+                    calls.append(called)
+                    if called in fail:
+                        raise np.linalg.LinAlgError("did not converge")
+                return original(*args, **kwargs)
 
-        def solve(a, vectors=False):
-            record("eigh" if vectors else "eigvalsh")
-            return syevd(a, vectors)
+            monkeypatch.setattr(module, name, counted)
 
-        monkeypatch.setattr(_host, "sytrd", tridiagonal)
-        monkeypatch.setattr(_host, "syevd", solve)
+        spy(_host, "sytrd", "sytrd")
+        spy(_host, "top_vectors", "eigh")
+        spy(_host, "stebz", lambda d, e, il, iu: (il, iu) == (1, d.size) and "eigvalsh")
+        spy(np.linalg, "eigh", "eigh")
+        spy(np.linalg, "eigvalsh", "eigvalsh")
         return calls
 
     return install

@@ -45,10 +45,12 @@ def planted(spikes, m, n, seed=16):
 def spy_linalg(monkeypatch):
     """Record the spectral calls: "values" for a values-only SVD, "svd" for
     one with vectors, "sytrd" for the tridiagonal reduction the Gram values
-    are read from, "eigvalsh" for all Gram values, "eigh" for the Gram
-    eigensolve with vectors."""
+    are read from, "eigvalsh" for all Gram values (bisected over the whole
+    range, or numpy's), "eigh" for the Gram's eigenvectors (from the
+    reduction, or numpy's)."""
     calls = []
-    svd, sytrd, syevd = np.linalg.svd, _host.sytrd, _host.syevd
+    svd, sytrd, stebz, top_vectors = np.linalg.svd, _host.sytrd, _host.stebz, _host.top_vectors
+    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
 
     def counted_svd(*args, **kwargs):
         calls.append("svd" if kwargs.get("compute_uv", True) else "values")
@@ -58,13 +60,29 @@ def spy_linalg(monkeypatch):
         calls.append("sytrd")
         return sytrd(a)
 
-    def counted_syevd(a, vectors=False):
-        calls.append("eigh" if vectors else "eigvalsh")
-        return syevd(a, vectors)
+    def counted_stebz(d, e, il, iu):
+        if (il, iu) == (1, d.size):
+            calls.append("eigvalsh")
+        return stebz(d, e, il, iu)
+
+    def counted_top_vectors(*args):
+        calls.append("eigh")
+        return top_vectors(*args)
+
+    def counted_eigvalsh(a):
+        calls.append("eigvalsh")
+        return eigvalsh(a)
+
+    def counted_eigh(a):
+        calls.append("eigh")
+        return eigh(a)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(_host, "sytrd", counted_sytrd)
-    monkeypatch.setattr(_host, "syevd", counted_syevd)
+    monkeypatch.setattr(_host, "stebz", counted_stebz)
+    monkeypatch.setattr(_host, "top_vectors", counted_top_vectors)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     return calls
 
 
@@ -473,7 +491,7 @@ class TestGramValuesRoute:
         of a denoise of shape `shape` taking `route`; "values" is gesdd's
         values-only SVD, "sytrd" the Gram route's tridiagonal reduction,
         "eigvalsh" all Gram values, "eigh" the rank-k part's Gram
-        eigensolve."""
+        eigenvectors, which a failed reduction leaves to the SVD."""
         spikes = [40.0, 30.0, 0.8] if route == "spread_refused" else [3.0, 2.0, 0.8]
         x, _ = planted(spikes, *shape)
         s = np.linalg.svd(x, compute_uv=False)
@@ -487,7 +505,7 @@ class TestGramValuesRoute:
             "spread_refused": (x, None, None, ["sytrd", "values", "eigh"]),
             "margin_known": (x, sigma, None, ["sytrd", "values", "eigh"]),
             "margin_gesdd_fails": (x, sigma, "svd", ["sytrd", "values", "eigvalsh", "eigh"]),
-            "sytrd_fails": (x, None, "sytrd", ["sytrd", "values", "eigh"]),
+            "sytrd_fails": (x, None, "sytrd", ["sytrd", "values", "svd"]),
         }[route]
 
     @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
@@ -501,8 +519,10 @@ class TestGramValuesRoute:
 
         def spy(original, name, calls, failing):
             def counted(*args, **kwargs):
-                if name == "syevd":  # the Gram eigensolve, with vectors or not
-                    called = "eigh" if kwargs.get("vectors") else "eigvalsh"
+                if name == "stebz":  # all Gram values, where bisected over the whole range
+                    called = "eigvalsh" if args[2:] == (1, args[0].size) else name
+                elif name == "top_vectors":  # the Gram's eigenvectors
+                    called = "eigh"
                 else:
                     called = "values" if kwargs.get("compute_uv") is False else name
                 calls.append(called)
@@ -516,7 +536,8 @@ class TestGramValuesRoute:
 
         spied = [(spectral, "_wide"), (spectral, "_gram"), (spectral, "as_matrix"),
                  (estimators, "as_matrix"), (np.linalg, "svd"), (_host, "sytrd"),
-                 (_host, "syevd")]
+                 (_host, "stebz"), (_host, "top_vectors"), (np.linalg, "eigvalsh"),
+                 (np.linalg, "eigh")]
         for route in ("admitted", "spread_refused", "margin_known", "margin_estimated",
                       "margin_gesdd_fails", "sytrd_fails"):
             x, sigma, failing, expected = self.route_case(route, shape)

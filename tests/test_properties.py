@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usvt import (
+    DEFAULT_ETA,
     DenoiseReport,
     MPLaw,
     _host,
@@ -75,7 +76,10 @@ def planted_gaps(draw):
     scale) and a relative squared gap s_k^2 - s_{k+1}^2 at the planted rank
     k below GRAM_MIN_GAP (the guard's SVD), at it (rounding decides), just
     above it and well above it; the rest of the spectrum is uniform on its
-    side of the gap."""
+    side of the gap.  Or, for min(m, n) >= 2, the same values split
+    alternately between two row blocks of the wide orientation W with
+    orthogonal row spaces, so that W W^T is block diagonal, its
+    tridiagonal form splits at an exact zero and a k >= 2 spans both."""
     m, n = draw(st.integers(1, 24)), draw(st.integers(1, 24))
     p = min(m, n)
     k = draw(st.integers(1, p))
@@ -87,8 +91,18 @@ def planted_gaps(draw):
     s[0], s[k - 1] = 1.0, s_k
     if k < p:
         s[k] = below
-    frames = [np.linalg.qr(rng.standard_normal((d, p)))[0] for d in (m, n)]
     scale = 10.0 ** draw(st.integers(-3, 3))
+    if p >= 2 and draw(st.booleans()):
+        hi, top = max(m, n), (p + 1) // 2
+        cut = draw(st.integers(top, hi - p // 2))
+        w = np.zeros((p, hi))
+        for rows, cols, values in ((slice(0, top), slice(0, cut), s[0::2]),
+                                   (slice(top, p), slice(cut, hi), s[1::2])):
+            u, v = (np.linalg.qr(rng.standard_normal((d, values.size)))[0]
+                    for d in (values.size, cols.stop - cols.start))
+            w[rows, cols] = (u * (scale * values)) @ v.T
+        return (w if m <= n else w.T), k
+    frames = [np.linalg.qr(rng.standard_normal((d, p)))[0] for d in (m, n)]
     return (frames[0] * (scale * s)) @ frames[1].T, k
 
 
@@ -236,42 +250,55 @@ def test_power_of_two_scaling_is_exact(x, sigma, j):
 
 @st.composite
 def planted_cells(draw):
-    """(signal, noise, r, sigma) of a small study cell, wide or tall: a
-    rank-r signal U D_r V^T in Haar frames with the study's spectrum, and
-    sigma times i.i.d. Gaussian noise."""
+    """(signal, noise, r, sigma, shape) of a small study cell of rank r
+    and shape m x n, wide or tall: the full draw, a rank-r signal U D_r V^T
+    in Haar frames with the study's spectrum plus sigma times i.i.d.
+    Gaussian noise; or a Gaussian cell's reduced Bartlett draw, always
+    wide, whose noise sigma [A_1 | T] has the singular values of the full
+    noise and whose signal D_r (+) 0 lies on its diagonal."""
     lo, hi = draw(st.integers(1, 12)), draw(st.integers(1, 24))
-    m, n = (lo, lo + hi) if draw(st.booleans()) else (lo + hi, lo)
+    shape = (lo, lo + hi) if draw(st.booleans()) else (lo + hi, lo)
     r = draw(st.integers(1, lo))
     sigma = draw(st.sampled_from([0.01, 0.3, 1.0, 3.0, 20.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return signal_matrix(r, m, n, rng), sigma * rng.standard_normal((m, n)), r, sigma
+    if draw(st.booleans()):  # reduced
+        noise = sigma * _bartlett_noise(lo, lo + hi, r, rng)
+        signal = np.zeros_like(noise)
+        signal[np.arange(r), np.arange(r)] = signal_spectrum(r)
+    else:
+        signal, noise = signal_matrix(r, *shape, rng), sigma * rng.standard_normal(shape)
+    return signal, noise, r, sigma, shape
 
 
-@settings(PROPERTIES, max_examples=100)
+@settings(PROPERTIES, max_examples=200)
 @given(planted_cells(), st.booleans())
 def test_error_is_within_the_rank_bound(cell, known):
     # X = M + E with rank(M) = r: M_hat - M has rank at most k + r and
     # operator norm at most s_{k+1}(X) + ||E|| < tau + ||E||, so
     # ||M_hat - M||_F^2 <= (k + r)(tau + ||E||)^2 at any sigma, known or
-    # estimated.  Each Gram eigensolve is the binding's: the tridiagonal
-    # form the pass reads its values from, then the vectors of a kept part
-    # unless its gap sends it to gesdd; no values-only eigensolve runs.
-    signal, noise, r, sigma = cell
-    calls, sytrd, syevd = [], _host.sytrd, _host.syevd
+    # estimated, also for a reduced cell decided with its m x n shape, as
+    # the study decides it.  The pass reduces its Gram to tridiagonal form
+    # once; a kept part's vectors come from that form unless its gap sends
+    # it to gesdd, and numpy's eigensolvers never run.
+    signal, noise, r, sigma, shape = cell
+    calls = []
 
-    def tridiagonal(a):
-        calls.append("sytrd")
-        return sytrd(a)
+    def spy(name, routine):
+        def counted(*args):
+            calls.append(name)
+            return routine(*args)
 
-    def spy(a, vectors=False):
-        calls.append("eigh" if vectors else "eigvalsh")
-        return syevd(a, vectors)
+        return counted
 
-    with mock.patch.object(_host, "sytrd", tridiagonal), mock.patch.object(_host, "syevd", spy):
-        denoised, report = usvt_denoise(signal + noise, sigma if known else None)
+    with mock.patch.object(_host, "sytrd", spy("sytrd", _host.sytrd)), \
+            mock.patch.object(_host, "top_vectors", spy("vectors", _host.top_vectors)), \
+            mock.patch.object(np.linalg, "eigh", spy("numpy", np.linalg.eigh)), \
+            mock.patch.object(np.linalg, "eigvalsh", spy("numpy", np.linalg.eigvalsh)):
+        denoised, report = estimators._denoise(signal + noise, shape, sigma if known else None,
+                                               DEFAULT_ETA)
     k = report.kept_rank
-    assert calls[0] == "sytrd" and calls.count("eigh") <= (k > 0)
-    assert "eigvalsh" not in calls
+    assert calls.count("sytrd") == 1 and calls.count("vectors") <= (k > 0)
+    assert "numpy" not in calls
     bound = (k + r) * (report.threshold + np.linalg.norm(noise, 2)) ** 2
     assert np.sum((denoised - signal) ** 2) <= bound * (1.0 + 1e-9)
 

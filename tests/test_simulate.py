@@ -357,6 +357,21 @@ class TestRunExperiment:
         assert reversed_records == expected
         assert parallel == serial
 
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+    def test_each_cell_reduces_its_gram_once(self, eigensolves, kind):
+        # reduced and full draws, wide and tall, kept 0 and kept k: one
+        # tridiagonal reduction per cell, a kept part's eigenvectors taken
+        # from it, and no solve for all eigenvalues
+        calls, records = eigensolves(), []
+        for m, n in ((20, 30), (30, 20)):
+            records += run_experiment(ExperimentConfig(
+                m=m, n=n, ranks=(2, 5), sigmas=(0.01, 5.0), replications=2,
+                noise_kind=kind, seed=3))
+        kept = sum(rec.kept_rank > 0 for rec in records)
+        assert 0 < kept < len(records)
+        assert calls.count("sytrd") == len(records) and calls.count("eigh") == kept
+        assert "eigvalsh" not in calls
+
     def test_svd_failure_carries_cell_identity(self, monkeypatch, eigensolves):
         def exploding_svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")

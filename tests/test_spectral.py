@@ -23,6 +23,7 @@ from usvt import (
 )
 from usvt import _host, simulate
 from usvt.spectral import (
+    _EPS,
     GRAM_MAX_SPREAD,
     GRAM_MIN_GAP,
     _Bisected,
@@ -186,33 +187,38 @@ class TestGramRoute:
     @staticmethod
     def counted(monkeypatch, name, fail=False):
         """The list of the calls of gesdd ("svd"), of the Gram route's
-        tridiagonal reduction ("sytrd") or of the Gram eigensolves of one
-        kind ("eigvalsh", "eigh"), which raise LinAlgError if fail."""
+        tridiagonal reduction ("sytrd") or of the Gram eigensolves of all
+        values ("eigvalsh": a bisection over the whole range, or numpy's
+        eigvalsh), which raise LinAlgError if fail."""
         calls = []
-        module, attr = {"svd": (np.linalg, "svd"), "sytrd": (_host, "sytrd")}.get(
-            name, (_host, "syevd"))
-        routine = getattr(module, attr)
 
-        def spy(*args, **kwargs):
-            if attr == "syevd" and ("eigh" if kwargs.get("vectors") else "eigvalsh") != name:
+        def spy(module, attr):
+            routine = getattr(module, attr)
+
+            def counted(*args, **kwargs):
+                if attr == "stebz" and args[2:] != (1, args[0].size):  # some values
+                    return routine(*args, **kwargs)
+                calls.append(name)
+                if fail:
+                    raise np.linalg.LinAlgError("did not converge")
                 return routine(*args, **kwargs)
-            calls.append(name)
-            if fail:
-                raise np.linalg.LinAlgError("did not converge")
-            return routine(*args, **kwargs)
 
-        monkeypatch.setattr(module, attr, spy)
+            monkeypatch.setattr(module, attr, counted)
+
+        for module, attr in {"svd": [(np.linalg, "svd")], "sytrd": [(_host, "sytrd")],
+                             "eigvalsh": [(_host, "stebz"), (np.linalg, "eigvalsh")]}[name]:
+            spy(module, attr)
         return calls
 
     @pytest.mark.parametrize("shape", [(1, 9), (12, 20), (20, 12), (15, 15)])
     def test_admitted_values_are_the_gram_eigenvalues(self, shape):
         x = np.random.default_rng(40).standard_normal(shape)
         spectrum = _SpectralPass(x)
-        values, gram, tol = spectrum.values, spectrum.gram, spectrum.tol
+        values, gram, tol = spectrum.values, _gram(spectrum.w)[0], spectrum.tol
         # W / 2^e in C order, 2^e the binade of max|x|
         e = np.frexp(np.abs(x).max())[1]
         v = np.ldexp(np.ascontiguousarray(x if shape[0] <= shape[1] else x.T), -e)
-        assert np.array_equal(gram, v @ v.T)
+        assert np.array_equal(gram, v @ v.T) and values.e == e
         # each bisected from W W^T's tridiagonal form, not all computed:
         # numpy's eigenvalues to rounding, not bit for bit
         lam = np.linalg.eigvalsh(gram)[::-1]
@@ -306,14 +312,17 @@ class TestGramRoute:
 
     def test_refused_values_stand_in_when_gesdd_fails(self, monkeypatch):
         # beyond the spread bound gesdd runs; where it does not converge, all
-        # W W^T values are the fallback, from the same W W^T, as in
-        # singular_values
+        # W W^T values are the fallback, bisected from the same tridiagonal
+        # form, as singular_values takes them from its W W^T
         x = planted(np.concatenate([[1e4], np.ones(8)]), 9, 14, seed=45)
         tri, eig = self.counted(monkeypatch, "sytrd"), self.counted(monkeypatch, "eigvalsh")
         self.counted(monkeypatch, "svd", fail=True)
         spectrum = _SpectralPass(x)
         assert spectrum.tol is None and (tri, eig) == (["sytrd"], ["eigvalsh"])
-        assert spectrum.values.array.tobytes() == singular_values(x).tobytes()
+        # bisected and numpy's eigenvalues of the same W W^T: equal to
+        # rounding of lambda_1
+        fallback = singular_values(x)
+        assert np.abs(spectrum.values.array ** 2 - fallback ** 2).max() <= 1e-13 * fallback[0] ** 2
         assert eig == ["eigvalsh"] * 2
 
     def test_overflowing_values_are_explicit(self, monkeypatch):
@@ -323,100 +332,6 @@ class TestGramRoute:
         self.counted(monkeypatch, "svd", fail=True)
         with pytest.raises(ValueError, match="overflows float64"):
             _SpectralPass(x)
-
-
-def solved(gram):
-    """The bytes of _host.syevd's eigvalsh and eigh of gram."""
-    w, v = _host.syevd(gram, vectors=True)
-    return _host.syevd(gram).tobytes(), w.tobytes(), v.tobytes()
-
-
-class TestSyevd:
-    """_host.syevd, which every Gram eigensolve with vectors, and every one
-    of all values, calls: numpy's eigvalsh and eigh, byte for byte, with the
-    GIL released."""
-
-    @staticmethod
-    def grams(shapes=((1, 1), (2, 3), (7, 20), (200, 400), (600, 1200)), seed=60):
-        # the scaled W W^T a spectral pass forms
-        rng = np.random.default_rng(seed)
-        return [_gram(rng.standard_normal(shape))[0] for shape in shapes]
-
-    @pytest.mark.parametrize("held", [False, True], ids=["default_threads", "one_blas_thread"])
-    def test_bytes_are_numpys(self, held):
-        with _host.one_blas_thread() if held else contextlib.nullcontext():
-            for gram in self.grams():
-                w, v = np.linalg.eigh(gram)
-                assert solved(gram) == (np.linalg.eigvalsh(gram).tobytes(), w.tobytes(),
-                                        v.tobytes()), gram.shape
-                assert _host.syevd(gram, vectors=True)[1].flags.c_contiguous
-
-    @pytest.mark.parametrize("held", [False, True], ids=["default_threads", "one_blas_thread"])
-    def test_threads_at_once_get_the_serial_bytes(self, held):
-        grams = self.grams(((150, 300), (150, 300)), seed=61)
-        results, barrier = [None, None], threading.Barrier(2)
-
-        def solve(i):
-            barrier.wait(timeout=60)
-            results[i] = [solved(grams[i]) for _ in range(8)]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switching as often as it can
-        try:
-            with _host.one_blas_thread() if held else contextlib.nullcontext():
-                expected = [solved(gram) for gram in grams]
-                threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == [[expected[0]] * 8, [expected[1]] * 8]
-
-    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
-    def test_a_non_square_matrix_is_refused(self, shape):
-        # dsyevd would read past the end of a 2 x 3 buffer
-        with pytest.raises(ValueError):
-            _host.syevd(np.ones(shape))
-
-    def test_without_the_library_numpy_runs_and_the_study_is_serial(self, monkeypatch):
-        x = np.random.default_rng(62).standard_normal((30, 50))
-        cfg = ExperimentConfig(m=30, n=60, ranks=(1, 4, 12), sigmas=(0.01, 0.3),
-                               replications=2, seed=13)
-        monkeypatch.setattr(_host, "usable_cpus", lambda: 4)
-
-        def outputs():
-            spectrum = _SpectralPass(x)
-            return ([solved(gram) for gram in self.grams()[:4]], read(spectrum.values),
-                    spectrum.rank_k_part(3).tobytes(), run_experiment(cfg))
-
-        def decided(records):
-            return [(r.rank, r.sigma, r.rep, r.kept_rank, r.mse_matrix) for r in records]
-
-        bound = outputs()
-        run, threads = simulate.run_cell, set()
-
-        def spy(*args):
-            threads.add(threading.get_ident())
-            return run(*args)
-
-        monkeypatch.setattr(_host, "_openblas", lambda: None)
-        monkeypatch.setattr(simulate, "run_cell", spy)
-        with _host.one_blas_thread() as held:
-            assert not held
-        unbound = outputs()
-        # numpy's eigenvalues, held whole, in place of the bisected ones: the
-        # same eigensolve bytes and rank-k part, the values to rounding, and
-        # the study's kept ranks and squared errors, with sigma_hat to rounding
-        assert (unbound[0], unbound[2]) == (bound[0], bound[2])
-        assert_allclose(unbound[1], bound[1], rtol=0, atol=1e-14 * bound[1][0])
-        assert decided(unbound[3]) == decided(bound[3])
-        assert_allclose([r.sigma_hat for r in unbound[3]], [r.sigma_hat for r in bound[3]],
-                        rtol=1e-14)
-        assert any(rec.kept_rank for rec in unbound[3])
-        assert threads == {threading.get_ident()}
 
 
 def decision_reads(x):
@@ -432,10 +347,17 @@ def decision_reads(x):
     return reads, values.at_least(values[lo // 4]), values.near(t, 1e-13)
 
 
+def kept_part(x, k=5):
+    """The bytes of the rank-k part of x's spectral pass."""
+    return _SpectralPass(x).rank_k_part(k).tobytes()
+
+
 class TestBisection:
-    """The Gram route's values: W W^T reduced once to tridiagonal form
-    (`_host.sytrd`), the values read bisected (`_host.stebz`) and the counts
-    by Sturm sequences (`_host.laebz`), with the GIL released."""
+    """The Gram route: W W^T reduced once to tridiagonal form
+    (`_host.sytrd`), the values read bisected (`_host.stebz`), the counts
+    by Sturm sequences (`_host.laebz`) and the kept part's eigenvectors
+    taken from the same form (`_host.top_vectors`), with the GIL
+    released."""
 
     SHAPES = ((1, 1), (2, 3), (7, 20), (400, 200), (200, 400), (600, 1200))
 
@@ -462,7 +384,7 @@ class TestBisection:
         for shape in self.SHAPES[:5]:
             spectrum = _SpectralPass(rng.standard_normal(shape))
             values, tol = spectrum.values, spectrum.tol
-            s = np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(spectrum.gram)[::-1], 0.0)),
+            s = np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(_gram(spectrum.w)[0])[::-1], 0.0)),
                          values.e)
             cuts = np.concatenate([[1.5 * s[0]], (s[:-1] + s[1:]) / 2, [s[-1] / 2]])
             clear = 0
@@ -493,20 +415,27 @@ class TestBisection:
         assert report.kept_rank == np.count_nonzero(singular_values(x) >= report.threshold)
 
     @pytest.mark.parametrize("held", [False, True], ids=["default_threads", "one_blas_thread"])
-    def test_threads_at_once_get_the_serial_results(self, held):
+    def test_threads_at_once_get_the_serial_results(self, held, eigensolves):
+        # the values read, bisected within the spread bound, and the rank-5
+        # part, whose eigenvectors come from the tridiagonal form: the gap
+        # at 5 is far above GRAM_MIN_GAP
         rng = np.random.default_rng(66)
-        xs = [rng.standard_normal((150, 300)) for _ in range(2)]
+        spikes = np.array([12.0, 11.0, 10.0, 9.0, 8.0])
+        xs = [planted(np.concatenate([spikes, rng.uniform(0.5, 1.0, 145)]), 150, 300, seed=66 + i)
+              for i in range(2)]
+        assert all(isinstance(_SpectralPass(x).values, _Bisected) for x in xs)
+        calls = eigensolves()
         results, barrier = [None, None], threading.Barrier(2)
 
         def solve(i):
             barrier.wait(timeout=60)
-            results[i] = [decision_reads(xs[i]) for _ in range(8)]
+            results[i] = [(decision_reads(xs[i]), kept_part(xs[i])) for _ in range(8)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switching as often as it can
         try:
             with _host.one_blas_thread() if held else contextlib.nullcontext():
-                expected = [decision_reads(x) for x in xs]
+                expected = [(decision_reads(x), kept_part(x)) for x in xs]
                 threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
                 for thread in threads:
                     thread.start()
@@ -516,6 +445,53 @@ class TestBisection:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [[expected[0]] * 8, [expected[1]] * 8]
+        assert calls.count("eigh") == 18 and "eigvalsh" not in calls
+
+    @pytest.mark.parametrize("held", [False, True], ids=["default_threads", "one_blas_thread"])
+    def test_top_vectors_are_eigenvectors(self, held):
+        # of the scaled W W^T a spectral pass forms, from 1 x 1 to 600 x
+        # 1200: orthonormal to MRRR's O(n eps) (measured up to 3.8 n eps at
+        # k = n), with residuals at the rounding level of lambda_1, and
+        # spanning numpy's eigh's top eigenvector where lambda_1 stands apart
+        rng = np.random.default_rng(60)
+        with _host.one_blas_thread() if held else contextlib.nullcontext():
+            for shape in ((1, 1), (2, 3), (7, 20), (200, 400), (600, 1200)):
+                x = rng.standard_normal(shape)
+                x[0] *= 10.0  # lambda_1 far above the rest
+                gram, n = _gram(x)[0], shape[0]
+                lam, v = np.linalg.eigh(gram)
+                for k in {1, min(3, n), n}:
+                    q = _host.top_vectors(*_host.sytrd(gram), k)
+                    assert q.shape == (n, k), shape
+                    assert np.abs(q.T @ q - np.eye(k)).max() <= 8 * n * _EPS, shape
+                    assert np.abs(gram @ q - q * lam[-k:]).max() <= n * _EPS * lam[-1], shape
+                top = _host.top_vectors(*_host.sytrd(gram), 1)
+                assert abs(abs(float(top[:, 0] @ v[:, -1])) - 1.0) <= n * _EPS, shape
+
+    def test_the_gram_is_reduced_in_place(self, monkeypatch):
+        # W W^T's transpose is W W^T, column-major, so dsytrd reduces it in
+        # place: the reflectors take its storage and no copy of it is made;
+        # the kept part is still numpy's truncation
+        from usvt import spectral
+
+        formed, reduced, gram, sytrd = [], [], spectral._gram, _host.sytrd
+
+        def forming(w):
+            product, e = gram(w)
+            formed.append(product)
+            return product, e
+
+        def reducing(a):
+            reduced.append(sytrd(a))
+            return reduced[-1]
+
+        monkeypatch.setattr(spectral, "_gram", forming)
+        monkeypatch.setattr(_host, "sytrd", reducing)
+        x = planted(np.concatenate([[3.0, 2.0], np.linspace(0.9, 0.5, 18)]), 30, 20, seed=70)
+        spectrum = _SpectralPass(x)
+        assert len(formed) == len(reduced) == 1 and np.shares_memory(reduced[0][2], formed[0])
+        top = spectrum.rank_k_part(2)
+        assert np.linalg.norm(top - truncation(x, 2)) <= 1e-12 * np.linalg.norm(top)
 
     def test_without_the_library_the_values_are_held_and_the_ranks_kept(self, monkeypatch):
         from usvt import usvt_denoise
@@ -546,7 +522,7 @@ class TestBisection:
         # its values meets a pivot of exactly 0
         x = embedded_diag([1.0, 0.8, 0.5, 0.3, 0.1], 5, 7)
         values = _SpectralPass(x).values
-        d, f = _host.sytrd(_gram(x)[0])
+        d, f = _host.sytrd(_gram(x)[0])[:2]
         assert not f.any() and d[0] == d.max()
         assert _host.laebz(d, f, d[0], d[0]) == (5, 5)
         for i in range(5):
@@ -560,7 +536,7 @@ class TestBisection:
         from usvt import usvt_denoise
 
         x = np.array([[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, -0.5]])
-        d, f = _host.sytrd(_gram(x)[0])
+        d, f = _host.sytrd(_gram(x)[0])[:2]
         assert d.tolist() == [1.0, 1.0] and abs(f[0]) == 0.5
         _, report = usvt_denoise(x, sigma, eta)
         assert report.threshold == 1.0
@@ -585,6 +561,86 @@ class TestBisection:
     def test_sytrd_refuses_a_non_square_matrix(self):
         with pytest.raises(ValueError):
             _host.sytrd(np.ones((2, 3)))
+
+    def test_without_the_library_numpy_runs_and_the_study_is_serial(self, monkeypatch):
+        x = np.random.default_rng(62).standard_normal((30, 50))
+        cfg = ExperimentConfig(m=30, n=60, ranks=(1, 4, 12), sigmas=(0.01, 0.3),
+                               replications=2, seed=13)
+        monkeypatch.setattr(_host, "usable_cpus", lambda: 4)
+
+        def outputs():
+            spectrum = _SpectralPass(x)
+            return read(spectrum.values), spectrum.rank_k_part(3), run_experiment(cfg)
+
+        bound = outputs()
+        run, threads = simulate.run_cell, set()
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return run(*args)
+
+        monkeypatch.setattr(_host, "_openblas", lambda: None)
+        monkeypatch.setattr(simulate, "run_cell", spy)
+        with _host.one_blas_thread() as held:
+            assert not held
+        unbound = outputs()
+        # numpy's eigenvalues, held whole, in place of the bisected ones, and
+        # numpy's eigh in place of the vectors from the tridiagonal form: the
+        # values, the rank-3 part, sigma_hat and the squared errors to
+        # rounding, and the same kept ranks
+        assert_allclose(unbound[0], bound[0], rtol=0, atol=1e-14 * bound[0][0])
+        assert np.linalg.norm(unbound[1] - bound[1]) <= 1e-12 * np.linalg.norm(bound[1])
+        assert [(r.rank, r.sigma, r.rep, r.kept_rank) for r in unbound[2]] == \
+            [(r.rank, r.sigma, r.rep, r.kept_rank) for r in bound[2]]
+        for field in ("sigma_hat", "mse_matrix"):
+            assert_allclose([getattr(r, field) for r in unbound[2]],
+                            [getattr(r, field) for r in bound[2]], rtol=1e-12)
+        assert any(rec.kept_rank for rec in unbound[2])
+        assert threads == {threading.get_ident()}
+
+
+def solved(gram, k=5):
+    """The bytes of all eigenvalues and of the top-k eigenvectors of gram,
+    from one `_host.sytrd` reduction of a copy of it."""
+    d, e, z, tau = _host.sytrd(gram.copy())
+    return _host.stebz(d, e, 1, d.size).tobytes(), _host.top_vectors(d, e, z, tau, k).tobytes()
+
+
+class TestSyevd:
+    """The Gram eigensolves that a dsyevd call once served, now taken from
+    one dsytrd reduction: all values (`_host.stebz` over 1..n) and the top
+    eigenvectors (`_host.top_vectors`), with the GIL released."""
+
+    @pytest.mark.parametrize("held", [False, True], ids=["default_threads", "one_blas_thread"])
+    def test_threads_at_once_get_the_serial_bytes(self, held):
+        rng = np.random.default_rng(61)
+        grams = [_gram(rng.standard_normal((150, 300)))[0] for _ in range(2)]
+        results, barrier = [None, None], threading.Barrier(2)
+
+        def solve(i):
+            barrier.wait(timeout=60)
+            results[i] = [solved(grams[i]) for _ in range(8)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switching as often as it can
+        try:
+            with _host.one_blas_thread() if held else contextlib.nullcontext():
+                expected = [solved(gram) for gram in grams]
+                threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[expected[0]] * 8, [expected[1]] * 8]
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
+    def test_a_non_square_matrix_is_refused(self, shape):
+        # dsytrd would read past the end of a 2 x 3 buffer
+        with pytest.raises(ValueError):
+            _host.sytrd(np.ones(shape))
 
 
 class TestSingularValues:
