@@ -16,12 +16,12 @@ route.  Its values are the eigenvalues', each computed when the decision
 first reads it, or, where their spread would make sigma_hat inaccurate,
 gesdd's; its W W^T gives the rank-k part.  The decision reads its values
 through the pass: by index (`_sigma_hat` reads the median pair) and by
-count (the values at least the threshold, and whether some s_i^2 lies
-near tau^2).  Where some s_i^2 lies within the eigenvalues' error band of
-tau^2, widened by tau^2's own error through sigma_hat, gesdd's values
-decide instead; that check runs before the count, so the kept rank is
-always gesdd's, and sigma_hat and tau differ from gesdd's only in the
-last digits.
+one banded count, the values at least the threshold, or None where some
+s_i^2 lies within the eigenvalues' error band of tau^2, widened by
+tau^2's own error through sigma_hat.  There gesdd's values decide
+instead, so the kept rank is always gesdd's, and sigma_hat and tau differ
+from gesdd's only in the last digits; sigma_hat and tau are computed once
+per set of values decided on.
 """
 
 from __future__ import annotations
@@ -101,27 +101,29 @@ def _check_sigma(sigma: float) -> float:
     return abs(sigma)  # -0.0 is reported as 0.0
 
 
-def _threshold(values, shape: tuple[int, int], sigma: float | None, eta: float):
-    """(sigma, (2 + eta) sigma sqrt(max(m, n))), sigma None plugging in
-    sigma_hat of the descending singular values; raises ValueError if the
-    threshold overflows."""
-    sigma = _sigma_hat(values, shape) if sigma is None else sigma
-    threshold = (2.0 + eta) * sigma * math.sqrt(max(shape))
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold (2 + eta) * sigma * sqrt(n) overflows for sigma {sigma}")
-    return sigma, threshold
-
-
-def _decide(values, shape: tuple[int, int], sigma: float | None, eta: float) -> DenoiseReport:
+def _decide(values, shape: tuple[int, int], sigma: float | None, eta: float,
+            tol: float | None = None) -> DenoiseReport | None:
     """The keep/drop decision from x's descending singular values (a
     spectral pass's, which read by index and count those at least a bound)
     and shape alone: sigma None plugs in sigma_hat, and each value reaching
     the threshold is kept.  A zero threshold keeps all min(m, n), so
-    `values` may be None at sigma 0.  Raises ValueError if the threshold
-    overflows."""
+    `values` may be None at sigma 0.  With tol, the pass's error bound,
+    None where some s_i^2 lies within tol s_1^2 of tau^2, widened by
+    tol s_1^2 tau^2 / s_med^2 (s_med the lower middle value), tau^2's error
+    through sigma_hat, when sigma is estimated.  Raises ValueError if the
+    threshold overflows."""
     m, n = shape
-    sigma, threshold = _threshold(values, shape, sigma, eta)
-    kept = min(m, n) if threshold == 0.0 else values.at_least(threshold)
+    estimated = sigma is None
+    sigma = _sigma_hat(values, shape) if estimated else sigma
+    threshold = (2.0 + eta) * sigma * math.sqrt(max(shape))
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold (2 + eta) * sigma * sqrt(n) overflows for sigma {sigma}")
+    if tol is not None and estimated:  # a pass's values, so s_med > 0
+        r, med = threshold / values[0], values[len(values) // 2] / values[0]
+        tol *= 1.0 + r * r / (med * med)
+    kept = min(m, n) if threshold == 0.0 else values.at_least(threshold, tol)
+    if kept is None:
+        return None
     return DenoiseReport(
         m=m, n=n, eta=eta, sigma_used=sigma, mu_gamma=_law(min(m, n) / max(m, n)).median,
         threshold=threshold, kept_rank=kept, kept_indices=tuple(range(1, kept + 1)),
@@ -132,8 +134,9 @@ def usvt_denoise(x, sigma: float | None = None, eta: float = DEFAULT_ETA):
     """Threshold the SVD of x at (2 + eta) * sigma * sqrt(max(m, n)).
 
     Returns (denoised matrix, DenoiseReport).  Singular values exactly equal
-    to the threshold are kept; sigma = 0 returns a copy of the input and
-    runs no spectral pass.  sigma None estimates it as sigma_hat; a
+    to the threshold are kept; keeping all min(m, n) returns a copy of the
+    input, its rank-min(m, n) truncation, and sigma = 0 does so with no
+    spectral pass.  sigma None estimates it as sigma_hat; a
     sigma_hat of exactly 0 is flagged in the report, not raised.  One
     spectral pass feeds `_decide` and gives the rank-k truncation, as the
     module docstring says.
@@ -144,39 +147,21 @@ def usvt_denoise(x, sigma: float | None = None, eta: float = DEFAULT_ETA):
     return _denoise(a, a.shape, sigma, eta)
 
 
-def _near_threshold(values, tau: float, tol: float | None, estimated: bool) -> bool:
-    """Whether some s_i^2 lies within tol s_1^2 of tau^2, the band being
-    widened by tol s_1^2 tau^2 / s_med^2 (s_med the lower middle value),
-    the error of tau^2 through sigma_hat, when sigma was estimated.  A tol
-    of None (gesdd's values) is never near."""
-    if tol is None:
-        return False
-    s1 = values[0]
-    if tau / 2.0 > s1:  # every s_i^2 < tau^2 / 4
-        return False
-    r, med = tau / s1, values[len(values) // 2] / s1
-    band = tol * (1.0 + r * r / (med * med)) if estimated else tol
-    return values.near(r * r, band)
-
-
 def _denoise(a: np.ndarray, shape: tuple[int, int], sigma: float | None, eta: float):
     """usvt_denoise of the validated matrix a, with sigma_hat, the threshold
     and the report of a matrix of `shape` whose singular values are a's:
     a.shape for usvt_denoise, the m x n cell for a reduced simulation cell."""
-    if sigma == 0.0:  # all kept: the input itself, exactly
-        return a.copy(), _decide(None, shape, sigma, eta)
-    spectrum = _SpectralPass(a)
-    # The band check comes before the count: outside the band, the count of
-    # the Gram route's eigenvalues that reach tau^2 is the count of gesdd's
-    # s_i >= tau; inside it, gesdd's values decide.
-    tau = _threshold(spectrum.values, shape, sigma, eta)[1]
-    if _near_threshold(spectrum.values, tau, spectrum.tol, sigma is None):
-        spectrum.exact()
-    report = _decide(spectrum.values, shape, sigma, eta)
+    if sigma == 0.0:  # all kept, with no spectral pass
+        report = _decide(None, shape, sigma, eta)
+    else:
+        spectrum = _SpectralPass(a)
+        report = _decide(spectrum.values, shape, sigma, eta, spectrum.tol)
+        if report is None:  # some s_i^2 within the band of tau^2: gesdd's values decide
+            report = _decide(spectrum.exact(), shape, sigma, eta)
     k = report.kept_rank
-    if k and report.threshold:
-        return spectrum.rank_k_part(k), report
-    return (a.copy() if k else np.zeros_like(a)), report
+    if k == min(a.shape):  # the rank-min(m, n) truncation is the input itself, exactly
+        return a.copy(), report
+    return (spectrum.rank_k_part(k) if k else np.zeros_like(a)), report
 
 
 def usvt_adaptive(x, eta: float = DEFAULT_ETA):

@@ -15,9 +15,9 @@ and W in Q_k^T W.
 value.  The denoiser takes its values from the eigenvalues of W W^T
 instead, several times cheaper, in one spectral pass (`_SpectralPass`)
 whose W W^T then gives the rank-k part.  A decision reads only lambda_1,
-the median pair, lambda_k and lambda_{k+1} for the kept k, and counts at
-tau^2, so the pass reduces W W^T to tridiagonal form once and bisects
-just the eigenvalues it reads, and counts by Sturm sequences
+the median pair, lambda_k and lambda_{k+1} for the kept k, and one count
+around tau^2, so the pass reduces W W^T to tridiagonal form once, bisects
+just the eigenvalues it reads and counts by Sturm sequences
 (`_Bisected`).  The eigenvalues' error |dlambda_i| is about eps *
 lambda_1, so the median's relative error grows with the spread lambda_1 /
 lambda_med; beyond GRAM_MAX_SPREAD the route is refused and gesdd runs.
@@ -61,9 +61,15 @@ class SvdConvergenceError(RuntimeError):
     """The SVD iteration failed to converge; results would be garbage."""
 
 
+def _real_array(x) -> np.ndarray:
+    if np.iscomplexobj(x):  # the float64 cast would drop the imaginary part
+        raise ValueError("entries must be real, got complex ones")
+    return np.asarray(x, dtype=np.float64)
+
+
 def as_matrix(x) -> np.ndarray:
-    """Validate input as a finite 2-d float64 matrix with m, n >= 1."""
-    a = np.asarray(x, dtype=np.float64)
+    """Validate input as a finite 2-d real float64 matrix with m, n >= 1."""
+    a = _real_array(x)
     if a.ndim != 2 or min(a.shape) < 1:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -145,14 +151,14 @@ class _Held:
     def __getitem__(self, i: int) -> float:
         return float(self.array[i])
 
-    def at_least(self, x: float) -> int:
-        """The number of values >= x."""
+    def at_least(self, x: float, band: float | None = None) -> int | None:
+        """The number of values >= x; with a band, None where some
+        (s_i / s_1)^2 lies within band of (x / s_1)^2."""
+        if band is not None:  # a pass's values, so s_1 > 0
+            r = x / self[0]
+            if np.any(np.abs((self.array / self.array[0]) ** 2 - r * r) <= band):
+                return None
         return int(np.count_nonzero(self.array >= x))
-
-    def near(self, t: float, band: float) -> bool:
-        """Whether some (s_i / s_1)^2 lies within band of t."""
-        u = (self.array / self.array[0]) ** 2
-        return bool(np.any(np.abs(u - t) <= band))
 
 
 class _Bisected:
@@ -161,7 +167,8 @@ class _Bisected:
     tridiagonal form, diagonal d and subdiagonal f (`_host.sytrd`):
     lambda_i is bisected where first read (`_host.stebz`) and kept, and
     values are counted by Sturm counts (`_host.laebz`), so that no
-    eigenvalue is computed that is not read."""
+    eigenvalue is computed that is not read.  A decision's count is one
+    Sturm count pair around the threshold, which is also its band check."""
 
     def __init__(self, d: np.ndarray, f: np.ndarray, e: int) -> None:
         self.d, self.f, self.e = d, f, int(e)
@@ -186,24 +193,26 @@ class _Bisected:
     def __getitem__(self, i: int) -> float:
         return math.ldexp(math.sqrt(max(self.eigenvalue(i), 0.0)), self.e)
 
-    def at_least(self, x: float) -> int:
+    def at_least(self, x: float, band: float | None = None) -> int | None:
         """The number of lambda_i >= (x / 2^e)^2: the number of values >= x
-        but for lambda_i within rounding of (x / 2^e)^2."""
-        if x > self[0]:
+        but for lambda_i within rounding of (x / 2^e)^2.  With a band, one
+        Sturm count pair at lambda_1 (t -+ band) -+ 4 ulps of lambda_1,
+        t = (x / s_1)^2, gives None where some lambda_i lies between the
+        two, else the count below them: (s_i / s_1)^2 and lambda_i /
+        lambda_1, and the counts, differ by rounding."""
+        s_1 = self[0]
+        if band is None:
+            if x > s_1:
+                return 0
+            y = math.ldexp(x, -self.e)  # at most sqrt(lambda_1), so y^2 is finite
+            return self.d.size - _host.laebz(self.d, self.f, y * y, y * y)[0]
+        if x / 2.0 > s_1:  # t > 4: no lambda_i / lambda_1 <= 1 within a band below 3
             return 0
-        y = math.ldexp(x, -self.e)  # at most sqrt(lambda_1), so y^2 is finite
-        return self.d.size - _host.laebz(self.d, self.f, y * y, y * y)[0]
-
-    def near(self, t: float, band: float) -> bool:
-        """Whether some lambda_i / lambda_1 lies within band of t, by the
-        count of lambda_i in [lambda_1 (t - band), lambda_1 (t + band)],
-        widened by 4 ulps of lambda_1: (s_i / s_1)^2 and lambda_i / lambda_1,
-        and the Sturm counts, differ by rounding."""
-        lam_1 = self.eigenvalue(0)
+        r, lam_1 = x / s_1, self.eigenvalue(0)
         slack = 4.0 * _EPS * lam_1
-        below, within = _host.laebz(self.d, self.f, (t - band) * lam_1 - slack,
-                                    (t + band) * lam_1 + slack)
-        return within > below
+        below, within = _host.laebz(self.d, self.f, (r * r - band) * lam_1 - slack,
+                                    (r * r + band) * lam_1 + slack)
+        return None if within > below else self.d.size - below
 
 
 def _admitted(lam_1: float, median: float, e: int) -> bool:
@@ -330,7 +339,7 @@ def ks_distance(values, shape) -> float:
     before it is squared, which keeps s^2 finite.
     """
     lo, hi = min(shape), max(shape)
-    s = np.asarray(values, dtype=np.float64)
+    s = _real_array(values)
     if s.ndim != 1 or not 1 <= s.size <= lo or not np.isfinite(s).all():
         raise ValueError(f"expected 1 to {lo} finite singular values, got shape {s.shape}")
     s = np.minimum(np.abs(s), 4.0 * np.sqrt(hi))

@@ -54,6 +54,7 @@ def test_criterion_1_nuclear_norm_calibration():
 
 
 def test_criterion_2_mp_law_self_consistency():
+    quad = pytest.importorskip("scipy.integrate").quad
     for gamma in (0.04, 0.1, 0.2, 0.5, 1.0):
         law = MPLaw(gamma)
         # normalization and unit mean through the implementation's density,
@@ -65,7 +66,6 @@ def test_criterion_2_mp_law_self_consistency():
             jacobian = span * math.sin(2.0 * theta)
             return x**moment * law.density(x) * jacobian
 
-        from scipy.integrate import quad
         mass, _ = quad(transported, 0.0, math.pi / 2.0, args=(0,),
                        epsabs=1e-12, epsrel=1e-12, limit=200)
         mean, _ = quad(transported, 0.0, math.pi / 2.0, args=(1,),
@@ -146,3 +146,40 @@ def test_criterion_6_determinism(tmp_path):
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(pool.map(lambda c: run_cell(config, *c), cells))
     assert parallel == serial
+
+
+def weyl_cells(seed=8):
+    """(r, sigma, signal, noise) of one full Gaussian draw per paper-fig1
+    rank and sigma in {0.05, 0.1, 0.2, 0.5, 1}, from the study's substreams."""
+    config = preset_config("paper-fig1", sigmas=(0.05, 0.1, 0.2, 0.5, 1.0), seed=seed)
+    for i, r in enumerate(config.ranks):
+        for j, sigma in enumerate(config.sigmas):
+            rng = cell_rng(config.seed, i, j, 0)
+            signal = signal_matrix(r, config.m, config.n, rng)
+            yield r, sigma, signal, sigma * noise_matrix(config.m, config.n, "gaussian", rng)
+
+
+def test_criterion_7_weyl_bounds_hold_cell_by_cell():
+    # X = M + E with rank(M) = r.  M_hat - M has rank at most k + r and
+    # operator norm at most s_{k+1}(X) + ||E|| < tau + ||E||, so
+    # mse_matrix <= (k + r)(tau + ||E||)^2 / (m n), at estimated and known
+    # sigma.  By Weyl, s_{i+r}(E) <= s_i(X) <= s_{i-r}(E) (0-based, s_j(E)
+    # read as 0 past the end and +inf before the start), so sigma_hat lies
+    # between E's median pair shifted by +r and by -r over sqrt(n mu_gamma),
+    # up to the error of the values it is read from.
+    m, n = 200, 1000
+    calibration = math.sqrt(n * MPLaw(m / n).median)
+    for r, sigma, signal, noise in weyl_cells():
+        x = signal + noise
+        e = singular_values(noise)
+        for known in (None, sigma):
+            denoised, report = usvt_denoise(x, known)
+            bound = (report.kept_rank + r) * (report.threshold + e[0]) ** 2 / (m * n)
+            assert mse(denoised, signal) <= bound * (1.0 + 1e-9), (r, sigma, known)
+
+        def pair(shift):
+            at = [i + shift for i in ((m - 1) // 2, m // 2)]
+            return sum(math.inf if i < 0 else e[i] if i < m else 0.0 for i in at) / 2 / calibration
+
+        slack = 1e-11 * (math.exp(3.0) + 2.0 * e[0]) / calibration  # s_1(X) <= e^3 + ||E||
+        assert pair(r) - slack <= estimate_sigma(x) <= pair(-r) + slack, (r, sigma)

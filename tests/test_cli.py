@@ -415,6 +415,19 @@ class TestDenoise:
         assert len(helpers) == (3 + 1 + 3 if large else 0)
         assert all(proc.returncode == 0 for proc, _ in helpers)
 
+    @pytest.mark.parametrize("shape", [(12, 30), (30, 12)], ids=["wide", "tall"])
+    def test_keeping_every_component_writes_the_input(self, tmp_path, shape):
+        # a small known sigma keeps all min(m, n) at a nonzero threshold: the
+        # rank-min(m, n) truncation is x itself, written as it was read
+        x = np.random.default_rng(7).standard_normal(shape)
+        src, out, rep = (tmp_path / n for n in ("in.txt", "out.txt", "r.json"))
+        write_matrix(src, x)
+        assert main(["denoise", "--input", str(src), "--sigma", "1e-3",
+                     "--output", str(out), "--report", str(rep)]) == 0
+        report = json.loads(rep.read_text())
+        assert report["kept_rank"] == min(shape) and report["threshold"] > 0.0
+        assert out.read_bytes() == src.read_bytes()
+
     def test_a_bad_last_line_of_a_large_file_writes_nothing(self, tmp_path, monkeypatch,
                                                            helpers, capsys):
         # the last line falls to the helper's part, which rejects it; the

@@ -179,6 +179,26 @@ class TestUsvtDenoise:
         assert math.copysign(1.0, report.sigma_used) == 1.0
         assert math.copysign(1.0, report.threshold) == 1.0
 
+    @pytest.mark.parametrize("shape", [(20, 30), (30, 20)], ids=["wide", "tall"])
+    def test_keeping_every_component_returns_the_input(self, monkeypatch, eigensolves, shape):
+        # a threshold below s_min keeps all min(m, n): the rank-min(m, n)
+        # truncation is x itself, so no eigenvectors or singular vectors are
+        # computed
+        x = np.random.default_rng(5).standard_normal(shape)
+        sigma = singular_values(x)[-1] / 2 / (2.0 + DEFAULT_ETA) / math.sqrt(max(shape))
+        calls = eigensolves()
+        svd = np.linalg.svd
+
+        def values_only(*args, **kwargs):
+            calls.append("values" if kwargs.get("compute_uv") is False else "svd")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", values_only)
+        denoised, report = usvt_denoise(x, sigma)
+        assert report.kept_rank == min(shape) and report.threshold > 0.0
+        assert denoised.tobytes() == x.tobytes()
+        assert calls == ["sytrd"]
+
     def test_huge_sigma_returns_zero(self):
         x = np.random.default_rng(3).standard_normal((6, 10))
         sigma = 10.0 * singular_values(x)[0] / np.sqrt(10)
@@ -554,6 +574,41 @@ class TestGramValuesRoute:
             assert formed == [(20, 30)], route
             assert report.kept_rank == 2, route
             assert np.linalg.norm(denoised - top) <= 1e-12 * np.linalg.norm(top), route
+
+    @pytest.mark.parametrize("shape", [(20, 30), (30, 20)], ids=["wide", "tall"])
+    def test_one_count_and_one_sigma_hat_per_decision(self, monkeypatch, shape):
+        # the band check and the count at tau^2 are one Sturm count pair,
+        # made only where tau <= 2 s_1, and sigma_hat is computed once per
+        # set of values decided on: twice where gesdd's values take over
+        from usvt import estimators
+
+        x, _ = planted([3.0, 2.0, 0.8], *shape)
+        s = np.linalg.svd(x, compute_uv=False)
+        per_tau = 1.0 / (2.0 + DEFAULT_ETA) / math.sqrt(max(shape))  # sigma per unit tau
+        u, s_at_tau, vt = np.linalg.svd(x, full_matrices=False)
+        s_at_tau[0] = _decide(_SpectralPass(x).values, shape, None, DEFAULT_ETA).threshold
+        noise = np.random.default_rng(53).standard_normal(shape)
+        cases = [  # (x, sigma, kept, Sturm count pairs, sigma_hat computations)
+            (noise, None, 0, 1, 1),
+            (x, None, 2, 1, 1),
+            (x, (s[1] + s[2]) / 2 * per_tau, 2, 1, 0),
+            (x, 1.5 * s[0] * per_tau, 0, 1, 0),
+            (x, 2.5 * s[0] * per_tau, 0, 0, 0),
+            ((u * s_at_tau) @ vt, None, 2, 1, 2),
+        ]
+        for y, sigma, kept, pairs, estimates in cases:
+            calls = []
+            with monkeypatch.context() as mp:
+                for module, name in ((_host, "laebz"), (estimators, "_sigma_hat")):
+                    def counted(*args, original=getattr(module, name), name=name):
+                        calls.append(name)
+                        return original(*args)
+
+                    mp.setattr(module, name, counted)
+                _, report = usvt_denoise(y, sigma)
+            assert report.kept_rank == kept, (sigma, kept)
+            assert (calls.count("laebz"), calls.count("_sigma_hat")) == (pairs, estimates), \
+                (sigma, kept)
 
     @pytest.mark.parametrize("sigma, kept", [(1.0, 3), (2.7e307, 1), (5e307, 0)])
     def test_margin_check_of_huge_values_does_not_overflow(self, sigma, kept):

@@ -80,6 +80,17 @@ class TestAsMatrix:
         with pytest.raises(ValueError):
             as_matrix(bad)
 
+    def test_rejects_complex_input(self):
+        # a cast to float64 would drop the imaginary part, with only a warning
+        x = np.array([[1 + 5j, 2], [3, 4j]])
+        calls = [lambda: usvt.estimate_sigma(x), lambda: usvt.usvt_denoise(x),
+                 lambda: usvt.usvt_denoise(x.tolist(), 0.0), lambda: singular_values(x),
+                 lambda: usvt.mse(np.ones((2, 2)), x), lambda: usvt.mse(x.real, x.real + 0j),
+                 lambda: ks_distance(np.array([1.0 + 0j, 2.0]), (2, 3))]
+        for call in calls:
+            with pytest.raises(ValueError, match="must be real"):
+                call()
+
 
 class TestSvd:
     """_SpectralPass.rank_k_part, the rank-k SVD truncation."""
@@ -337,14 +348,14 @@ class TestGramRoute:
 def decision_reads(x):
     """What a decision reads of x's spectral pass: s_1, the median pair,
     s_k and s_{k+1} at k = lo // 4 + 1, the count of values at least
-    s_{lo // 4} and whether a squared value lies near the midpoint of
-    (s_2 / s_1)^2 and (s_3 / s_1)^2."""
+    s_{lo // 4}, and the banded count at the x whose (x / s_1)^2 is the
+    midpoint of (s_2 / s_1)^2 and (s_3 / s_1)^2."""
     values = _SpectralPass(x).values
     lo = len(values)
     k = lo // 4 + 1
     reads = [values[i] for i in (0, (lo - 1) // 2, lo // 2, k - 1, min(k, lo - 1))]
     t = ((values[min(1, lo - 1)] / values[0]) ** 2 + (values[min(2, lo - 1)] / values[0]) ** 2) / 2
-    return reads, values.at_least(values[lo // 4]), values.near(t, 1e-13)
+    return reads, values.at_least(values[lo // 4]), values.at_least(values[0] * np.sqrt(t), 1e-13)
 
 
 def kept_part(x, k=5):
@@ -378,8 +389,8 @@ class TestBisection:
 
     def test_counts_match_eigvalsh_outside_the_band(self):
         # thresholds midway between numpy's values and beyond both ends:
-        # where the band check is clear, the Sturm count is numpy's count;
-        # at each of numpy's values the band check is never clear
+        # where the banded count is returned, it is the plain count and
+        # numpy's; at each of numpy's values it is never returned
         rng = np.random.default_rng(64)
         for shape in self.SHAPES[:5]:
             spectrum = _SpectralPass(rng.standard_normal(shape))
@@ -389,25 +400,33 @@ class TestBisection:
             cuts = np.concatenate([[1.5 * s[0]], (s[:-1] + s[1:]) / 2, [s[-1] / 2]])
             clear = 0
             for tau in cuts:
-                if not values.near((tau / values[0]) ** 2, tol):
+                kept = values.at_least(tau, tol)
+                if kept is not None:
                     clear += 1
-                    assert values.at_least(tau) == np.count_nonzero(s >= tau), (shape, tau)
+                    assert kept == values.at_least(tau) == np.count_nonzero(s >= tau), (shape, tau)
             assert clear >= 0.9 * cuts.size, shape
             for value in s:
-                assert values.near((value / values[0]) ** 2, tol), shape
+                assert values.at_least(value, tol) is None, shape
 
     def test_a_value_tied_at_tau_goes_to_gesdd(self, monkeypatch):
-        # tau on a value the pass read, known or estimated: the band check is
-        # never clear, so gesdd's values decide, as they do for a tie
+        # tau on a value the pass read, known or estimated: the banded count
+        # is never returned, so gesdd's values decide, as they do for a tie
         from usvt import DEFAULT_ETA, usvt_denoise
-        from usvt.estimators import _near_threshold
+        from usvt.estimators import _decide
 
         x = planted(np.concatenate([[3.0, 2.0], np.linspace(0.9, 0.5, 18)]), 20, 30, seed=65)
         spectrum = _SpectralPass(x)
-        values = spectrum.values
+        values, tol = spectrum.values, spectrum.tol
         for i in range(len(values)):
-            for estimated in (False, True):
-                assert _near_threshold(values, values[i], spectrum.tol, estimated)
+            assert values.at_least(values[i], tol) is None
+            sigma = values[i] / (2.0 + DEFAULT_ETA) / np.sqrt(30)
+            assert _decide(values, x.shape, sigma, DEFAULT_ETA, tol) is None
+        # s_1 on the estimated threshold: the band, widened by tau_hat's
+        # error, holds it
+        u, s, vt = np.linalg.svd(x, full_matrices=False)
+        s[0] = _decide(values, x.shape, None, DEFAULT_ETA).threshold
+        planted_tau = _SpectralPass((u * s) @ vt)
+        assert _decide(planted_tau.values, x.shape, None, DEFAULT_ETA, planted_tau.tol) is None
         sigma = values[1] / (2.0 + DEFAULT_ETA) / np.sqrt(30)
         calls = TestGramRoute.counted(monkeypatch, "svd")
         _, report = usvt_denoise(x, sigma)
@@ -527,6 +546,11 @@ class TestBisection:
         assert _host.laebz(d, f, d[0], d[0]) == (5, 5)
         for i in range(5):
             assert values.at_least(values[i]) in (i, i + 1)
+            # the banded count at each value is refused, and between values
+            # it is the number above
+            assert values.at_least(values[i], 1e-13) is None
+            below = values[i + 1] if i < 4 else 0.0
+            assert values.at_least((values[i] + below) / 2, 1e-13) == i + 1
 
     @pytest.mark.parametrize("eta, sigma", [(0.5, 0.2), (1.0, 1.0 / 6.0)])
     def test_a_threshold_on_a_zero_pivot_keeps_gesdds_rank(self, eta, sigma):
