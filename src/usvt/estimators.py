@@ -17,23 +17,22 @@ first reads it, or, where their spread would make sigma_hat inaccurate,
 gesdd's; its W W^T gives the rank-k part.  The decision reads its values
 through the pass: by index (`_sigma_hat` reads the median pair) and by
 one banded count, the values at least the threshold, or None where some
-s_i^2 lies within the eigenvalues' error band of tau^2, widened by
-tau^2's own error through sigma_hat.  There gesdd's values decide
-instead, so the kept rank is always gesdd's, and sigma_hat and tau differ
-from gesdd's only in the last digits; sigma_hat and tau are computed once
-per set of values decided on.
+s_i^2 lies within the values' own error bound of tau^2, widened by
+tau^2's own error through sigma_hat.  There gesdd's values, which carry
+no bound, decide instead, so the kept rank is always gesdd's, and
+sigma_hat and tau differ from gesdd's only in the last digits; sigma_hat
+and tau are computed once per set of values decided on.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .mp_law import MPLaw
+from .mp_law import MPLaw, _real
 from .spectral import _SpectralPass, as_matrix
 
 DEFAULT_ETA = 0.02
@@ -81,12 +80,6 @@ def estimate_sigma(x) -> float:
     return _sigma_hat(_SpectralPass(a).values, a.shape)
 
 
-def _real(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # True is no level
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
 def _check_eta(eta: float) -> float:
     eta = _real("eta", eta)
     if not 0.0 < eta <= 1.0:
@@ -101,23 +94,24 @@ def _check_sigma(sigma: float) -> float:
     return abs(sigma)  # -0.0 is reported as 0.0
 
 
-def _decide(values, shape: tuple[int, int], sigma: float | None, eta: float,
-            tol: float | None = None) -> DenoiseReport | None:
+def _decide(values, shape: tuple[int, int], sigma: float | None,
+            eta: float) -> DenoiseReport | None:
     """The keep/drop decision from x's descending singular values (a
-    spectral pass's, which read by index and count those at least a bound)
-    and shape alone: sigma None plugs in sigma_hat, and each value reaching
-    the threshold is kept.  A zero threshold keeps all min(m, n), so
-    `values` may be None at sigma 0.  With tol, the pass's error bound,
-    None where some s_i^2 lies within tol s_1^2 of tau^2, widened by
-    tol s_1^2 tau^2 / s_med^2 (s_med the lower middle value), tau^2's error
-    through sigma_hat, when sigma is estimated.  Raises ValueError if the
-    threshold overflows."""
+    spectral pass's, which read by index, count those at least a bound and
+    hold their error bound tol) and shape alone: sigma None plugs in
+    sigma_hat, and each value reaching the threshold is kept.  A zero
+    threshold keeps all min(m, n), so `values` may be None at sigma 0.
+    With a tol, None where some s_i^2 lies within tol s_1^2 of tau^2,
+    widened by tol s_1^2 tau^2 / s_med^2 (s_med the lower middle value),
+    tau^2's error through sigma_hat, when sigma is estimated.  Raises
+    ValueError if the threshold overflows."""
     m, n = shape
     estimated = sigma is None
     sigma = _sigma_hat(values, shape) if estimated else sigma
     threshold = (2.0 + eta) * sigma * math.sqrt(max(shape))
     if not math.isfinite(threshold):
         raise ValueError(f"threshold (2 + eta) * sigma * sqrt(n) overflows for sigma {sigma}")
+    tol = values.tol if threshold else None  # values may be None at threshold 0
     if tol is not None and estimated:  # a pass's values, so s_med > 0
         r, med = threshold / values[0], values[len(values) // 2] / values[0]
         tol *= 1.0 + r * r / (med * med)
@@ -155,7 +149,7 @@ def _denoise(a: np.ndarray, shape: tuple[int, int], sigma: float | None, eta: fl
         report = _decide(None, shape, sigma, eta)
     else:
         spectrum = _SpectralPass(a)
-        report = _decide(spectrum.values, shape, sigma, eta, spectrum.tol)
+        report = _decide(spectrum.values, shape, sigma, eta)
         if report is None:  # some s_i^2 within the band of tau^2: gesdd's values decide
             report = _decide(spectrum.exact(), shape, sigma, eta)
     k = report.kept_rank

@@ -26,10 +26,23 @@ line's start-up time.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import cached_property
 
 _BISECT_WIDTH = 1e-12
 _QUANTILE_TOL = 1e-8
+
+
+# The package's number rules, here because this module imports no other.
+def _real(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # True is no level
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _is_integer(value) -> bool:
+    # bool is an Integral, but True is no dimension, rank or seed
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class MPLaw:
@@ -40,7 +53,7 @@ class MPLaw:
     """
 
     def __init__(self, gamma: float) -> None:
-        gamma = float(gamma)
+        gamma = _real("gamma", gamma)
         if not 0.0 < gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {gamma}")
         self.gamma = gamma
@@ -79,6 +92,7 @@ class MPLaw:
 
     def quantile(self, p: float) -> float:
         """Inverse CDF by bisection; |cdf(result) - p| <= 1e-8 certified."""
+        p = _real("quantile level", p)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"quantile level must be in [0, 1], got {p}")
         if p == 0.0:

@@ -34,7 +34,6 @@ matrices; the law of every record does not.
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from dataclasses import dataclass, replace
 
@@ -42,6 +41,7 @@ import numpy as np
 
 from . import _host
 from .estimators import DEFAULT_ETA, _check_eta, _check_sigma, _denoise
+from .mp_law import _is_integer
 from .spectral import SvdConvergenceError
 
 SPECTRUM_LOG_PEAK = 3.0
@@ -59,11 +59,6 @@ NOISE_KINDS = tuple(_NOISE)
 # their cells take E D_r E^T as the signal and are drawn in reduced Bartlett
 # form, lo x (r + min(lo, hi - r)), with the law of the m x n cell (above).
 _ORTHOGONALLY_INVARIANT = frozenset({"gaussian"})
-
-
-def _is_integer(value) -> bool:
-    # bool is an Integral, but True is no dimension, rank or seed
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ConfigError(ValueError):

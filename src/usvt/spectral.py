@@ -21,11 +21,13 @@ just the eigenvalues it reads and counts by Sturm sequences
 (`_Bisected`).  The eigenvalues' error |dlambda_i| is about eps *
 lambda_1, so the median's relative error grows with the spread lambda_1 /
 lambda_med; beyond GRAM_MAX_SPREAD the route is refused and gesdd runs.
-The same tridiagonal form, with the reduction's reflectors, gives the
-top-k eigenvectors of the rank-k part, and where gesdd fails all
-eigenvalues are bisected from it.  W, W W^T and its tridiagonal form are
-each formed at most once per pass, on every route; the reduction
-overwrites W W^T with its reflectors, so no copy of it is held.
+The values hold their own error bound `tol`, so that no count on them
+skips its band; gesdd's hold None.  The same tridiagonal form, with the
+reduction's reflectors, gives the top-k eigenvectors of the rank-k part,
+and where gesdd fails all eigenvalues are bisected from it.  W, W W^T
+and its tridiagonal form are each formed at most once per pass, on every
+route; the reduction overwrites W W^T with its reflectors, so no copy of
+it is held.
 
 Every LAPACK call on W W^T is `_host`'s, with the GIL released, so that
 the study's cells solve on several threads at once: the tridiagonal
@@ -41,7 +43,7 @@ import math
 import numpy as np
 
 from . import _host
-from .mp_law import MPLaw
+from .mp_law import MPLaw, _is_integer
 
 # _SpectralPass.rank_k_part takes the Gram eigensolve while
 # (s_k^2 - s_{k+1}^2) / s_1^2 >= GRAM_MIN_GAP: there it was measured within
@@ -62,9 +64,12 @@ class SvdConvergenceError(RuntimeError):
 
 
 def _real_array(x) -> np.ndarray:
-    if np.iscomplexobj(x):  # the float64 cast would drop the imaginary part
-        raise ValueError("entries must be real, got complex ones")
-    return np.asarray(x, dtype=np.float64)
+    a = np.asarray(x)
+    # a float64 cast would parse strings, take booleans and dates as
+    # numbers and drop an imaginary part
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"entries must be real numbers, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
 
 
 def as_matrix(x) -> np.ndarray:
@@ -138,12 +143,12 @@ def singular_values(x) -> np.ndarray:
 
 
 class _Held:
-    """Descending singular values held whole in `array`: gesdd's, or
-    sqrt(lambda_i) 2^e of numpy's eigenvalues of W W^T / 4^e where numpy's
-    OpenBLAS is not found."""
+    """Descending singular values held whole in `array`, and their error
+    bound tol: gesdd's, None, or sqrt(lambda_i) 2^e of numpy's eigenvalues
+    of W W^T / 4^e where numpy's OpenBLAS is not found, the Gram route's."""
 
-    def __init__(self, array: np.ndarray) -> None:
-        self.array = array
+    def __init__(self, array: np.ndarray, tol: float | None = None) -> None:
+        self.array, self.tol = array, tol
 
     def __len__(self) -> int:
         return self.array.size
@@ -151,7 +156,7 @@ class _Held:
     def __getitem__(self, i: int) -> float:
         return float(self.array[i])
 
-    def at_least(self, x: float, band: float | None = None) -> int | None:
+    def at_least(self, x: float, band: float | None) -> int | None:
         """The number of values >= x; with a band, None where some
         (s_i / s_1)^2 lies within band of (x / s_1)^2."""
         if band is not None:  # a pass's values, so s_1 > 0
@@ -163,15 +168,15 @@ class _Held:
 
 class _Bisected:
     """The descending singular values sqrt(max(lambda_i, 0)) 2^e of a
-    spectral pass, lambda_i the eigenvalues of W W^T / 4^e, held as its
-    tridiagonal form, diagonal d and subdiagonal f (`_host.sytrd`):
-    lambda_i is bisected where first read (`_host.stebz`) and kept, and
-    values are counted by Sturm counts (`_host.laebz`), so that no
-    eigenvalue is computed that is not read.  A decision's count is one
-    Sturm count pair around the threshold, which is also its band check."""
+    spectral pass, and their error bound tol, lambda_i the eigenvalues of
+    W W^T / 4^e, held as its tridiagonal form, diagonal d and subdiagonal
+    f (`_host.sytrd`): lambda_i is bisected where first read
+    (`_host.stebz`) and kept, and values are counted by Sturm counts
+    (`_host.laebz`), so that no eigenvalue is computed that is not read.  A
+    count is one Sturm count pair around x, which is also its band check."""
 
-    def __init__(self, d: np.ndarray, f: np.ndarray, e: int) -> None:
-        self.d, self.f, self.e = d, f, int(e)
+    def __init__(self, d: np.ndarray, f: np.ndarray, e: int, tol: float) -> None:
+        self.d, self.f, self.e, self.tol = d, f, int(e), tol
         self._lam: dict[int, float] = {}
 
     def __len__(self) -> int:
@@ -193,19 +198,13 @@ class _Bisected:
     def __getitem__(self, i: int) -> float:
         return math.ldexp(math.sqrt(max(self.eigenvalue(i), 0.0)), self.e)
 
-    def at_least(self, x: float, band: float | None = None) -> int | None:
-        """The number of lambda_i >= (x / 2^e)^2: the number of values >= x
-        but for lambda_i within rounding of (x / 2^e)^2.  With a band, one
-        Sturm count pair at lambda_1 (t -+ band) -+ 4 ulps of lambda_1,
-        t = (x / s_1)^2, gives None where some lambda_i lies between the
-        two, else the count below them: (s_i / s_1)^2 and lambda_i /
-        lambda_1, and the counts, differ by rounding."""
+    def at_least(self, x: float, band: float) -> int | None:
+        """The number of values >= x, or None where some (s_i / s_1)^2 lies
+        within band of t = (x / s_1)^2: one Sturm count pair at lambda_1
+        (t -+ band) -+ 4 ulps of lambda_1 gives None where some lambda_i
+        lies between the two, else the count below them: (s_i / s_1)^2 and
+        lambda_i / lambda_1, and the counts, differ by rounding."""
         s_1 = self[0]
-        if band is None:
-            if x > s_1:
-                return 0
-            y = math.ldexp(x, -self.e)  # at most sqrt(lambda_1), so y^2 is finite
-            return self.d.size - _host.laebz(self.d, self.f, y * y, y * y)[0]
         if x / 2.0 > s_1:  # t > 4: no lambda_i / lambda_1 <= 1 within a band below 3
             return 0
         r, lam_1 = x / s_1, self.eigenvalue(0)
@@ -223,8 +222,8 @@ def _admitted(lam_1: float, median: float, e: int) -> bool:
 
 class _SpectralPass:
     """One denoise's spectral pass over the validated matrix a: the wide
-    view W, a's singular values, descending, and their error bound tol,
-    from the scaled W W^T of `_gram`, which it reduces once, in place.  The
+    view W and a's singular values, descending, holding their error bound
+    tol, from the scaled W W^T of `_gram`, reduced once, in place.  The
     values are sqrt(lambda_i) 2^e from the eigenvalues lambda_i of
     W W^T / 4^e, |lambda_i 4^e - s_i^2| <= tol s_1^2 against gesdd's s_i,
     tol = 16 (1 + sqrt(min(m, n))) eps: over six times the largest error
@@ -242,13 +241,11 @@ class _SpectralPass:
         self.w = _wide(a)
         self._eigen = self._vectors = None  # None where the Gram route failed first
         try:
-            values = self._gram_values(*_gram(self.w))
+            self.values = self._gram_values(*_gram(self.w))
         except np.linalg.LinAlgError:
-            values = None
-        if values is None:
+            self.values = None
+        if self.values is None:
             self.exact()
-        else:
-            self.values, self.tol = values, 16.0 * (1.0 + math.sqrt(len(values))) * _EPS
 
     def _gram_values(self, gram: np.ndarray, e: int):
         """The values of the Gram route from gram = W W^T / 4^e, or None
@@ -259,26 +256,27 @@ class _SpectralPass:
         eigensolve fails.  The closures hold no self, so that no cycle holds
         the pass."""
         lo = gram.shape[0]
+        tol = 16.0 * (1.0 + math.sqrt(lo)) * _EPS
         if _host._openblas() is None:  # numpy's eigvalsh and eigh, the values held whole
             self._vectors = lambda k: np.linalg.eigh(gram)[1][:, -k:]
             lam = np.linalg.eigvalsh(gram)[::-1]
             self._eigen = lambda: (lam, e)
             if not _admitted(lam[0], lam[lo // 2], e):
                 return None
-            return _Held(np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e))
+            return _Held(np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e), tol)
         # gram.T is gram, which numpy forms exactly symmetric, and column-major,
         # so it is reduced in place
         d, f, z, tau = _host.sytrd(gram.T)
         self._vectors = lambda k: _host.top_vectors(d, f, z, tau, k)
         self._eigen = lambda: (_host.stebz(d, f, 1, lo)[::-1], e)
-        values = _Bisected(d, f, e)
+        values = _Bisected(d, f, e, tol)
         values.bisect((lo - 1) // 2, lo // 2)  # sigma_hat's median pair, in one call
         return values if _admitted(values.eigenvalue(0), values.eigenvalue(lo // 2), e) else None
 
     def exact(self) -> _Held:
         """Replace the values by gesdd's and return them; where gesdd fails,
         all eigenvalues of W W^T stand in, unless the Gram route failed."""
-        self.values, self.tol = _Held(_svd_values(self.w, self._eigen)), None
+        self.values = _Held(_svd_values(self.w, self._eigen))
         return self.values
 
     def rank_k_part(self, k: int) -> np.ndarray:
@@ -338,6 +336,9 @@ def ks_distance(values, shape) -> float:
     s^2 / n >= 16 > gamma_plus, where F_gamma is 1, so it is clipped there
     before it is squared, which keeps s^2 finite.
     """
+    if not (isinstance(shape, (tuple, list)) and len(shape) == 2
+            and all(_is_integer(d) and d >= 1 for d in shape)):
+        raise ValueError(f"shape must be two positive integers, got {shape!r}")
     lo, hi = min(shape), max(shape)
     s = _real_array(values)
     if s.ndim != 1 or not 1 <= s.size <= lo or not np.isfinite(s).all():

@@ -446,7 +446,7 @@ class TestGramValuesRoute:
         u, v = (np.linalg.qr(rng.standard_normal((d, 20)))[0] for d in (20, 30))
         s = np.concatenate([[1.0], np.linspace(0.3, 0.2, 19)])
         spectrum = _SpectralPass((u * s) @ v.T)
-        tol = spectrum.tol
+        tol = spectrum.values.tol
         s[0] = _decide(spectrum.values, (20, 30), None, DEFAULT_ETA).threshold
         s[0] /= math.sqrt(1.0 - 3.0 * tol)
         x = (u * s) @ v.T
@@ -490,7 +490,7 @@ class TestGramValuesRoute:
                 x += (u * s * rng.uniform(0.5, 1.0, spikes)) @ v.T
             x *= 10.0 ** rng.uniform(-5.0, 5.0)
             spectrum = _SpectralPass(x)
-            if spectrum.tol is None:
+            if spectrum.values.tol is None:
                 continue
             values = spectrum.values
             admitted += 1

@@ -347,7 +347,7 @@ def test_sigma_hat_is_bracketed_by_the_noise(cell):
 
     # the values are gesdd's, or within tol s_1^2 of them in their squares
     # (then s_med > 0); the noise's are gesdd's
-    tol = spectrum.tol or 16.0 * (1.0 + math.sqrt(lo)) * _EPS
+    tol = values.tol or 16.0 * (1.0 + math.sqrt(lo)) * _EPS
     s1, s_med = values[0], values[lo // 2]
-    slack = tol * (s1 + e[0] + (s1 * s1 / s_med if spectrum.tol else 0.0)) / calibration
+    slack = tol * (s1 + e[0] + (s1 * s1 / s_med if values.tol else 0.0)) / calibration
     assert pair(r) - slack <= sigma_hat <= pair(-r) + slack

@@ -2,6 +2,8 @@
 
 import contextlib
 import gc
+import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -67,6 +69,32 @@ def truncation(x, k):
     return top.T if x.shape[0] > x.shape[1] else top
 
 
+# Entries that a float64 cast would parse, take as numbers or drop the
+# imaginary part of; the first column holds one, for ks_distance.
+NON_REAL = {
+    "str": [["1", "2", "3"], ["4", "5", "7"]],
+    "bytes": np.array([[b"1", b"2", b"3"], [b"4", b"5", b"7"]]),
+    "bool": [[True, False, False], [False, True, True]],
+    "datetime64": np.array([[1, 2, 3], [4, 5, 7]], dtype="datetime64[D]"),
+    "timedelta64": np.array([[1, 2, 3], [4, 5, 7]], dtype="timedelta64[s]"),
+    "complex": np.array([[1 + 5j, 2, 3], [3, 4j, 5]]),
+    "complex_object": np.array([[1 + 1j, 2.0, 3.0], [4.0, 5.0, 7.0]], dtype=object),
+}
+
+# Each public function of a matrix, as a function of one m x n (m <= n)
+# matrix; ks_distance takes its first column as the values.
+MATRIX_FUNCTIONS = {
+    "estimate_sigma": usvt.estimate_sigma,
+    "usvt_denoise": usvt.usvt_denoise,
+    "usvt_denoise_sigma_0": lambda x: usvt.usvt_denoise(x, 0.0),  # no spectral pass
+    "usvt_adaptive": usvt.usvt_adaptive,
+    "singular_values": singular_values,
+    "nuclear_norm": nuclear_norm,
+    "mse": lambda x: usvt.mse(np.ones(np.shape(x)), x),
+    "ks_distance": lambda x: ks_distance(np.asarray(x)[:, 0], np.shape(x)),
+}
+
+
 class TestAsMatrix:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
@@ -80,16 +108,29 @@ class TestAsMatrix:
         with pytest.raises(ValueError):
             as_matrix(bad)
 
-    def test_rejects_complex_input(self):
-        # a cast to float64 would drop the imaginary part, with only a warning
-        x = np.array([[1 + 5j, 2], [3, 4j]])
-        calls = [lambda: usvt.estimate_sigma(x), lambda: usvt.usvt_denoise(x),
-                 lambda: usvt.usvt_denoise(x.tolist(), 0.0), lambda: singular_values(x),
-                 lambda: usvt.mse(np.ones((2, 2)), x), lambda: usvt.mse(x.real, x.real + 0j),
-                 lambda: ks_distance(np.array([1.0 + 0j, 2.0]), (2, 3))]
-        for call in calls:
-            with pytest.raises(ValueError, match="must be real"):
-                call()
+    @pytest.mark.parametrize("kind", NON_REAL)
+    @pytest.mark.parametrize("function", MATRIX_FUNCTIONS)
+    def test_rejects_non_real_input(self, function, kind):
+        # only integer, unsigned and float entries are numbers; the error
+        # names the dtype
+        x = NON_REAL[kind]
+        named = re.escape(f"must be real numbers, got dtype {np.asarray(x).dtype}")
+        with pytest.raises(ValueError, match=named):
+            MATRIX_FUNCTIONS[function](x)
+        if kind == "complex":  # as a list, and with the imaginary parts all zero
+            for bad in (x.tolist(), x.real + 0j):
+                with pytest.raises(ValueError, match="must be real numbers"):
+                    MATRIX_FUNCTIONS[function](bad)
+
+    @pytest.mark.parametrize("function", MATRIX_FUNCTIONS)
+    def test_integer_input_gives_its_float64_casts_result(self, function):
+        ints = np.array([[3, -1, 4, 1], [5, 9, -2, 6], [5, 3, 5, 8]])
+        for x in (ints, ints.tolist(), np.abs(ints).astype(np.uint8)):
+            expected = MATRIX_FUNCTIONS[function](np.asarray(x, dtype=np.float64))
+            assert pickle.dumps(MATRIX_FUNCTIONS[function](x)) == pickle.dumps(expected), x
+        # and a float64 array is taken as it is, not copied
+        x = ints.astype(np.float64)
+        assert as_matrix(x) is x
 
 
 class TestSvd:
@@ -225,7 +266,8 @@ class TestGramRoute:
     def test_admitted_values_are_the_gram_eigenvalues(self, shape):
         x = np.random.default_rng(40).standard_normal(shape)
         spectrum = _SpectralPass(x)
-        values, gram, tol = spectrum.values, _gram(spectrum.w)[0], spectrum.tol
+        values, gram = spectrum.values, _gram(spectrum.w)[0]
+        tol = values.tol
         # W / 2^e in C order, 2^e the binade of max|x|
         e = np.frexp(np.abs(x).max())[1]
         v = np.ldexp(np.ascontiguousarray(x if shape[0] <= shape[1] else x.T), -e)
@@ -252,7 +294,7 @@ class TestGramRoute:
                 self.counted(monkeypatch, "sytrd", fail=True)
             for x, refused in zip(cases, (fail, True, fail)):
                 spectrum = _SpectralPass(x)
-                assert (spectrum.tol is None) == refused
+                assert (spectrum.values.tol is None) == refused
                 top = spectrum.rank_k_part(2).T.tobytes()
                 for tall in (x.T, np.ascontiguousarray(x.T)):
                     other = _SpectralPass(tall)
@@ -279,7 +321,7 @@ class TestGramRoute:
         s = np.concatenate([[np.sqrt(spread)], np.ones(8)])
         x = planted(s, 9, 14, seed=42)
         spectrum = _SpectralPass(x)
-        assert (spectrum.tol is not None) == admitted
+        assert (spectrum.values.tol is not None) == admitted
         if not admitted:
             assert spectrum.values.array.tobytes() == singular_values(x).tobytes()
 
@@ -290,7 +332,7 @@ class TestGramRoute:
         expected = singular_values(x)
         eig, svd = self.counted(monkeypatch, "sytrd"), self.counted(monkeypatch, "svd")
         spectrum = _SpectralPass(x)
-        assert spectrum.tol is None
+        assert spectrum.values.tol is None
         assert spectrum.values.array.tobytes() == expected.tobytes()
         assert (eig, svd) == (["sytrd"], ["svd"])
 
@@ -299,7 +341,8 @@ class TestGramRoute:
         expected = singular_values(x)
         eig = self.counted(monkeypatch, "sytrd", fail=True)
         spectrum = _SpectralPass(x)
-        assert spectrum.values.array.tobytes() == expected.tobytes() and spectrum.tol is None
+        values = spectrum.values
+        assert values.array.tobytes() == expected.tobytes() and values.tol is None
         assert eig == ["sytrd"]
 
     def test_both_failing_is_explicit_and_runs_eigvalsh_once(self, monkeypatch):
@@ -329,7 +372,7 @@ class TestGramRoute:
         tri, eig = self.counted(monkeypatch, "sytrd"), self.counted(monkeypatch, "eigvalsh")
         self.counted(monkeypatch, "svd", fail=True)
         spectrum = _SpectralPass(x)
-        assert spectrum.tol is None and (tri, eig) == (["sytrd"], ["eigvalsh"])
+        assert spectrum.values.tol is None and (tri, eig) == (["sytrd"], ["eigvalsh"])
         # bisected and numpy's eigenvalues of the same W W^T: equal to
         # rounding of lambda_1
         fallback = singular_values(x)
@@ -345,9 +388,17 @@ class TestGramRoute:
             _SpectralPass(x)
 
 
+def sturm_count(values, x):
+    """The number of a bisected pass's lambda_i >= (x / 2^e)^2, by one Sturm
+    count with no band: the number of values >= x but for lambda_i within
+    rounding of (x / 2^e)^2."""
+    y = np.ldexp(x, -values.e)
+    return values.d.size - _host.laebz(values.d, values.f, y * y, y * y)[0]
+
+
 def decision_reads(x):
     """What a decision reads of x's spectral pass: s_1, the median pair,
-    s_k and s_{k+1} at k = lo // 4 + 1, the count of values at least
+    s_k and s_{k+1} at k = lo // 4 + 1, the Sturm count of values at least
     s_{lo // 4}, and the banded count at the x whose (x / s_1)^2 is the
     midpoint of (s_2 / s_1)^2 and (s_3 / s_1)^2."""
     values = _SpectralPass(x).values
@@ -355,7 +406,8 @@ def decision_reads(x):
     k = lo // 4 + 1
     reads = [values[i] for i in (0, (lo - 1) // 2, lo // 2, k - 1, min(k, lo - 1))]
     t = ((values[min(1, lo - 1)] / values[0]) ** 2 + (values[min(2, lo - 1)] / values[0]) ** 2) / 2
-    return reads, values.at_least(values[lo // 4]), values.at_least(values[0] * np.sqrt(t), 1e-13)
+    return (reads, sturm_count(values, values[lo // 4]),
+            values.at_least(values[0] * np.sqrt(t), 1e-13))
 
 
 def kept_part(x, k=5):
@@ -385,7 +437,7 @@ class TestBisection:
                 k = lo // 4 + 1
                 for i in {0, (lo - 1) // 2, lo // 2, k - 1, min(k, lo - 1)}:
                     assert abs(values[i] ** 2 - expected[i] ** 2) <= \
-                        spectrum.tol * expected[0] ** 2, (shape, i)
+                        spectrum.values.tol * expected[0] ** 2, (shape, i)
 
     def test_counts_match_eigvalsh_outside_the_band(self):
         # thresholds midway between numpy's values and beyond both ends:
@@ -394,39 +446,43 @@ class TestBisection:
         rng = np.random.default_rng(64)
         for shape in self.SHAPES[:5]:
             spectrum = _SpectralPass(rng.standard_normal(shape))
-            values, tol = spectrum.values, spectrum.tol
+            values = spectrum.values
             s = np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(_gram(spectrum.w)[0])[::-1], 0.0)),
                          values.e)
             cuts = np.concatenate([[1.5 * s[0]], (s[:-1] + s[1:]) / 2, [s[-1] / 2]])
             clear = 0
             for tau in cuts:
-                kept = values.at_least(tau, tol)
+                kept = values.at_least(tau, values.tol)
                 if kept is not None:
                     clear += 1
-                    assert kept == values.at_least(tau) == np.count_nonzero(s >= tau), (shape, tau)
+                    assert kept == sturm_count(values, tau) == np.count_nonzero(s >= tau), \
+                        (shape, tau)
             assert clear >= 0.9 * cuts.size, shape
             for value in s:
-                assert values.at_least(value, tol) is None, shape
+                assert values.at_least(value, values.tol) is None, shape
 
     def test_a_value_tied_at_tau_goes_to_gesdd(self, monkeypatch):
         # tau on a value the pass read, known or estimated: the banded count
-        # is never returned, so gesdd's values decide, as they do for a tie
+        # is never returned, so gesdd's values decide, as they do for a tie;
+        # the values hold their band, so no decision or count is made
+        # without it
         from usvt import DEFAULT_ETA, usvt_denoise
         from usvt.estimators import _decide
 
         x = planted(np.concatenate([[3.0, 2.0], np.linspace(0.9, 0.5, 18)]), 20, 30, seed=65)
-        spectrum = _SpectralPass(x)
-        values, tol = spectrum.values, spectrum.tol
+        values = _SpectralPass(x).values
+        with pytest.raises(TypeError):
+            values.at_least(values[0])
         for i in range(len(values)):
-            assert values.at_least(values[i], tol) is None
+            assert values.at_least(values[i], values.tol) is None
             sigma = values[i] / (2.0 + DEFAULT_ETA) / np.sqrt(30)
-            assert _decide(values, x.shape, sigma, DEFAULT_ETA, tol) is None
+            assert _decide(values, x.shape, sigma, DEFAULT_ETA) is None
         # s_1 on the estimated threshold: the band, widened by tau_hat's
         # error, holds it
         u, s, vt = np.linalg.svd(x, full_matrices=False)
         s[0] = _decide(values, x.shape, None, DEFAULT_ETA).threshold
         planted_tau = _SpectralPass((u * s) @ vt)
-        assert _decide(planted_tau.values, x.shape, None, DEFAULT_ETA, planted_tau.tol) is None
+        assert _decide(planted_tau.values, x.shape, None, DEFAULT_ETA) is None
         sigma = values[1] / (2.0 + DEFAULT_ETA) / np.sqrt(30)
         calls = TestGramRoute.counted(monkeypatch, "svd")
         _, report = usvt_denoise(x, sigma)
@@ -545,7 +601,7 @@ class TestBisection:
         assert not f.any() and d[0] == d.max()
         assert _host.laebz(d, f, d[0], d[0]) == (5, 5)
         for i in range(5):
-            assert values.at_least(values[i]) in (i, i + 1)
+            assert sturm_count(values, values[i]) in (i, i + 1)
             # the banded count at each value is refused, and between values
             # it is the number above
             assert values.at_least(values[i], 1e-13) is None
@@ -790,6 +846,17 @@ class TestKsDistance:
     def test_rejects_bad_values(self, values):
         with pytest.raises(ValueError):
             ks_distance(values, (2, 4))
+
+    @pytest.mark.parametrize("shape", [
+        (2.5, 4), (2.0, 4.0), (True, 4), (2, False), ("2", 4), (0, 4), (2, -4), (2,), (2, 3, 4),
+        5, None,
+    ])
+    def test_rejects_a_shape_that_is_not_two_positive_integers(self, shape):
+        with pytest.raises(ValueError, match="shape must be two positive integers"):
+            ks_distance([1.0], shape)
+
+    def test_takes_numpy_integers_as_the_shape(self):
+        assert ks_distance([1.0], (np.int64(2), np.uint8(4))) == ks_distance([1.0], (2, 4))
 
 
 class TestPublicApi:
