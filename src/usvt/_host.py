@@ -8,11 +8,11 @@ and their number moves the last bits of LAPACK's results, so a study's
 bytes would depend on the host's thread count.  Every LAPACK call on a
 Gram is made here through ctypes (`_call`), which releases the GIL, so
 that the cells' eigensolves overlap: `sytrd` reduces it to tridiagonal
-form once and keeps the reflectors (dsytrd), `stebz` bisects the
-eigenvalues a decision reads from that form (dstebz), `laebz` counts them
-by Sturm sequences (dlaebz, the counts dstebz bisects by) and
-`top_vectors` turns the tridiagonal form's top eigenvectors (dstemr) into
-the Gram's by the reflectors (dormtr).
+form once, keeping the reflectors (dsytrd), `stebz` bisects the few
+eigenvalues a decision reads (dstebz), `laebz` counts them by the Sturm
+sequences dstebz bisects by (dlaebz), `sterf` gives all of them, with
+numpy's eigvalsh's bytes (dsterf), and `top_vectors` turns the form's top
+eigenvectors (dstemr) into the Gram's by the reflectors (dormtr).
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ _ABSTOL = 2.0 * np.finfo(np.float64).tiny
 @functools.lru_cache(maxsize=None)
 def _openblas():
     """(get, set, lapack): get and set the thread count of the OpenBLAS that
-    numpy's wheels bundle in numpy.libs, and lapack names its ILP64 dlaebz,
-    dormtr, dstebz, dstemr and dsytrd; None where there is no such library
-    or it lacks one of them."""
+    numpy's wheels bundle in numpy.libs, and lapack its ILP64 routines below,
+    by name; None where there is no such library or it lacks one of them."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
@@ -58,7 +57,7 @@ def _openblas():
             set_ = lib.scipy_openblas_set_num_threads64_
             lapack = types.SimpleNamespace(
                 **{name: getattr(lib, f"scipy_{name}_64_")
-                   for name in ("dlaebz", "dormtr", "dstebz", "dstemr", "dsytrd")})
+                   for name in ("dlaebz", "dormtr", "dstebz", "dstemr", "dsterf", "dsytrd")})
         except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
@@ -159,6 +158,17 @@ def stebz(d: np.ndarray, e: np.ndarray, il: int, iu: int) -> np.ndarray:
     if info or found.value != iu - il + 1:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return w[:found.value]
+
+
+def sterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """All eigenvalues, ascending, of the symmetric tridiagonal matrix with
+    diagonal d and subdiagonal e, float64: dsterf's root-free QL/QR, on
+    copies of d and e, which it overwrites, with the GIL released.  Needs
+    numpy's OpenBLAS; raises LinAlgError where dsterf does not converge."""
+    w = d.copy()
+    if _call("dsterf", w.size, w, e.copy()):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
 
 
 def laebz(d: np.ndarray, e: np.ndarray, lower: float, upper: float):

@@ -507,8 +507,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usvt: error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, SvdConvergenceError) as exc:
-        print(f"usvt: error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, SvdConvergenceError, MemoryError) as exc:
+        print(f"usvt: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

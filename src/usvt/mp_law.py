@@ -70,6 +70,7 @@ class MPLaw:
 
     def density(self, x: float) -> float:
         """Density sqrt((g+ - x)(x - g-)) / (2 pi gamma x); zero off support."""
+        x = _real("x", x)
         if x <= self.gamma_minus or x >= self.gamma_plus:
             return 0.0
         radicand = (self.gamma_plus - x) * (x - self.gamma_minus)
@@ -77,6 +78,7 @@ class MPLaw:
 
     def cdf(self, x: float) -> float:
         """Probability mass on [gamma_minus, x], by the closed form above."""
+        x = _real("x", x)
         if x <= self.gamma_minus:
             return 0.0
         if x >= self.gamma_plus:

@@ -211,20 +211,20 @@ def run_cell(config: ExperimentConfig, rank_index: int, sigma_index: int,
     sigma = config.sigmas[sigma_index]
     rng = cell_rng(config.seed, rank_index, sigma_index, rep)
     reduced = config.noise_kind in _ORTHOGONALLY_INVARIANT
-    if reduced:  # the signal is D_r (+) 0, added in place on its diagonal
-        x = _bartlett_noise(min(m, n), max(m, n), r, rng)
-        x *= sigma
-        diagonal, spectrum = (np.arange(r), np.arange(r)), signal_spectrum(r)
-        x[diagonal] += spectrum
-    else:
-        signal = signal_matrix(r, m, n, rng)
-        x = noise_matrix(m, n, config.noise_kind, rng)
-        x *= sigma
-        x += signal
     cell = f"cell rank={r} sigma={sigma} rep={rep}"
     try:
-        # an overflow would write inf or nan into the records as a result
+        # an overflow, the draw's too, would write inf or nan into the records
         with np.errstate(over="raise"):
+            if reduced:  # the signal is D_r (+) 0, added in place on its diagonal
+                x = _bartlett_noise(min(m, n), max(m, n), r, rng)
+                x *= sigma
+                diagonal, spectrum = (np.arange(r), np.arange(r)), signal_spectrum(r)
+                x[diagonal] += spectrum
+            else:
+                signal = signal_matrix(r, m, n, rng)
+                x = noise_matrix(m, n, config.noise_kind, rng)
+                x *= sigma
+                x += signal
             # decided and scored as the m x n cell, also in reduced form
             denoised, report = _denoise(x, (m, n), None, config.eta)
             sq_err_sigma = (report.sigma_used - sigma) ** 2

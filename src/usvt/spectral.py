@@ -24,16 +24,16 @@ lambda_med; beyond GRAM_MAX_SPREAD the route is refused and gesdd runs.
 The values hold their own error bound `tol`, so that no count on them
 skips its band; gesdd's hold None.  The same tridiagonal form, with the
 reduction's reflectors, gives the top-k eigenvectors of the rank-k part,
-and where gesdd fails all eigenvalues are bisected from it.  W, W W^T
-and its tridiagonal form are each formed at most once per pass, on every
-route; the reduction overwrites W W^T with its reflectors, so no copy of
-it is held.
+and where gesdd fails all eigenvalues, with the bytes of numpy's eigvalsh
+(dsytrd, then dsterf) on every route.  W, W W^T and its tridiagonal form
+are each formed at most once per pass, on every route; the reduction
+overwrites W W^T with its reflectors, so no copy of it is held.
 
 Every LAPACK call on W W^T is `_host`'s, with the GIL released, so that
-the study's cells solve on several threads at once: the tridiagonal
-reduction, the bisection and Sturm counts of the values, and the top-k
-eigenvectors.  Where numpy's OpenBLAS is not found, numpy's eigvalsh and
-eigh run on W W^T instead.  gesdd is numpy's.
+the study's cells solve on several threads at once: `sytrd` reduces it,
+`stebz` bisects and `laebz` counts the values a decision reads, `sterf`
+gives all values and `top_vectors` the top-k eigenvectors.  Without
+numpy's OpenBLAS, numpy's eigvalsh and eigh run instead.  gesdd is numpy's.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ class _SpectralPass:
         # so it is reduced in place
         d, f, z, tau = _host.sytrd(gram.T)
         self._vectors = lambda k: _host.top_vectors(d, f, z, tau, k)
-        self._eigen = lambda: (_host.stebz(d, f, 1, lo)[::-1], e)
+        self._eigen = lambda: (_host.sterf(d, f)[::-1], e)
         values = _Bisected(d, f, e, tol)
         values.bisect((lo - 1) // 2, lo // 2)  # sigma_hat's median pair, in one call
         return values if _admitted(values.eigenvalue(0), values.eigenvalue(lo // 2), e) else None

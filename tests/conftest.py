@@ -1,3 +1,4 @@
+import collections
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import usvt
-from usvt import _helper, _host, cli
+from usvt import _helper, _host, cli, estimators, spectral
 
 
 @pytest.fixture
@@ -22,37 +23,49 @@ def child_env():
     return env
 
 
+class Calls(list):
+    """The names of the spied routines in the order they were called, and
+    what each call of a name returned, in `returned[name]`."""
+
+    def __init__(self):
+        super().__init__()
+        self.returned = collections.defaultdict(list)
+
+
 @pytest.fixture
-def eigensolves(monkeypatch):
-    """Call to spy on every eigensolve of a Gram: the list returned gets
-    "sytrd" for each tridiagonal reduction of the Gram route
-    (`_host.sytrd`), "eigh" for each solve for eigenvectors
-    (`_host.top_vectors`, or numpy's eigh) and "eigvalsh" for each solve
-    for all eigenvalues (`_host.stebz` over the whole range, or numpy's
-    eigvalsh), and the calls of a kind named in `fail` raise LinAlgError.
-    Calls again wrap the spies already installed."""
+def spectral_calls(monkeypatch):
+    """Call with routine names to spy on them, by default on every solve but
+    the few eigenvalues a decision reads (stebz, laebz): the Calls returned
+    get each name as it is called, and the names in `fail`, spied too,
+    raise LinAlgError in place of running.  The names are `_host`'s
+    sytrd, stebz, sterf, laebz and top_vectors, numpy's svd, eigvalsh and
+    eigh, the rank-k part's thin SVD `_svd_part` (the svd that follows it;
+    any other svd is values-only) and `_gram`, `_wide`, `as_matrix` and
+    `_sigma_hat`.  Calls again wrap the spies already installed."""
+    homes = {"svd": [np.linalg], "eigvalsh": [np.linalg], "eigh": [np.linalg],
+             "_svd_part": [spectral._SpectralPass], "_gram": [spectral], "_wide": [spectral],
+             "as_matrix": [spectral, estimators], "_sigma_hat": [estimators]}
 
-    def install(fail=()):
-        calls = []
+    def install(*names, fail=()):
+        calls = Calls()
 
-        def spy(module, name, kind):
-            original = getattr(module, name)
+        def spy(home, name):
+            original = getattr(home, name)
 
             def counted(*args, **kwargs):
-                called = kind(*args) if callable(kind) else kind
-                if called:
-                    calls.append(called)
-                    if called in fail:
-                        raise np.linalg.LinAlgError("did not converge")
-                return original(*args, **kwargs)
+                calls.append(name)
+                if name in fail:
+                    raise np.linalg.LinAlgError("did not converge")
+                result = original(*args, **kwargs)
+                calls.returned[name].append(result)
+                return result
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(home, name, counted)
 
-        spy(_host, "sytrd", "sytrd")
-        spy(_host, "top_vectors", "eigh")
-        spy(_host, "stebz", lambda d, e, il, iu: (il, iu) == (1, d.size) and "eigvalsh")
-        spy(np.linalg, "eigh", "eigh")
-        spy(np.linalg, "eigvalsh", "eigvalsh")
+        solves = ("sytrd", "sterf", "top_vectors", "svd", "_svd_part", "eigvalsh", "eigh")
+        for name in set(names or solves) | set(fail):
+            for home in homes.get(name, [_host]):
+                spy(home, name)
         return calls
 
     return install

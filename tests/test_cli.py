@@ -655,26 +655,40 @@ class TestDenoise:
         assert capsys.readouterr().err.startswith("usvt: error: ")
         assert unlinked == []
 
-    def test_spectral_failure_falls_back_then_exits_one(self, tmp_path, capsys, monkeypatch,
-                                                        eigensolves):
+    def test_spectral_failure_falls_back_then_exits_one(self, tmp_path, capsys, spectral_calls):
         # a failed SVD leaves the values pass its W W^T eigenvalues (kept 0
         # needs nothing else); only when their tridiagonal reduction fails
         # too is it exit 1
-        def exploding(*args, **kwargs):
-            raise np.linalg.LinAlgError("did not converge")
-
         x = np.random.default_rng(7).standard_normal((6, 10))
         src, out, rep = (tmp_path / n for n in ("in.txt", "out.txt", "r.json"))
         write_matrix(src, x)
         argv = ["denoise", "--input", str(src), "--output", str(out), "--report", str(rep)]
-        monkeypatch.setattr(np.linalg, "svd", exploding)
+        spectral_calls(fail=("svd",))
         assert main(argv) == 0
         assert json.loads(rep.read_text())["kept_rank"] == 0
         out.unlink()
         rep.unlink()
-        eigensolves(fail=("sytrd",))
+        spectral_calls(fail=("sytrd",))
         assert main(argv) == 1
         assert "did not converge" in capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
+
+    @pytest.mark.parametrize("callee, error, message", [
+        ("usvt_denoise", MemoryError("Unable to allocate 7 TiB"), "Unable to allocate 7 TiB"),
+        ("write_report", MemoryError(), "MemoryError")], ids=["denoise", "second_write"])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch, callee, error,
+                                            message):
+        # raised by the computation or by the second write: no traceback,
+        # and no output left behind
+        def no_memory(*args):
+            raise error
+
+        src, out, rep = (tmp_path / n for n in ("in.txt", "out.txt", "r.json"))
+        write_matrix(src, np.random.default_rng(7).standard_normal((6, 10)))
+        monkeypatch.setattr(cli, callee, no_memory)
+        assert main(["denoise", "--input", str(src), "--output", str(out),
+                     "--report", str(rep)]) == 1
+        assert capsys.readouterr().err == f"usvt: error: {message}\n"
         assert not out.exists() and not rep.exists()
 
     def test_report_rejects_non_finite(self, tmp_path):
@@ -755,9 +769,10 @@ class TestSimulate:
             assert float(row[4]) == rec.sq_err_sigma
             assert float(row[5]) == rec.mse_matrix
 
-    @pytest.mark.parametrize("sigma, code", [("1e150", 0), ("1e200", 1)])
+    @pytest.mark.parametrize("sigma, code", [("1e150", 0), ("1e200", 1), ("1e308", 1)])
     def test_huge_sigma_runs_or_fails_cleanly(self, tmp_path, capsys, sigma, code):
-        # at 1e200 (sigma_hat - sigma)^2 is not a float64
+        # at 1e200 (sigma_hat - sigma)^2 is not a float64, and at 1e308 the
+        # draw itself overflows
         out, summary = tmp_path / "r.csv", tmp_path / "s.csv"
         assert main(["simulate", "--m", "8", "--n", "12", "--ranks", "2",
                      "--sigmas", sigma, "--reps", "1", "--seed", "3",

@@ -16,7 +16,6 @@ from usvt import (
     usvt_adaptive,
     usvt_denoise,
 )
-from usvt import _host
 from usvt.estimators import _decide
 from usvt.spectral import GRAM_MAX_SPREAD, _Held, _SpectralPass
 
@@ -40,50 +39,6 @@ def planted(spikes, m, n, seed=16):
     u = np.linalg.qr(rng.standard_normal((m, k)))[0]
     v = np.linalg.qr(rng.standard_normal((n, k)))[0]
     return (u * np.concatenate([tau * np.asarray(spikes), bulk])) @ v.T, tau
-
-
-def spy_linalg(monkeypatch):
-    """Record the spectral calls: "values" for a values-only SVD, "svd" for
-    one with vectors, "sytrd" for the tridiagonal reduction the Gram values
-    are read from, "eigvalsh" for all Gram values (bisected over the whole
-    range, or numpy's), "eigh" for the Gram's eigenvectors (from the
-    reduction, or numpy's)."""
-    calls = []
-    svd, sytrd, stebz, top_vectors = np.linalg.svd, _host.sytrd, _host.stebz, _host.top_vectors
-    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
-
-    def counted_svd(*args, **kwargs):
-        calls.append("svd" if kwargs.get("compute_uv", True) else "values")
-        return svd(*args, **kwargs)
-
-    def counted_sytrd(a):
-        calls.append("sytrd")
-        return sytrd(a)
-
-    def counted_stebz(d, e, il, iu):
-        if (il, iu) == (1, d.size):
-            calls.append("eigvalsh")
-        return stebz(d, e, il, iu)
-
-    def counted_top_vectors(*args):
-        calls.append("eigh")
-        return top_vectors(*args)
-
-    def counted_eigvalsh(a):
-        calls.append("eigvalsh")
-        return eigvalsh(a)
-
-    def counted_eigh(a):
-        calls.append("eigh")
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(_host, "sytrd", counted_sytrd)
-    monkeypatch.setattr(_host, "stebz", counted_stebz)
-    monkeypatch.setattr(_host, "top_vectors", counted_top_vectors)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    return calls
 
 
 class TestEstimateSigma:
@@ -180,20 +135,13 @@ class TestUsvtDenoise:
         assert math.copysign(1.0, report.threshold) == 1.0
 
     @pytest.mark.parametrize("shape", [(20, 30), (30, 20)], ids=["wide", "tall"])
-    def test_keeping_every_component_returns_the_input(self, monkeypatch, eigensolves, shape):
+    def test_keeping_every_component_returns_the_input(self, spectral_calls, shape):
         # a threshold below s_min keeps all min(m, n): the rank-min(m, n)
         # truncation is x itself, so no eigenvectors or singular vectors are
         # computed
         x = np.random.default_rng(5).standard_normal(shape)
         sigma = singular_values(x)[-1] / 2 / (2.0 + DEFAULT_ETA) / math.sqrt(max(shape))
-        calls = eigensolves()
-        svd = np.linalg.svd
-
-        def values_only(*args, **kwargs):
-            calls.append("values" if kwargs.get("compute_uv") is False else "svd")
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", values_only)
+        calls = spectral_calls()
         denoised, report = usvt_denoise(x, sigma)
         assert report.kept_rank == min(shape) and report.threshold > 0.0
         assert denoised.tobytes() == x.tobytes()
@@ -280,18 +228,19 @@ class TestUsvtDenoise:
 
     @pytest.mark.parametrize("known", [True, False], ids=["known", "estimated"])
     @pytest.mark.parametrize("spikes, solver",
-                             [([3.0, 2.0, 0.8], "eigh"), ([3.0, 1.001, 0.999], "svd")],
+                             [([3.0, 2.0, 0.8], ["top_vectors"]),
+                              ([3.0, 1.001, 0.999], ["_svd_part", "svd"])],
                              ids=["resolved_gap", "near_tie"])
-    def test_values_pass_then_gram_or_svd(self, monkeypatch, known, spikes, solver):
+    def test_values_pass_then_gram_or_svd(self, spectral_calls, known, spikes, solver):
         # the Gram values decide k; the same W W^T gives the kept part, and
         # the full SVD runs only when the relative squared gap at k is below
         # GRAM_MIN_GAP
         x, tau = planted(spikes, 20, 30)
-        calls = spy_linalg(monkeypatch)
+        calls = spectral_calls()
         sigma = tau / (2.0 + DEFAULT_ETA) / np.sqrt(30) if known else None
         _, report = usvt_denoise(x, sigma)
         assert report.kept_rank == 2
-        assert calls == ["sytrd", solver]
+        assert calls == ["sytrd", *solver]
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1e308])
     def test_rejects_non_finite_sigma_or_threshold(self, sigma):
@@ -320,13 +269,13 @@ class TestUsvtAdaptive:
         scaled, _ = usvt_adaptive(5.0 * x)
         assert np.abs(scaled - 5.0 * base).max() <= 1e-8
 
-    def test_kept_zero_skips_singular_vectors(self, monkeypatch):
+    def test_kept_zero_skips_singular_vectors(self, spectral_calls):
         # the published setting keeps nothing: one tridiagonal reduction of
         # W W^T, no values-only eigensolve of it, no vectors from either route
         rng = np.random.default_rng(13)
         x = signal_matrix(50, 200, 1000, rng) + rng.standard_normal((200, 1000))
         _, expected = usvt_denoise(x, estimate_sigma(x))
-        calls = spy_linalg(monkeypatch)
+        calls = spectral_calls()
         denoised, report = usvt_adaptive(x)
         assert report == expected and report.kept_rank == 0
         assert np.array_equal(denoised, np.zeros_like(x))
@@ -398,7 +347,7 @@ class TestGramValuesRoute:
     def gesdd_report(x, sigma, eta=DEFAULT_ETA):
         return _decide(_Held(np.linalg.svd(x, compute_uv=False)), x.shape, sigma, eta)
 
-    def test_exactly_low_rank_runs_gesdd(self, monkeypatch):
+    def test_exactly_low_rank_runs_gesdd(self, spectral_calls):
         # the spread guard: a median at the rounding level is gesdd's, and
         # sigma_hat meets test_sigma_hat_is_calibrated_median's floor
         rng = np.random.default_rng(50)
@@ -406,39 +355,39 @@ class TestGramValuesRoute:
         values = np.linalg.svd(x, compute_uv=False)
         lo, hi = min(x.shape), max(x.shape)
         calibration = math.sqrt(hi * MPLaw(lo / hi).median)
-        calls = spy_linalg(monkeypatch)
+        calls = spectral_calls()
         _, report = usvt_adaptive(x)
-        assert calls[:2] == ["sytrd", "values"]
+        assert calls[:2] == ["sytrd", "svd"]
         expected = float(np.median(values)) / calibration
         assert abs(report.sigma_used - expected) <= max(1e-12 * expected,
                                                         1e-12 * values[0] / calibration)
 
     @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
-    def test_value_inside_the_band_runs_gesdd(self, monkeypatch, shape):
+    def test_value_inside_the_band_runs_gesdd(self, spectral_calls, shape):
         # a known sigma whose threshold is gesdd's s_2: the Gram lambda_2
         # lies within the band of tau^2, so gesdd decides
         x, _ = planted([3.0, 2.0, 0.8], *shape)
         s = np.linalg.svd(x, compute_uv=False)
         sigma = s[1] / (2.0 + DEFAULT_ETA) / math.sqrt(max(shape))
-        calls = spy_linalg(monkeypatch)
+        calls = spectral_calls()
         _, report = usvt_denoise(x, sigma)
-        assert calls[:2] == ["sytrd", "values"]
+        assert calls[:2] == ["sytrd", "svd"]
         assert report == self.gesdd_report(x, sigma)
         assert report.kept_rank == int(np.count_nonzero(s >= report.threshold))
 
-    def test_value_at_the_estimated_threshold_runs_gesdd(self, monkeypatch):
+    def test_value_at_the_estimated_threshold_runs_gesdd(self, spectral_calls):
         # s_1 set to the Gram route's own tau_hat, which the median fixes
         x, _ = planted([3.0, 2.0, 0.8], 20, 30)
         tau = _decide(_SpectralPass(x).values, x.shape, None, DEFAULT_ETA).threshold
         u, s, vt = np.linalg.svd(x, full_matrices=False)
         s[0] = tau
         x = (u * s) @ vt
-        calls = spy_linalg(monkeypatch)
+        calls = spectral_calls()
         _, report = usvt_adaptive(x)
-        assert calls[:2] == ["sytrd", "values"]
+        assert calls[:2] == ["sytrd", "svd"]
         assert report == self.gesdd_report(x, None)
 
-    def test_band_is_widened_by_the_error_of_tau_hat(self, monkeypatch):
+    def test_band_is_widened_by_the_error_of_tau_hat(self, spectral_calls):
         # s_1^2 = tau_hat^2 / (1 - 3 tol): outside the band tol s_1^2 of a
         # known tau, inside the band widened by tau_hat^2's error, about
         # (1 + tau_hat^2 / s_med^2) tol s_1^2 with tau_hat / s_med about 2.3
@@ -450,13 +399,13 @@ class TestGramValuesRoute:
         s[0] = _decide(spectrum.values, (20, 30), None, DEFAULT_ETA).threshold
         s[0] /= math.sqrt(1.0 - 3.0 * tol)
         x = (u * s) @ v.T
-        calls = spy_linalg(monkeypatch)
+        calls = spectral_calls()
         _, report = usvt_adaptive(x)
-        assert calls[:2] == ["sytrd", "values"]
+        assert calls[:2] == ["sytrd", "svd"]
         assert report == self.gesdd_report(x, None)
         calls.clear()
         usvt_denoise(x, report.sigma_used)
-        assert calls == ["sytrd", "eigh"]
+        assert calls == ["sytrd", "top_vectors"]
 
     def test_estimate_sigma_is_denoises_but_at_the_margin(self):
         # estimate_sigma makes no keep/drop decision: it keeps the Gram
@@ -507,11 +456,10 @@ class TestGramValuesRoute:
 
     @staticmethod
     def route_case(route, shape):
-        """(x, sigma, the numpy routine that fails, the numpy calls expected)
-        of a denoise of shape `shape` taking `route`; "values" is gesdd's
-        values-only SVD, "sytrd" the Gram route's tridiagonal reduction,
-        "eigvalsh" all Gram values, "eigh" the rank-k part's Gram
-        eigenvectors, which a failed reduction leaves to the SVD."""
+        """(x, sigma, the routines that fail, the solves expected) of a
+        denoise of shape `shape` taking `route`: a failed tridiagonal
+        reduction leaves the rank-k part to the thin SVD (`_svd_part`), and
+        a failed gesdd leaves the values to all Gram eigenvalues."""
         spikes = [40.0, 30.0, 0.8] if route == "spread_refused" else [3.0, 2.0, 0.8]
         x, _ = planted(spikes, *shape)
         s = np.linalg.svd(x, compute_uv=False)
@@ -519,69 +467,43 @@ class TestGramValuesRoute:
         if route == "margin_estimated":
             u, s, vt = np.linalg.svd(x, full_matrices=False)
             s[0] = _decide(_SpectralPass(x).values, shape, None, DEFAULT_ETA).threshold
-            return (u * s) @ vt, None, None, ["sytrd", "values", "eigh"]
+            return (u * s) @ vt, None, (), ["sytrd", "svd", "top_vectors"]
         return {
-            "admitted": (x, None, None, ["sytrd", "eigh"]),
-            "spread_refused": (x, None, None, ["sytrd", "values", "eigh"]),
-            "margin_known": (x, sigma, None, ["sytrd", "values", "eigh"]),
-            "margin_gesdd_fails": (x, sigma, "svd", ["sytrd", "values", "eigvalsh", "eigh"]),
-            "sytrd_fails": (x, None, "sytrd", ["sytrd", "values", "svd"]),
+            "admitted": (x, None, (), ["sytrd", "top_vectors"]),
+            "spread_refused": (x, None, (), ["sytrd", "svd", "top_vectors"]),
+            "margin_known": (x, sigma, (), ["sytrd", "svd", "top_vectors"]),
+            "margin_gesdd_fails": (x, sigma, ("svd",), ["sytrd", "svd", "sterf", "top_vectors"]),
+            "sytrd_fails": (x, None, ("sytrd",), ["sytrd", "svd", "_svd_part", "svd"]),
         }[route]
 
     @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
-    def test_one_gram_per_denoise(self, monkeypatch, shape):
+    def test_one_gram_per_denoise(self, monkeypatch, spectral_calls, shape):
         # on every route W and W W^T are formed once, from the wide W, W W^T
         # is reduced to tridiagonal form once and all its eigenvalues are
         # computed only where gesdd fails, the input is validated only at the
         # entry point, the rank is gesdd's 2 and the kept part numpy's
         # truncation
-        from usvt import estimators, spectral
-
-        def spy(original, name, calls, failing):
-            def counted(*args, **kwargs):
-                if name == "stebz":  # all Gram values, where bisected over the whole range
-                    called = "eigvalsh" if args[2:] == (1, args[0].size) else name
-                elif name == "top_vectors":  # the Gram's eigenvectors
-                    called = "eigh"
-                else:
-                    called = "values" if kwargs.get("compute_uv") is False else name
-                calls.append(called)
-                if name == "_gram":
-                    formed.append(args[0].shape)
-                if failing in (name, called):
-                    raise np.linalg.LinAlgError("did not converge")
-                return original(*args, **kwargs)
-
-            return counted
-
-        spied = [(spectral, "_wide"), (spectral, "_gram"), (spectral, "as_matrix"),
-                 (estimators, "as_matrix"), (np.linalg, "svd"), (_host, "sytrd"),
-                 (_host, "stebz"), (_host, "top_vectors"), (np.linalg, "eigvalsh"),
-                 (np.linalg, "eigh")]
+        formed = ("_wide", "_gram", "as_matrix")
         for route in ("admitted", "spread_refused", "margin_known", "margin_estimated",
                       "margin_gesdd_fails", "sytrd_fails"):
             x, sigma, failing, expected = self.route_case(route, shape)
             u, s, vt = np.linalg.svd(x, full_matrices=False)
             top = (u[:, :2] * s[:2]) @ vt[:2]
-            calls, formed = [], []
-            with monkeypatch.context() as mp:
-                for module, name in spied:
-                    mp.setattr(module, name, spy(getattr(module, name), name, calls, failing))
-                denoised, report = usvt_denoise(x, sigma)
-            linalg = [c for c in calls if c in ("values", "svd", "sytrd", "eigh", "eigvalsh")]
-            assert linalg == expected, route
-            assert [calls.count(n) for n in ("_wide", "_gram", "as_matrix")] == [1, 1, 1], route
-            assert formed == [(20, 30)], route
+            calls = spectral_calls(*formed, "sytrd", "sterf", "top_vectors", "svd", "_svd_part",
+                                   "eigvalsh", "eigh", fail=failing)
+            denoised, report = usvt_denoise(x, sigma)
+            monkeypatch.undo()
+            assert [c for c in calls if c not in formed] == expected, route
+            assert [calls.count(n) for n in formed] == [1, 1, 1], route
+            assert [gram.shape for gram, _ in calls.returned["_gram"]] == [(20, 20)], route
             assert report.kept_rank == 2, route
             assert np.linalg.norm(denoised - top) <= 1e-12 * np.linalg.norm(top), route
 
     @pytest.mark.parametrize("shape", [(20, 30), (30, 20)], ids=["wide", "tall"])
-    def test_one_count_and_one_sigma_hat_per_decision(self, monkeypatch, shape):
+    def test_one_count_and_one_sigma_hat_per_decision(self, spectral_calls, shape):
         # the band check and the count at tau^2 are one Sturm count pair,
         # made only where tau <= 2 s_1, and sigma_hat is computed once per
         # set of values decided on: twice where gesdd's values take over
-        from usvt import estimators
-
         x, _ = planted([3.0, 2.0, 0.8], *shape)
         s = np.linalg.svd(x, compute_uv=False)
         per_tau = 1.0 / (2.0 + DEFAULT_ETA) / math.sqrt(max(shape))  # sigma per unit tau
@@ -596,16 +518,10 @@ class TestGramValuesRoute:
             (x, 2.5 * s[0] * per_tau, 0, 0, 0),
             ((u * s_at_tau) @ vt, None, 2, 1, 2),
         ]
+        calls = spectral_calls("laebz", "_sigma_hat")
         for y, sigma, kept, pairs, estimates in cases:
-            calls = []
-            with monkeypatch.context() as mp:
-                for module, name in ((_host, "laebz"), (estimators, "_sigma_hat")):
-                    def counted(*args, original=getattr(module, name), name=name):
-                        calls.append(name)
-                        return original(*args)
-
-                    mp.setattr(module, name, counted)
-                _, report = usvt_denoise(y, sigma)
+            calls.clear()
+            _, report = usvt_denoise(y, sigma)
             assert report.kept_rank == kept, (sigma, kept)
             assert (calls.count("laebz"), calls.count("_sigma_hat")) == (pairs, estimates), \
                 (sigma, kept)
@@ -620,18 +536,18 @@ class TestGramValuesRoute:
         assert report.kept_rank == kept
 
     @pytest.mark.parametrize("j", [-300, 7, 300])
-    def test_power_of_two_scaling_is_exact(self, monkeypatch, j):
+    def test_power_of_two_scaling_is_exact(self, spectral_calls, j):
         x, tau = planted([3.0, 2.0, 0.8], 20, 30)
         sigma = tau / (2.0 + DEFAULT_ETA) / math.sqrt(30)
+        calls = spectral_calls()
         for known in (None, sigma):
             a, ra = usvt_denoise(x, known)
-            calls = spy_linalg(monkeypatch)
+            calls.clear()
             b, rb = usvt_denoise(np.ldexp(x, j), None if known is None else math.ldexp(known, j))
-            assert calls == ["sytrd", "eigh"] and ra.kept_rank == 2
+            assert calls == ["sytrd", "top_vectors"] and ra.kept_rank == 2
             assert b.tobytes() == np.ldexp(a, j).tobytes()
             assert (rb.sigma_used, rb.threshold) == \
                 (math.ldexp(ra.sigma_used, j), math.ldexp(ra.threshold, j))
-            monkeypatch.undo()
 
 
 class TestMse:

@@ -110,6 +110,13 @@ class TestCdf:
         assert all(0.0 <= v <= 1.0 for v in values)
 
 
+    @pytest.mark.parametrize("x", [True, "0.5", None])
+    @pytest.mark.parametrize("method", ["cdf", "density"])
+    def test_rejects_non_numbers(self, method, x):
+        with pytest.raises(ValueError):
+            getattr(MPLaw(0.5), method)(x)
+
+
 class TestQuantile:
     def test_extreme_levels(self):
         law = MPLaw(0.3)

@@ -16,7 +16,6 @@ from usvt import (
     DEFAULT_ETA,
     DenoiseReport,
     MPLaw,
-    _host,
     estimators,
     signal_matrix,
     signal_spectrum,
@@ -270,37 +269,31 @@ def planted_cells(draw):
     return signal, noise, r, sigma, shape
 
 
-@settings(PROPERTIES, max_examples=200)
-@given(planted_cells(), st.booleans())
-def test_error_is_within_the_rank_bound(cell, known):
+def test_error_is_within_the_rank_bound(spectral_calls):
     # X = M + E with rank(M) = r: M_hat - M has rank at most k + r and
     # operator norm at most s_{k+1}(X) + ||E|| < tau + ||E||, so
     # ||M_hat - M||_F^2 <= (k + r)(tau + ||E||)^2 at any sigma, known or
     # estimated, also for a reduced cell decided with its m x n shape, as
     # the study decides it.  The pass reduces its Gram to tridiagonal form
     # once; a kept part's vectors come from that form unless its gap sends
-    # it to gesdd, and numpy's eigensolvers never run.
-    signal, noise, r, sigma, shape = cell
-    calls = []
+    # it to gesdd, and numpy's eigensolvers never run.  The spies are
+    # installed once, for every example.
+    calls = spectral_calls("sytrd", "top_vectors", "eigh", "eigvalsh")
 
-    def spy(name, routine):
-        def counted(*args):
-            calls.append(name)
-            return routine(*args)
+    @settings(PROPERTIES, max_examples=200)
+    @given(planted_cells(), st.booleans())
+    def check(cell, known):
+        signal, noise, r, sigma, shape = cell
+        calls.clear()
+        denoised, report = estimators._denoise(signal + noise, shape,
+                                               sigma if known else None, DEFAULT_ETA)
+        k = report.kept_rank
+        assert calls.count("sytrd") == 1 and calls.count("top_vectors") <= (k > 0)
+        assert not {"eigh", "eigvalsh"} & set(calls)
+        bound = (k + r) * (report.threshold + np.linalg.norm(noise, 2)) ** 2
+        assert np.sum((denoised - signal) ** 2) <= bound * (1.0 + 1e-9)
 
-        return counted
-
-    with mock.patch.object(_host, "sytrd", spy("sytrd", _host.sytrd)), \
-            mock.patch.object(_host, "top_vectors", spy("vectors", _host.top_vectors)), \
-            mock.patch.object(np.linalg, "eigh", spy("numpy", np.linalg.eigh)), \
-            mock.patch.object(np.linalg, "eigvalsh", spy("numpy", np.linalg.eigvalsh)):
-        denoised, report = estimators._denoise(signal + noise, shape, sigma if known else None,
-                                               DEFAULT_ETA)
-    k = report.kept_rank
-    assert calls.count("sytrd") == 1 and calls.count("vectors") <= (k > 0)
-    assert "numpy" not in calls
-    bound = (k + r) * (report.threshold + np.linalg.norm(noise, 2)) ** 2
-    assert np.sum((denoised - signal) ** 2) <= bound * (1.0 + 1e-9)
+    check()
 
 
 @st.composite

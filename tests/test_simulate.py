@@ -358,45 +358,46 @@ class TestRunExperiment:
         assert parallel == serial
 
     @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
-    def test_each_cell_reduces_its_gram_once(self, eigensolves, kind):
+    def test_each_cell_reduces_its_gram_once(self, spectral_calls, kind):
         # reduced and full draws, wide and tall, kept 0 and kept k: one
         # tridiagonal reduction per cell, a kept part's eigenvectors taken
         # from it, and no solve for all eigenvalues
-        calls, records = eigensolves(), []
+        calls, records = spectral_calls(), []
         for m, n in ((20, 30), (30, 20)):
             records += run_experiment(ExperimentConfig(
                 m=m, n=n, ranks=(2, 5), sigmas=(0.01, 5.0), replications=2,
                 noise_kind=kind, seed=3))
         kept = sum(rec.kept_rank > 0 for rec in records)
         assert 0 < kept < len(records)
-        assert calls.count("sytrd") == len(records) and calls.count("eigh") == kept
-        assert "eigvalsh" not in calls
+        assert calls.count("sytrd") == len(records) and calls.count("top_vectors") == kept
+        assert not {"eigh", "sterf", "eigvalsh"} & set(calls)
 
-    def test_svd_failure_carries_cell_identity(self, monkeypatch, eigensolves):
-        def exploding_svd(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
+    def test_svd_failure_carries_cell_identity(self, spectral_calls):
         # the values pass takes the eigenvalues of W W^T, so their
         # tridiagonal reduction has to fail as well
-        monkeypatch.setattr(np.linalg, "svd", exploding_svd)
-        eigensolves(fail=("sytrd",))
+        spectral_calls(fail=("svd", "sytrd"))
         from usvt import SvdConvergenceError
         cfg = ExperimentConfig(m=4, n=6, ranks=(2,), sigmas=(0.7,),
                                replications=1, seed=0)
         with pytest.raises(SvdConvergenceError, match="rank=2 sigma=0.7 rep=0"):
             run_experiment(cfg)
 
-    def test_vector_pass_failure_carries_cell_identity(self, monkeypatch, eigensolves):
-        # the values pass succeeds; eigh and the SVD with vectors both fail
-        svd = np.linalg.svd
+    @pytest.mark.parametrize("kind, overflow", [("gaussian", "a value"),
+                                                 ("uniform", "the largest singular value")],
+                             ids=["gaussian", "uniform"])
+    def test_an_overflowing_draw_carries_cell_identity(self, kind, overflow):
+        # at 1e308 the scaled Gaussian draw overflows, and the uniform one's
+        # s_1 does: either way the cell is named, with no warning
+        cfg = ExperimentConfig(m=4, n=6, ranks=(2,), sigmas=(1e308,), replications=1,
+                               noise_kind=kind, seed=0)
+        with pytest.raises(ValueError) as failed:
+            run_experiment(cfg)
+        assert str(failed.value) == f"cell rank=2 sigma=1e+308 rep=0: {overflow} overflows float64"
 
-        def values_only(*args, **kwargs):
-            if kwargs.get("compute_uv", True):
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", values_only)
-        eigensolves(fail=("eigh",))
+    def test_vector_pass_failure_carries_cell_identity(self, spectral_calls):
+        # the values pass succeeds; the Gram's eigenvectors and the thin SVD
+        # both fail
+        spectral_calls(fail=("top_vectors", "eigh", "_svd_part"))
         from usvt import SvdConvergenceError
         cfg = ExperimentConfig(m=10, n=15, ranks=(2,), sigmas=(0.01,),
                                replications=1, seed=0)

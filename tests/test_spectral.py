@@ -45,10 +45,6 @@ def embedded_diag(values, m, n):
     return a
 
 
-def exploding(*args, **kwargs):
-    raise np.linalg.LinAlgError("did not converge")
-
-
 def planted(values, m, n, seed=30):
     """U diag(values) V^T in random frames, len(values) = min(m, n)."""
     rng = np.random.default_rng(seed)
@@ -147,10 +143,9 @@ class TestSvd:
             assert top.shape == x.shape
             assert np.linalg.norm(top - x) <= 1e-10 * max(1.0, np.linalg.norm(x))
 
-    def test_convergence_failure_is_explicit(self, monkeypatch, eigensolves):
+    def test_convergence_failure_is_explicit(self, spectral_calls):
         # the values pass raises only once its W W^T fallback fails too
-        monkeypatch.setattr(np.linalg, "svd", exploding)
-        eigensolves(fail=("eigvalsh",))
+        spectral_calls(fail=("svd", "eigvalsh"))
         with pytest.raises(SvdConvergenceError):
             singular_values(np.ones((3, 3)))
 
@@ -169,28 +164,37 @@ class TestVectorFallback:
         return values
 
     @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
-    def test_failed_eigh_takes_the_svd(self, eigensolves, shape):
+    def test_failed_eigh_takes_the_svd(self, spectral_calls, shape):
         x = planted(self.spectrum("resolved_gap"), *shape)
         spectrum = _SpectralPass(x)
-        eigensolves(fail=("eigh",))
+        spectral_calls(fail=("top_vectors", "eigh"))
         top = spectrum.rank_k_part(2)
         assert np.linalg.norm(top - truncation(x, 2)) <= 1e-12 * np.linalg.norm(top)
 
+    def test_a_gap_that_cannot_be_read_takes_the_svd(self, spectral_calls):
+        # s_2 and s_3 are bisected where first read; where that fails, the
+        # thin SVD, which needs no gap, gives the part
+        x = planted(self.spectrum("resolved_gap"), 20, 30)
+        spectrum = _SpectralPass(x)
+        calls = spectral_calls("top_vectors", "_svd_part", "svd", fail=("stebz",))
+        top = spectrum.rank_k_part(2)
+        assert calls == ["stebz", "_svd_part", "svd"]
+        assert np.linalg.norm(top - truncation(x, 2)) <= 1e-12 * np.linalg.norm(top)
+
     @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
-    def test_failed_svd_at_a_near_tie_takes_the_gram(self, monkeypatch, shape):
+    def test_failed_svd_at_a_near_tie_takes_the_gram(self, spectral_calls, shape):
         x = planted(self.spectrum("near_tie"), *shape)
         spectrum, expected = _SpectralPass(x), truncation(x, 2)
-        monkeypatch.setattr(np.linalg, "svd", exploding)
+        spectral_calls(fail=("svd",))
         top = spectrum.rank_k_part(2)
         # a relative squared gap of 4e-4 leaves the Gram route about 1e-11 off
         assert np.linalg.norm(top - expected) <= 1e-9 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("gap", ["resolved_gap", "near_tie"])
-    def test_both_failing_is_explicit(self, monkeypatch, eigensolves, gap):
+    def test_both_failing_is_explicit(self, spectral_calls, gap):
         x = planted(self.spectrum(gap), 20, 30)
         spectrum = _SpectralPass(x)
-        monkeypatch.setattr(np.linalg, "svd", exploding)
-        eigensolves(fail=("eigh",))
+        spectral_calls(fail=("svd", "top_vectors", "eigh"))
         with pytest.raises(SvdConvergenceError, match="rank-2"):
             spectrum.rank_k_part(2)
 
@@ -199,14 +203,14 @@ class TestValuesFallback:
     """singular_values when LAPACK's SVD does not converge."""
 
     @pytest.fixture
-    def no_svd(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "svd", exploding)
+    def no_svd(self, spectral_calls):
+        spectral_calls(fail=("svd",))
 
     @pytest.mark.parametrize("shape", [(12, 20), (20, 12), (15, 15), (1, 6)])
-    def test_gram_eigenvalues_stand_in(self, monkeypatch, shape):
+    def test_gram_eigenvalues_stand_in(self, spectral_calls, shape):
         x = np.random.default_rng(20).standard_normal(shape)
         expected = np.linalg.svd(x, compute_uv=False)
-        monkeypatch.setattr(np.linalg, "svd", exploding)
+        spectral_calls(fail=("svd",))
         values = singular_values(x)
         assert values.shape == expected.shape
         assert np.all(np.diff(values) <= 0) and np.all(values >= 0)
@@ -220,11 +224,11 @@ class TestValuesFallback:
         assert np.all(values[1:] >= 0.0) and np.all(values[1:] <= 1e-6)
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
-    def test_extreme_scales_are_rescaled(self, monkeypatch, scale):
+    def test_extreme_scales_are_rescaled(self, spectral_calls, scale):
         # W W^T is formed at the binade of max|W|: no over- or underflow
         x = scale * np.random.default_rng(21).standard_normal((12, 20))
         expected = np.linalg.svd(x, compute_uv=False)
-        monkeypatch.setattr(np.linalg, "svd", exploding)
+        spectral_calls(fail=("svd",))
         assert_allclose(singular_values(x), expected, rtol=0, atol=1e-7 * expected[0])
 
     def test_overflowing_gram_is_explicit(self, no_svd):
@@ -235,32 +239,6 @@ class TestValuesFallback:
 
 class TestGramRoute:
     """_SpectralPass: the eigenvalues of W W^T, or gesdd's values where refused."""
-
-    @staticmethod
-    def counted(monkeypatch, name, fail=False):
-        """The list of the calls of gesdd ("svd"), of the Gram route's
-        tridiagonal reduction ("sytrd") or of the Gram eigensolves of all
-        values ("eigvalsh": a bisection over the whole range, or numpy's
-        eigvalsh), which raise LinAlgError if fail."""
-        calls = []
-
-        def spy(module, attr):
-            routine = getattr(module, attr)
-
-            def counted(*args, **kwargs):
-                if attr == "stebz" and args[2:] != (1, args[0].size):  # some values
-                    return routine(*args, **kwargs)
-                calls.append(name)
-                if fail:
-                    raise np.linalg.LinAlgError("did not converge")
-                return routine(*args, **kwargs)
-
-            monkeypatch.setattr(module, attr, counted)
-
-        for module, attr in {"svd": [(np.linalg, "svd")], "sytrd": [(_host, "sytrd")],
-                             "eigvalsh": [(_host, "stebz"), (np.linalg, "eigvalsh")]}[name]:
-            spy(module, attr)
-        return calls
 
     @pytest.mark.parametrize("shape", [(1, 9), (12, 20), (20, 12), (15, 15)])
     def test_admitted_values_are_the_gram_eigenvalues(self, shape):
@@ -281,7 +259,7 @@ class TestGramRoute:
         assert 0.0 < tol < 1e-12
         assert np.abs(read(values) ** 2 - expected**2).max() <= tol * expected[0] ** 2
 
-    def test_transpose_gives_the_same_bytes(self, monkeypatch):
+    def test_transpose_gives_the_same_bytes(self, spectral_calls):
         # against x.T and the C-order copy a file of x.T reads as: admitted,
         # spread-refused, a rank-2 part by thin SVD, and with the Gram route's
         # tridiagonal reduction failed
@@ -291,7 +269,7 @@ class TestGramRoute:
                  planted(near_tie, 9, 14, seed=47)]
         for fail in (False, True):
             if fail:
-                self.counted(monkeypatch, "sytrd", fail=True)
+                spectral_calls(fail=("sytrd",))
             for x, refused in zip(cases, (fail, True, fail)):
                 spectrum = _SpectralPass(x)
                 assert (spectrum.values.tol is None) == refused
@@ -325,65 +303,62 @@ class TestGramRoute:
         if not admitted:
             assert spectrum.values.array.tobytes() == singular_values(x).tobytes()
 
-    def test_exactly_low_rank_runs_gesdd(self, monkeypatch):
+    def test_exactly_low_rank_runs_gesdd(self, spectral_calls):
         # the median value is at the rounding level: lambda_med <= 0 or a
         # spread far beyond the bound
         x = np.outer(np.arange(1.0, 7.0), np.arange(1.0, 11.0))
         expected = singular_values(x)
-        eig, svd = self.counted(monkeypatch, "sytrd"), self.counted(monkeypatch, "svd")
+        calls = spectral_calls("sytrd", "svd")
         spectrum = _SpectralPass(x)
         assert spectrum.values.tol is None
         assert spectrum.values.array.tobytes() == expected.tobytes()
-        assert (eig, svd) == (["sytrd"], ["svd"])
+        assert calls == ["sytrd", "svd"]
 
-    def test_failed_eigvalsh_runs_gesdd(self, monkeypatch):
+    def test_failed_eigvalsh_runs_gesdd(self, spectral_calls):
         x = np.random.default_rng(43).standard_normal((12, 20))
         expected = singular_values(x)
-        eig = self.counted(monkeypatch, "sytrd", fail=True)
+        calls = spectral_calls("svd", fail=("sytrd",))
         spectrum = _SpectralPass(x)
         values = spectrum.values
         assert values.array.tobytes() == expected.tobytes() and values.tol is None
-        assert eig == ["sytrd"]
+        assert calls == ["sytrd", "svd"]
 
-    def test_both_failing_is_explicit_and_runs_eigvalsh_once(self, monkeypatch):
+    def test_both_failing_is_explicit_and_runs_eigvalsh_once(self, spectral_calls):
         x = np.random.default_rng(44).standard_normal((12, 20))
-        eig = self.counted(monkeypatch, "sytrd", fail=True)
-        svd = self.counted(monkeypatch, "svd", fail=True)
+        calls = spectral_calls(fail=("sytrd", "svd"))
         with pytest.raises(SvdConvergenceError, match="did not converge"):
             _SpectralPass(x)
-        assert (eig, svd) == (["sytrd"], ["svd"])
+        assert calls == ["sytrd", "svd"]
 
-    def test_exact_after_failed_eigvalsh_has_no_fallback(self, monkeypatch):
+    def test_exact_after_failed_eigvalsh_has_no_fallback(self, spectral_calls):
         # a pass whose Gram route failed has no eigenvalues for exact() to
         # fall back on, so a later gesdd failure is explicit
         x = np.random.default_rng(44).standard_normal((12, 20))
-        eig = self.counted(monkeypatch, "sytrd", fail=True)
+        calls = spectral_calls("svd", fail=("sytrd",))
         spectrum = _SpectralPass(x)
-        self.counted(monkeypatch, "svd", fail=True)
+        spectral_calls(fail=("svd",))
         with pytest.raises(SvdConvergenceError, match="neither the eigenvalues"):
             spectrum.exact()
-        assert eig == ["sytrd"]
+        assert calls == ["sytrd", "svd"]
 
-    def test_refused_values_stand_in_when_gesdd_fails(self, monkeypatch):
+    def test_refused_values_stand_in_when_gesdd_fails(self, spectral_calls):
         # beyond the spread bound gesdd runs; where it does not converge, all
-        # W W^T values are the fallback, bisected from the same tridiagonal
-        # form, as singular_values takes them from its W W^T
+        # W W^T values are the fallback, from the same tridiagonal form by
+        # dsterf: singular_values' fallback, numpy's eigvalsh of its W W^T,
+        # has the same bytes
         x = planted(np.concatenate([[1e4], np.ones(8)]), 9, 14, seed=45)
-        tri, eig = self.counted(monkeypatch, "sytrd"), self.counted(monkeypatch, "eigvalsh")
-        self.counted(monkeypatch, "svd", fail=True)
+        calls = spectral_calls(fail=("svd",))
         spectrum = _SpectralPass(x)
-        assert spectrum.values.tol is None and (tri, eig) == (["sytrd"], ["eigvalsh"])
-        # bisected and numpy's eigenvalues of the same W W^T: equal to
-        # rounding of lambda_1
+        assert spectrum.values.tol is None and calls == ["sytrd", "svd", "sterf"]
         fallback = singular_values(x)
-        assert np.abs(spectrum.values.array ** 2 - fallback ** 2).max() <= 1e-13 * fallback[0] ** 2
-        assert eig == ["eigvalsh"] * 2
+        assert spectrum.values.array.tobytes() == fallback.tobytes()
+        assert calls[3:] == ["svd", "eigvalsh"]
 
-    def test_overflowing_values_are_explicit(self, monkeypatch):
+    def test_overflowing_values_are_explicit(self, spectral_calls):
         x = 1.5e308 * np.random.default_rng(22).uniform(-1.0, 1.0, (20, 40))
         with pytest.raises(ValueError, match="overflows float64"):
             _SpectralPass(x)
-        self.counted(monkeypatch, "svd", fail=True)
+        spectral_calls(fail=("svd",))
         with pytest.raises(ValueError, match="overflows float64"):
             _SpectralPass(x)
 
@@ -461,7 +436,7 @@ class TestBisection:
             for value in s:
                 assert values.at_least(value, values.tol) is None, shape
 
-    def test_a_value_tied_at_tau_goes_to_gesdd(self, monkeypatch):
+    def test_a_value_tied_at_tau_goes_to_gesdd(self, spectral_calls):
         # tau on a value the pass read, known or estimated: the banded count
         # is never returned, so gesdd's values decide, as they do for a tie;
         # the values hold their band, so no decision or count is made
@@ -484,13 +459,13 @@ class TestBisection:
         planted_tau = _SpectralPass((u * s) @ vt)
         assert _decide(planted_tau.values, x.shape, None, DEFAULT_ETA) is None
         sigma = values[1] / (2.0 + DEFAULT_ETA) / np.sqrt(30)
-        calls = TestGramRoute.counted(monkeypatch, "svd")
+        calls = spectral_calls("svd")
         _, report = usvt_denoise(x, sigma)
         assert calls == ["svd"]
         assert report.kept_rank == np.count_nonzero(singular_values(x) >= report.threshold)
 
     @pytest.mark.parametrize("held", [False, True], ids=["default_threads", "one_blas_thread"])
-    def test_threads_at_once_get_the_serial_results(self, held, eigensolves):
+    def test_threads_at_once_get_the_serial_results(self, held, spectral_calls):
         # the values read, bisected within the spread bound, and the rank-5
         # part, whose eigenvectors come from the tridiagonal form: the gap
         # at 5 is far above GRAM_MIN_GAP
@@ -499,7 +474,7 @@ class TestBisection:
         xs = [planted(np.concatenate([spikes, rng.uniform(0.5, 1.0, 145)]), 150, 300, seed=66 + i)
               for i in range(2)]
         assert all(isinstance(_SpectralPass(x).values, _Bisected) for x in xs)
-        calls = eigensolves()
+        calls = spectral_calls()
         results, barrier = [None, None], threading.Barrier(2)
 
         def solve(i):
@@ -520,7 +495,7 @@ class TestBisection:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [[expected[0]] * 8, [expected[1]] * 8]
-        assert calls.count("eigh") == 18 and "eigvalsh" not in calls
+        assert calls.count("top_vectors") == 18 and not {"eigh", "sterf", "eigvalsh"} & set(calls)
 
     @pytest.mark.parametrize("held", [False, True], ids=["default_threads", "one_blas_thread"])
     def test_top_vectors_are_eigenvectors(self, held):
@@ -543,33 +518,22 @@ class TestBisection:
                 top = _host.top_vectors(*_host.sytrd(gram), 1)
                 assert abs(abs(float(top[:, 0] @ v[:, -1])) - 1.0) <= n * _EPS, shape
 
-    def test_the_gram_is_reduced_in_place(self, monkeypatch):
+    def test_the_gram_is_reduced_in_place(self, spectral_calls):
         # W W^T's transpose is W W^T, column-major, so dsytrd reduces it in
         # place: the reflectors take its storage and no copy of it is made;
         # the kept part is still numpy's truncation
-        from usvt import spectral
-
-        formed, reduced, gram, sytrd = [], [], spectral._gram, _host.sytrd
-
-        def forming(w):
-            product, e = gram(w)
-            formed.append(product)
-            return product, e
-
-        def reducing(a):
-            reduced.append(sytrd(a))
-            return reduced[-1]
-
-        monkeypatch.setattr(spectral, "_gram", forming)
-        monkeypatch.setattr(_host, "sytrd", reducing)
+        calls = spectral_calls("_gram", "sytrd")
         x = planted(np.concatenate([[3.0, 2.0], np.linspace(0.9, 0.5, 18)]), 30, 20, seed=70)
         spectrum = _SpectralPass(x)
-        assert len(formed) == len(reduced) == 1 and np.shares_memory(reduced[0][2], formed[0])
+        (formed, _), = calls.returned["_gram"]
+        (_, _, reflectors, _), = calls.returned["sytrd"]
+        assert calls == ["_gram", "sytrd"] and np.shares_memory(reflectors, formed)
         top = spectrum.rank_k_part(2)
         assert np.linalg.norm(top - truncation(x, 2)) <= 1e-12 * np.linalg.norm(top)
 
-    def test_without_the_library_the_values_are_held_and_the_ranks_kept(self, monkeypatch):
-        from usvt import usvt_denoise
+    def test_without_the_library_the_values_are_held_and_the_ranks_kept(self, monkeypatch,
+                                                                        spectral_calls):
+        from usvt import DEFAULT_ETA, usvt_denoise
 
         rng = np.random.default_rng(67)
         cases = [(planted(np.concatenate([[5.0, 4.0, 3.0], np.linspace(1.0, 0.5, 17)]),
@@ -584,6 +548,15 @@ class TestBisection:
         assert any(r.kept_rank for r in bound) and not all(r.kept_rank for r in bound)
         assert_allclose([r.sigma_used for r in unbound], [r.sigma_used for r in bound],
                         rtol=1e-14)
+        # a known tau on a held value: the band refuses the count, and
+        # gesdd's values decide
+        x = cases[0][0]
+        values = _SpectralPass(x).values
+        assert values.at_least(values[1], values.tol) is None
+        calls = spectral_calls()
+        _, report = usvt_denoise(x, values[1] / (2.0 + DEFAULT_ETA) / np.sqrt(30))
+        assert calls[:2] == ["eigvalsh", "svd"]
+        assert report.kept_rank == np.count_nonzero(singular_values(x) >= report.threshold)
 
     def test_sturm_counts_take_an_exactly_zero_pivot_once(self):
         # a pivot of exactly 0 counts its eigenvalue once; unguarded, the
@@ -683,13 +656,26 @@ def solved(gram, k=5):
     """The bytes of all eigenvalues and of the top-k eigenvectors of gram,
     from one `_host.sytrd` reduction of a copy of it."""
     d, e, z, tau = _host.sytrd(gram.copy())
-    return _host.stebz(d, e, 1, d.size).tobytes(), _host.top_vectors(d, e, z, tau, k).tobytes()
+    return _host.sterf(d, e).tobytes(), _host.top_vectors(d, e, z, tau, k).tobytes()
 
 
 class TestSyevd:
     """The Gram eigensolves that a dsyevd call once served, now taken from
-    one dsytrd reduction: all values (`_host.stebz` over 1..n) and the top
+    one dsytrd reduction: all values (`_host.sterf`) and the top
     eigenvectors (`_host.top_vectors`), with the GIL released."""
+
+    @pytest.mark.parametrize("held", [False, True], ids=["default_threads", "one_blas_thread"])
+    def test_all_values_are_eigvalshs_bytes(self, held):
+        # numpy's eigvalsh runs dsytrd and then dsterf: W W^T and W^T W of
+        # wide matrices, full rank and rank-deficient, at scales 1e-5 to 1e4
+        rng = np.random.default_rng(69)
+        with _host.one_blas_thread() if held else contextlib.nullcontext():
+            for shape in ((1, 1), (1, 5), (2, 3), (7, 20), (33, 79), (200, 400)):
+                x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5.0, 4.0)
+                low = rng.standard_normal((shape[0], 1)) @ rng.standard_normal((1, shape[1]))
+                for gram in (_gram(w)[0] for w in (x, x.T, low)):
+                    d, e = _host.sytrd(gram.copy())[:2]
+                    assert _host.sterf(d, e).tobytes() == np.linalg.eigvalsh(gram).tobytes(), shape
 
     @pytest.mark.parametrize("held", [False, True], ids=["default_threads", "one_blas_thread"])
     def test_threads_at_once_get_the_serial_bytes(self, held):
