@@ -230,10 +230,11 @@ def write_matrix(path, matrix: np.ndarray) -> None:
     The bytes are always those of rendering the rows one by one, in order.
     An all-+0.0 matrix (a kept-0 denoise) is one rendered row repeated.
     Any other of at least HELPER_MIN_ENTRIES entries is cut at row ends,
-    one part per usable CPU, at most one per row (`_cuts`).  Cut, its
-    float64 bytes are staged in a temporary file; this process renders the
-    first part and helpers the others (`_in_parts`, `_helper.render`), or
-    it does when a helper does not deliver; the parts are appended in order.
+    one part per usable CPU, at most one per row (`_cuts`).  Cut, only the
+    helpers' rows are staged, as float64 bytes at their offsets in a
+    temporary file; this process renders the first part and helpers the
+    others (`_in_parts`, `_helper.render`), or it does when a helper does
+    not deliver; the parts are appended in order.
     """
     a = np.asarray(matrix, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -250,7 +251,8 @@ def write_matrix(path, matrix: np.ndarray) -> None:
             if len(cuts) > 2:
                 try:
                     staged = stack.enter_context(tempfile.TemporaryFile())
-                    np.ascontiguousarray(a).tofile(staged)
+                    staged.seek(cuts[1])
+                    a[cuts[1] // row:].tofile(staged)
                     fd = staged.fileno()
                 except OSError:  # nowhere to stage the bytes: render them here
                     cuts = [0, a.nbytes]

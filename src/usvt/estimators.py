@@ -127,13 +127,13 @@ def _decide(values, shape: tuple[int, int], sigma: float | None,
 def usvt_denoise(x, sigma: float | None = None, eta: float = DEFAULT_ETA):
     """Threshold the SVD of x at (2 + eta) * sigma * sqrt(max(m, n)).
 
-    Returns (denoised matrix, DenoiseReport).  Singular values exactly equal
-    to the threshold are kept; keeping all min(m, n) returns a copy of the
-    input, its rank-min(m, n) truncation, and sigma = 0 does so with no
-    spectral pass.  sigma None estimates it as sigma_hat; a
-    sigma_hat of exactly 0 is flagged in the report, not raised.  One
-    spectral pass feeds `_decide` and gives the rank-k truncation, as the
-    module docstring says.
+    Returns (denoised matrix, DenoiseReport), the matrix a fresh C-ordered
+    float64 array.  Singular values exactly equal to the threshold are
+    kept; keeping all min(m, n) returns a copy of the input, its
+    rank-min(m, n) truncation, and sigma = 0 does so with no spectral
+    pass.  sigma None estimates it as sigma_hat; a sigma_hat of exactly 0
+    is flagged in the report, not raised.  One spectral pass feeds
+    `_decide` and gives the rank-k truncation, as the module docstring says.
     """
     a = as_matrix(x)
     eta = _check_eta(eta)
@@ -155,7 +155,7 @@ def _denoise(a: np.ndarray, shape: tuple[int, int], sigma: float | None, eta: fl
     k = report.kept_rank
     if k == min(a.shape):  # the rank-min(m, n) truncation is the input itself, exactly
         return a.copy(), report
-    return (spectrum.rank_k_part(k) if k else np.zeros_like(a)), report
+    return (spectrum.rank_k_part(k) if k else np.zeros(a.shape)), report
 
 
 def usvt_adaptive(x, eta: float = DEFAULT_ETA):

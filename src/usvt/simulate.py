@@ -228,15 +228,11 @@ def run_cell(config: ExperimentConfig, rank_index: int, sigma_index: int,
             # decided and scored as the m x n cell, also in reduced form
             denoised, report = _denoise(x, (m, n), None, config.eta)
             sq_err_sigma = (report.sigma_used - sigma) ** 2
-            # the error is formed in the owned `denoised`; a tall cell's
-            # F-ordered part is subtracted into a new C-ordered array, so
-            # that the sum adds the squares in row order
+            # the error is formed in the owned `denoised`
             if reduced:
                 denoised[diagonal] -= spectrum
-            elif denoised.flags.c_contiguous:
-                denoised -= signal
             else:
-                denoised = denoised - signal
+                denoised -= signal
             mse_matrix = float(np.sum(np.square(denoised, out=denoised))) / (m * n)
     except ArithmeticError as exc:
         raise ValueError(f"{cell}: a value overflows float64") from exc

@@ -7,9 +7,10 @@ Values and truncation are computed in the wide (m <= n) orientation W, a
 view of x or x.T, so a non-square x and x.T give bit-identical results; a
 square x is never transposed, so x and x.T agree only to rounding.  LAPACK
 copies W into column-major order itself, so C order is formed only for the
-two products whose bits could depend on layout: W / 2^e, whose W W^T is
+two products whose bits could depend on layout, W / 2^e, whose W W^T is
 formed at an exact power-of-two scale and neither over- nor underflows,
-and W in Q_k^T W.
+and W in Q_k^T W, and for a tall x's rank-k part, W's transposed back, so
+that every denoise returns a C-ordered matrix.
 
 `singular_values` is LAPACK's values-only SVD (gesdd), accurate for every
 value.  The denoiser takes its values from the eigenvalues of W W^T
@@ -305,7 +306,7 @@ class _SpectralPass:
                 raise SvdConvergenceError(
                     f"neither the Gram's eigenvectors nor the SVD converged for the "
                     f"rank-{k} part: {exc}") from exc
-        return top.T if self.tall else top
+        return np.ascontiguousarray(top.T) if self.tall else top
 
     def _gram_part(self, k: int) -> np.ndarray:
         if self._vectors is None:

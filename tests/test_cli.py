@@ -107,8 +107,8 @@ def cpus(monkeypatch, count):
 
 
 def staged(tmp_path, x):
-    """A binary file of x's float64 bytes, open for reading, as write_matrix
-    stages them for its helpers."""
+    """A binary file of x's float64 bytes, open for reading, at the offsets
+    where write_matrix stages its helpers' rows."""
     p = tmp_path / "staged.bin"
     x.tofile(p)
     return open(p, "rb")
@@ -148,6 +148,34 @@ class TestParallelWrite:
         for text in (b"-0.0,", b"5e-324", b"-1.7976931348623157e+308", b"1e-05", b"1e+16",
                      b"12345.0", b"9007199254740992.0"):
             assert text in expected
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_only_the_helpers_rows_are_staged(self, tmp_path, monkeypatch, helpers, count,
+                                              order):
+        # the first part is rendered from memory, so the staged file holds
+        # a hole there: no entry is zero, yet its bytes read back as zeros,
+        # and the helpers' rows follow at their own offsets
+        cpus(monkeypatch, count)
+        staged = []
+        start_helper = cli._start_helper
+
+        def reading(job, fd, start, end, *args):
+            staged.append((start, os.pread(fd, end, 0)))
+            return start_helper(job, fd, start, end, *args)
+
+        monkeypatch.setattr(cli, "_start_helper", reading)
+        rng = np.random.default_rng(count)
+        x = np.asarray(rng.uniform(1.0, 2.0, (600, 300)) * rng.choice([-1.0, 1.0], (600, 300)),
+                       order=order)
+        p = tmp_path / "m.txt"
+        write_matrix(p, x)
+        assert p.read_bytes() == row_loop(x)
+        assert len(staged) == len(helpers) == count - 1
+        assert all(proc.returncode == 0 for proc, _ in helpers)
+        first = staged[0][0]
+        for _, data in staged:
+            assert data == bytes(first) + x.tobytes()[first:len(data)]
 
     def test_helper_alone_imports_no_numpy(self, tmp_path, helper_alone):
         # run as write_matrix runs it, on the staged bytes of its block

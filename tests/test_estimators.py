@@ -214,6 +214,25 @@ class TestUsvtDenoise:
         assert r1.threshold == r2.threshold
         assert r1.kept_rank == r2.kept_rank
 
+    @pytest.mark.parametrize("layout", ["C", "F", "int"])
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6), (7, 7)], ids=["wide", "tall", "square"])
+    @pytest.mark.parametrize("case", ["kept_0", "kept_some", "kept_all", "sigma_0"])
+    def test_result_is_a_fresh_c_ordered_float64_matrix(self, case, shape, layout):
+        # one planted component well above integer noise, so every case's
+        # kept rank is the one its sigma is chosen for
+        rng = np.random.default_rng(33)
+        ints = rng.integers(-3, 4, shape) + 20 * np.outer(rng.integers(1, 4, shape[0]),
+                                                          rng.integers(1, 4, shape[1]))
+        x = {"C": ints.astype(np.float64), "F": np.asfortranarray(ints, dtype=np.float64),
+             "int": ints}[layout]
+        s, lo = singular_values(ints), min(shape)
+        tau, kept = {"kept_0": (2.0 * s[0], 0), "kept_some": (math.sqrt(s[0] * s[1]), 1),
+                     "kept_all": (s[-1] / 2.0, lo), "sigma_0": (0.0, lo)}[case]
+        denoised, report = usvt_denoise(x, tau / (2.0 + DEFAULT_ETA) / math.sqrt(max(shape)))
+        assert report.kept_rank == kept
+        assert denoised.dtype == np.float64 and denoised.shape == shape
+        assert denoised.flags.c_contiguous and not np.shares_memory(denoised, x)
+
     @pytest.mark.parametrize("eta", [0.0, -0.5, 1.0001, float("nan"),
                                      True, "0.5", None, 0.5j])
     def test_rejects_bad_eta(self, eta):
