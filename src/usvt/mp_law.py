@@ -68,9 +68,15 @@ class MPLaw:
     def _span(self) -> float:
         return self.gamma_plus - self.gamma_minus
 
+    @staticmethod
+    def _point(x) -> float:
+        if math.isnan(x := _real("x", x)):  # -inf and inf are points off the support
+            raise ValueError(f"x must be a point of the real line, got {x}")
+        return x
+
     def density(self, x: float) -> float:
         """Density sqrt((g+ - x)(x - g-)) / (2 pi gamma x); zero off support."""
-        x = _real("x", x)
+        x = self._point(x)
         if x <= self.gamma_minus or x >= self.gamma_plus:
             return 0.0
         radicand = (self.gamma_plus - x) * (x - self.gamma_minus)
@@ -78,7 +84,7 @@ class MPLaw:
 
     def cdf(self, x: float) -> float:
         """Probability mass on [gamma_minus, x], by the closed form above."""
-        x = _real("x", x)
+        x = self._point(x)
         if x <= self.gamma_minus:
             return 0.0
         if x >= self.gamma_plus:

@@ -25,10 +25,7 @@ lower entries row by row, then T's diagonal top to bottom (p chi-squares).
 
 Each (rank, sigma, replication) cell draws from its own named substream,
 so results are independent of execution order, and `run_experiment`
-computes them on every usable CPU.  Same-seed Gaussian outputs differ from versions that drew full
-noise for them (with lo + r >= hi, before the trapezoidal factor) or Haar
-frames, and all outputs differ from versions that drew square Haar
-matrices; the law of every record does not.
+computes them on every usable CPU.
 """
 
 from __future__ import annotations
@@ -210,29 +207,25 @@ def run_cell(config: ExperimentConfig, rank_index: int, sigma_index: int,
     r = config.ranks[rank_index]
     sigma = config.sigmas[sigma_index]
     rng = cell_rng(config.seed, rank_index, sigma_index, rep)
-    reduced = config.noise_kind in _ORTHOGONALLY_INVARIANT
     cell = f"cell rank={r} sigma={sigma} rep={rep}"
     try:
         # an overflow, the draw's too, would write inf or nan into the records
         with np.errstate(over="raise"):
-            if reduced:  # the signal is D_r (+) 0, added in place on its diagonal
+            # the signal lives at `at`: D_r's diagonal in reduced form, else
+            # the whole m x n cell
+            if config.noise_kind in _ORTHOGONALLY_INVARIANT:
+                at, signal = (np.arange(r), np.arange(r)), signal_spectrum(r)
                 x = _bartlett_noise(min(m, n), max(m, n), r, rng)
-                x *= sigma
-                diagonal, spectrum = (np.arange(r), np.arange(r)), signal_spectrum(r)
-                x[diagonal] += spectrum
             else:
-                signal = signal_matrix(r, m, n, rng)
+                at, signal = ..., signal_matrix(r, m, n, rng)
                 x = noise_matrix(m, n, config.noise_kind, rng)
-                x *= sigma
-                x += signal
-            # decided and scored as the m x n cell, also in reduced form
+            x *= sigma
+            x[at] += signal
+            # decided and scored as the m x n cell, also in reduced form; the
+            # error is formed in the owned `denoised`
             denoised, report = _denoise(x, (m, n), None, config.eta)
             sq_err_sigma = (report.sigma_used - sigma) ** 2
-            # the error is formed in the owned `denoised`
-            if reduced:
-                denoised[diagonal] -= spectrum
-            else:
-                denoised -= signal
+            denoised[at] -= signal
             mse_matrix = float(np.sum(np.square(denoised, out=denoised))) / (m * n)
     except ArithmeticError as exc:
         raise ValueError(f"{cell}: a value overflows float64") from exc

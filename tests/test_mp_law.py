@@ -110,11 +110,16 @@ class TestCdf:
         assert all(0.0 <= v <= 1.0 for v in values)
 
 
-    @pytest.mark.parametrize("x", [True, "0.5", None])
+    @pytest.mark.parametrize("x", [True, "0.5", None, math.nan, np.float64("nan")])
     @pytest.mark.parametrize("method", ["cdf", "density"])
     def test_rejects_non_numbers(self, method, x):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^x must be "):
             getattr(MPLaw(0.5), method)(x)
+
+    def test_infinite_points_lie_off_the_support(self):
+        law = MPLaw(0.5)
+        assert (law.cdf(-math.inf), law.cdf(math.inf)) == (0.0, 1.0)
+        assert law.density(-math.inf) == law.density(math.inf) == 0.0
 
 
 class TestQuantile:

@@ -408,7 +408,7 @@ class TestRunExperiment:
         ("rademacher", 60, 40), ("uniform", 60, 40), ("rademacher", 40, 60)])
     def test_full_draw_cell_is_signal_plus_noise(self, kind, m, n):
         # bit for bit, with the squared error summed over the rows of the
-        # difference, also where a tall cell's kept part is F-ordered
+        # difference, on wide and tall cells
         cfg = ExperimentConfig(m=m, n=n, ranks=(3,), sigmas=(0.05,),
                                replications=8, noise_kind=kind, seed=12)
         for rep, rec in enumerate(run_experiment(cfg)):
